@@ -25,14 +25,7 @@ from .hardness import (
     verify_witness,
     witness_from_coloring,
 )
-from .labeling import (
-    Labeling,
-    build_flow_instance,
-    check_contiguity,
-    min_feasible_flow,
-    paths_to_labelings,
-    decompose_paths,
-)
+from .labeling import Labeling, check_contiguity, solve_labeled
 from .metric import MetricSpace, TemporalSampling, ValidationError, linf_distance
 from .temporal import CertificationError, LocalSolution, evaluate_general, solve_local
 from .ultrametric import (
@@ -256,21 +249,20 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     sampling = _load_sampling(args.input)
     outdir = Path(args.outdir)
-    solution = solve_local(sampling, scheme=args.method, workers=args.workers)
+    labelings: tuple[Labeling, ...] = ()
+    k = None
+    if args.labels:
+        labeled = solve_labeled(sampling, scheme=args.method, workers=args.workers)
+        solution, labelings, k = labeled.local, labeled.labelings, labeled.k
+    else:
+        solution = solve_local(sampling, scheme=args.method, workers=args.workers)
     outputs = [
         _write_json(outdir / "solution.json", {
             "format_version": FORMAT_VERSION,
             **solution.to_dict(),
         })
     ]
-
-    labelings: tuple[Labeling, ...] = ()
-    k = None
     if args.labels:
-        network = build_flow_instance(sampling, solution.correspondences)
-        flow = min_feasible_flow(network)
-        labelings = paths_to_labelings(decompose_paths(flow))
-        k = flow.value
         outputs.append(_write_json(outdir / "labels.json", {
             "format_version": FORMAT_VERSION,
             "k": k,

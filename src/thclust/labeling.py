@@ -8,10 +8,9 @@ locality.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from .metric import MetricSpace, TemporalSampling, ValidationError
+from .metric import TOL, MetricSpace, TemporalSampling, ValidationError
 from .temporal import (
     Correspondence,
     LocalSolution,
@@ -48,10 +47,6 @@ class FlowNetwork:
     @property
     def vertices(self) -> tuple[tuple, ...]:
         return (SOURCE,) + self.point_nodes + (SINK,)
-
-    @property
-    def lower_bounds(self) -> dict[tuple, int]:
-        return {node: 1 for node in self.point_nodes}
 
     @property
     def size(self) -> int:
@@ -123,43 +118,91 @@ class IntegralFlow:
 
 
 class _MaxFlowGraph:
-    """Edmonds-Karp with sorted adjacency, so augmentation is deterministic."""
+    """Edmonds-Karp over integer node ids and flat residual lists.
 
-    def __init__(self):
-        self.cap: dict[tuple, dict[tuple, int]] = {}
+    ``arcs`` lists ``(u, v, capacity)`` over mutually orderable node keys;
+    ``nodes`` may add keys that no arc touches. A node's id is its key's rank
+    and its arcs are kept sorted by head id. Each ordered pair of nodes owns
+    one residual slot, so repeated arcs add their capacities.
+    """
 
-    def add_edge(self, u: tuple, v: tuple, cap: int) -> None:
-        self.cap.setdefault(u, {})[v] = self.cap.setdefault(u, {}).get(v, 0) + cap
-        self.cap.setdefault(v, {}).setdefault(u, 0)
+    def __init__(self, arcs, nodes=()):
+        nodes = sorted({*nodes, *(node for u, v, _ in arcs for node in (u, v))})
+        self.ids = {node: i for i, node in enumerate(nodes)}
+        slot: dict[tuple[int, int], int] = {}
+        head: list[int] = []
+        res: list[int] = []
+        for u, v, cap in arcs:
+            iu, iv = self.ids[u], self.ids[v]
+            for pair in ((iu, iv), (iv, iu)):
+                if pair not in slot:
+                    slot[pair] = len(head)
+                    head.append(pair[1])
+                    res.append(0)
+            res[slot[(iu, iv)]] += cap
+        rev = [0] * len(head)
+        self.adj: list[list[int]] = [[] for _ in nodes]
+        for (iu, iv), a in sorted(slot.items()):
+            rev[a] = slot[(iv, iu)]
+            self.adj[iu].append(a)
+        self.slot, self.head, self.res, self.rev = slot, head, res, rev
 
-    def max_flow(self, source: tuple, sink: tuple) -> int:
+    def arc(self, u, v) -> int:
+        return self.slot[(self.ids[u], self.ids[v])]
+
+    def close(self, node) -> None:
+        """Zero the residual of every arc into and out of ``node``."""
+        for a in self.adj[self.ids[node]]:
+            self.res[a] = self.res[self.rev[a]] = 0
+
+    def max_flow(self, source, sink) -> int:
+        s, t = self.ids[source], self.ids[sink]
+        head, res, rev = self.head, self.res, self.rev
+        into_t = [-1] * len(self.adj)
+        for a in self.adj[t]:
+            into_t[head[a]] = rev[a]
         total = 0
-        adjacency = {u: sorted(nbrs) for u, nbrs in self.cap.items()}
-        while True:
-            prev: dict[tuple, tuple] = {source: source}
-            queue = deque([source])
-            while queue and sink not in prev:
-                u = queue.popleft()
-                for v in adjacency.get(u, ()):
-                    if v not in prev and self.cap[u][v] > 0:
-                        prev[v] = u
-                        queue.append(v)
-            if sink not in prev:
-                return total
-            bottleneck = None
-            v = sink
-            while v != source:
-                u = prev[v]
-                c = self.cap[u][v]
-                bottleneck = c if bottleneck is None else min(bottleneck, c)
-                v = u
-            v = sink
-            while v != source:
-                u = prev[v]
-                self.cap[u][v] -= bottleneck
-                self.cap[v][u] += bottleneck
-                v = u
+        while (via := self._shortest_path(s, t, into_t)) is not None:
+            path = []
+            v = t
+            while v != s:
+                a = via[v]
+                path.append(a)
+                v = head[rev[a]]
+            bottleneck = min(res[a] for a in path)
+            for a in path:
+                res[a] -= bottleneck
+                res[rev[a]] += bottleneck
             total += bottleneck
+        return total
+
+    def _shortest_path(self, s: int, t: int, into_t: list[int]):
+        """BFS from ``s`` that stops at the first node found with residual into ``t``.
+
+        ``into_t[v]`` is the arc from ``v`` to ``t``, or -1. Returns the arc
+        each reached node was entered by, ``t`` included, or None when ``t``
+        is unreachable.
+        """
+        adj, head, res = self.adj, self.head, self.res
+        via = [-1] * len(adj)
+        via[s] = -2
+        b = into_t[s]
+        if b >= 0 and res[b] > 0:
+            via[t] = b
+            return via
+        queue = [s]
+        for u in queue:
+            for a in adj[u]:
+                if res[a] > 0:
+                    v = head[a]
+                    if via[v] == -1:
+                        via[v] = a
+                        b = into_t[v]
+                        if b >= 0 and res[b] > 0:
+                            via[t] = b
+                            return via
+                        queue.append(v)
+        return None
 
 
 def min_feasible_flow(network: FlowNetwork) -> IntegralFlow:
@@ -170,10 +213,18 @@ def min_feasible_flow(network: FlowNetwork) -> IntegralFlow:
     reduced by augmenting from sink back to source in the residual. The
     instance is always feasible (route one unit through every point of the
     widest level); anything else indicates a broken network and raises.
+
+    Both max-flows are Edmonds-Karp over integer node ids. A node's id is the
+    rank of its tuple among all node tuples, the feasibility terminals
+    included, so scanning arcs by head id is scanning them in tuple order
+    and the augmenting paths, and thus the flow, are fully determined. The
+    breadth-first search stops at the first node it discovers that has
+    residual capacity into the target. A search that ran on would pop nodes
+    in discovery order and enter the target from the first of them with such
+    an arc, so it would find that same path.
     """
     n = network.size
     cap = n  # no minimal flow needs more than one unit per point
-    graph = _MaxFlowGraph()
 
     def inner(node: tuple) -> tuple:
         return node if node in (SOURCE, SINK) else ("in",) + node
@@ -181,45 +232,40 @@ def min_feasible_flow(network: FlowNetwork) -> IntegralFlow:
     def outer(node: tuple) -> tuple:
         return node if node in (SOURCE, SINK) else ("out",) + node
 
-    for a, b in network.edges:
-        graph.add_edge(outer(a), inner(b), cap)
+    arcs = [(outer(a), inner(b), cap) for a, b in network.edges]
     # Node split carries the lower bound: cap - 1 here, 1 restored later.
-    for node in network.point_nodes:
-        graph.add_edge(inner(node), outer(node), cap - 1)
+    arcs += [(inner(node), outer(node), cap - 1) for node in network.point_nodes]
     excess: dict[tuple, int] = {}
     for node in network.point_nodes:
         excess[inner(node)] = excess.get(inner(node), 0) - 1
         excess[outer(node)] = excess.get(outer(node), 0) + 1
-    graph.add_edge(SINK, SOURCE, cap)
+    arcs.append((SINK, SOURCE, cap))
 
     super_source = ("feasibility-source",)
     super_sink = ("feasibility-sink",)
     need = 0
     for node, amount in sorted(excess.items()):
         if amount > 0:
-            graph.add_edge(super_source, node, amount)
+            arcs.append((super_source, node, amount))
             need += amount
         elif amount < 0:
-            graph.add_edge(node, super_sink, -amount)
+            arcs.append((node, super_sink, -amount))
+    graph = _MaxFlowGraph(arcs, nodes=(super_source, super_sink))
     pushed = graph.max_flow(super_source, super_sink)
     if pushed != need:
         raise RuntimeError("layered instance unexpectedly infeasible")
     # Freeze the artificial plumbing, then push back value.
-    for node in list(graph.cap.get(super_source, {})):
-        graph.cap[super_source][node] = 0
-        graph.cap[node][super_source] = 0
-    for node in list(graph.cap.get(super_sink, {})):
-        graph.cap[super_sink][node] = 0
-        graph.cap[node][super_sink] = 0
-    circulating = graph.cap[SOURCE][SINK]  # residual of the sink->source arc
-    graph.cap[SINK][SOURCE] = 0
-    graph.cap[SOURCE][SINK] = 0
+    graph.close(super_source)
+    graph.close(super_sink)
+    back = graph.arc(SOURCE, SINK)  # residual of the sink->source arc
+    circulating = graph.res[back]
+    graph.res[back] = graph.res[graph.rev[back]] = 0
     returned = graph.max_flow(SINK, SOURCE)
 
     flow: dict[tuple[tuple, tuple], int] = {}
     for a, b in network.edges:
-        u, v = outer(a), inner(b)
-        flow[(a, b)] = graph.cap[v][u]  # residual backward cap equals the flow
+        # residual backward cap equals the flow
+        flow[(a, b)] = graph.res[graph.arc(inner(b), outer(a))]
     value = circulating - returned
     result = IntegralFlow(network=network, flow=flow, value=value)
     result.validate()
@@ -346,7 +392,7 @@ def check_contiguity(l1: Labeling, l2: Labeling, delta: float,
     second level's points inside its closed delta-ball. Condition 2 is the
     mirror image. Returns (True, None) or (False, first violation).
     """
-    slack = delta + 1e-9
+    slack = delta + TOL
 
     def covered(src: Labeling, dst: Labeling, condition: int):
         for point in sorted(src.labels):

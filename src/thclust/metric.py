@@ -76,6 +76,8 @@ class MetricSpace:
                 raise ValidationError(
                     f"coords must have one row per point ({n}), got shape {coords.shape}"
                 )
+            if not np.isfinite(coords).all():
+                raise ValidationError("coordinates must be finite")
             coords.setflags(write=False)
         self.coords = coords
 

@@ -7,7 +7,9 @@ the reference answers the fast implementations get compared against.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import deque
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from thclust import (
     TemporalSampling,
     Witness,
 )
+from thclust.labeling import SINK, SOURCE, IntegralFlow
 
 
 # ---------------------------------------------------------------- spaces
@@ -236,6 +239,115 @@ def brute_min_flow(network):
     return None
 
 
+class _DictMaxFlowGraph:
+    """Edmonds-Karp with sorted adjacency, so augmentation is deterministic."""
+
+    def __init__(self):
+        self.cap: dict[tuple, dict[tuple, int]] = {}
+
+    def add_edge(self, u: tuple, v: tuple, cap: int) -> None:
+        self.cap.setdefault(u, {})[v] = self.cap.setdefault(u, {}).get(v, 0) + cap
+        self.cap.setdefault(v, {}).setdefault(u, 0)
+
+    def max_flow(self, source: tuple, sink: tuple) -> int:
+        total = 0
+        adjacency = {u: sorted(nbrs) for u, nbrs in self.cap.items()}
+        while True:
+            prev: dict[tuple, tuple] = {source: source}
+            queue = deque([source])
+            while queue and sink not in prev:
+                u = queue.popleft()
+                for v in adjacency.get(u, ()):
+                    if v not in prev and self.cap[u][v] > 0:
+                        prev[v] = u
+                        queue.append(v)
+            if sink not in prev:
+                return total
+            bottleneck = None
+            v = sink
+            while v != source:
+                u = prev[v]
+                c = self.cap[u][v]
+                bottleneck = c if bottleneck is None else min(bottleneck, c)
+                v = u
+            v = sink
+            while v != source:
+                u = prev[v]
+                self.cap[u][v] -= bottleneck
+                self.cap[v][u] += bottleneck
+                v = u
+            total += bottleneck
+
+
+def reference_min_feasible_flow(network):
+    """Minimum-value integral flow meeting every in-flow lower bound.
+
+    The dict-of-dicts Edmonds-Karp that ``min_feasible_flow`` replaced; it
+    must return the same flow, edge for edge.
+
+    Lower bounds are shifted onto node-splitting edges, feasibility is
+    established by saturating the induced excess, and the value is then
+    reduced by augmenting from sink back to source in the residual. The
+    instance is always feasible (route one unit through every point of the
+    widest level); anything else indicates a broken network and raises.
+    """
+    n = network.size
+    cap = n  # no minimal flow needs more than one unit per point
+    graph = _DictMaxFlowGraph()
+
+    def inner(node: tuple) -> tuple:
+        return node if node in (SOURCE, SINK) else ("in",) + node
+
+    def outer(node: tuple) -> tuple:
+        return node if node in (SOURCE, SINK) else ("out",) + node
+
+    for a, b in network.edges:
+        graph.add_edge(outer(a), inner(b), cap)
+    # Node split carries the lower bound: cap - 1 here, 1 restored later.
+    for node in network.point_nodes:
+        graph.add_edge(inner(node), outer(node), cap - 1)
+    excess: dict[tuple, int] = {}
+    for node in network.point_nodes:
+        excess[inner(node)] = excess.get(inner(node), 0) - 1
+        excess[outer(node)] = excess.get(outer(node), 0) + 1
+    graph.add_edge(SINK, SOURCE, cap)
+
+    super_source = ("feasibility-source",)
+    super_sink = ("feasibility-sink",)
+    need = 0
+    for node, amount in sorted(excess.items()):
+        if amount > 0:
+            graph.add_edge(super_source, node, amount)
+            need += amount
+        elif amount < 0:
+            graph.add_edge(node, super_sink, -amount)
+    pushed = graph.max_flow(super_source, super_sink)
+    if pushed != need:
+        raise RuntimeError("layered instance unexpectedly infeasible")
+    # Freeze the artificial plumbing, then push back value.
+    for node in list(graph.cap.get(super_source, {})):
+        graph.cap[super_source][node] = 0
+        graph.cap[node][super_source] = 0
+    for node in list(graph.cap.get(super_sink, {})):
+        graph.cap[super_sink][node] = 0
+        graph.cap[node][super_sink] = 0
+    circulating = graph.cap[SOURCE][SINK]  # residual of the sink->source arc
+    graph.cap[SINK][SOURCE] = 0
+    graph.cap[SOURCE][SINK] = 0
+    returned = graph.max_flow(SINK, SOURCE)
+
+    flow: dict[tuple[tuple, tuple], int] = {}
+    for a, b in network.edges:
+        u, v = outer(a), inner(b)
+        flow[(a, b)] = graph.cap[v][u]  # residual backward cap equals the flow
+    value = circulating - returned
+    result = IntegralFlow(network=network, flow=flow, value=value)
+    result.validate()
+    if value > n:
+        raise RuntimeError(f"minimum flow value {value} exceeds point count {n}")
+    return result
+
+
 # ---------------------------------------------------------------- graphs
 
 
@@ -268,9 +380,15 @@ def random_graph(rng, n, p=0.5):
     return Graph.build(vs, edges)
 
 
+@functools.lru_cache(maxsize=None)
 def color_assignments(n):
-    """All 3^n color-index assignments as an array, row per assignment."""
-    return np.array(list(itertools.product(range(3), repeat=n)), dtype=np.int8)
+    """All 3^n color-index assignments as a read-only array, row per assignment.
+
+    Cached per n: the hardness sweeps ask for the same table thousands of times.
+    """
+    rows = np.array(list(itertools.product(range(3), repeat=n)), dtype=np.int8)
+    rows.setflags(write=False)
+    return rows
 
 
 def proper_rows(assignments, edge_index_pairs):

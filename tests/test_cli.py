@@ -90,6 +90,16 @@ def test_fit_rejects_invalid_metric(tmp_path, capsys):
     assert "asymmetric distances" in err
 
 
+def test_fit_rejects_nonfinite_coordinate(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"format_version": "1", "space": '
+        '{"points": ["a", "b", "c"], "coords": [[0.0], [NaN], [1.0]]}}'
+    )
+    assert main(["fit", str(path)]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_unsupported_format_version(tmp_path, capsys):
     line_file(tmp_path)
     doc = read_json(tmp_path / "line.json")

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import brute_min_flow, line_space, random_sampling
+from helpers import (
+    brute_min_flow,
+    line_space,
+    random_sampling,
+    reference_min_feasible_flow,
+)
 from thclust import (
     IntegralFlow,
     Labeling,
+    SimConfig,
     TemporalSampling,
     ValidationError,
     build_flow_instance,
@@ -12,6 +18,7 @@ from thclust import (
     decompose_paths,
     min_feasible_flow,
     paths_to_labelings,
+    run,
     solve_labeled,
     solve_local,
 )
@@ -121,6 +128,29 @@ def test_flow_validate_catches_tampering():
     unbalanced[key] += 1
     with pytest.raises(ValidationError):
         IntegralFlow(net, unbalanced, flow.value).validate()
+
+
+def assert_same_flow_as_reference(net):
+    flow = min_feasible_flow(net)
+    reference = reference_min_feasible_flow(net)
+    assert flow.value == reference.value
+    assert flow.flow == reference.flow
+    assert decompose_paths(flow) == decompose_paths(reference)
+
+
+def test_min_flow_matches_reference_solver_on_random_samplings():
+    rng = np.random.default_rng(606)
+    for _ in range(500):
+        samp = random_sampling(rng)
+        for scheme in ("fkw", "subdominant"):
+            sol = solve_local(samp, scheme=scheme)
+            assert_same_flow_as_reference(build_flow_instance(samp, sol.correspondences))
+
+
+def test_min_flow_matches_reference_solver_on_flock():
+    samp = run(SimConfig(actor_count=30))
+    sol = solve_local(samp)
+    assert_same_flow_as_reference(build_flow_instance(samp, sol.correspondences))
 
 
 # ---------------------------------------------------------------- decomposition

@@ -67,6 +67,16 @@ def test_coords_and_matrix_must_agree():
         MetricSpace(["a", "b"], dist=bad, coords=coords)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_coords_rejected(bad):
+    coords = np.array([[0.0], [bad], [1.0]])
+    with pytest.raises(ValidationError, match="finite"):
+        MetricSpace(["a", "b", "c"], coords=coords)
+    dist = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(ValidationError, match="finite"):
+        MetricSpace(["a", "b", "c"], dist=dist, coords=coords)
+
+
 def test_distance_matrix_is_frozen():
     space = line_space([0.0, 2.0])
     with pytest.raises(ValueError):
