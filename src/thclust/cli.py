@@ -49,18 +49,27 @@ class CliError(Exception):
     """User-facing input problem; maps to exit code 1."""
 
 
-def _read_json(path: str) -> dict:
-    p = Path(path)
+def _read_text(path: str) -> str:
     try:
-        text = p.read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _parse_json(text: str, path: str):
+    """Strict JSON: the non-standard NaN, Infinity and -Infinity tokens that
+    ``json`` accepts by default are input errors."""
+    def reject(token: str):
+        raise CliError(f"{path}: non-finite number {token} is not allowed")
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
-        raise CliError(
-            f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
-        ) from exc
+        raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def _read_json(path: str) -> dict:
+    return _parse_json(_read_text(path), path)
 
 
 def _unwrap(doc: dict, path: str) -> dict:
@@ -74,7 +83,8 @@ def _unwrap(doc: dict, path: str) -> dict:
 
 def _write_json(path: Path, payload: dict) -> str:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
     return str(path)
 
 
@@ -110,19 +120,12 @@ def _load_sampling(path: str) -> TemporalSampling:
 
 
 def _load_graph(path: str) -> Graph:
-    p = Path(path)
+    text = _read_text(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}") from exc
-    stripped = text.lstrip()
-    try:
-        if stripped.startswith("{"):
-            doc = _unwrap(json.loads(text), path)
+        if text.lstrip().startswith("{"):
+            doc = _unwrap(_parse_json(text, path), path)
             return Graph.from_dict(doc.get("graph", doc))
         return Graph.from_dimacs(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ValidationError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -252,10 +255,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     labelings: tuple[Labeling, ...] = ()
     k = None
     if args.labels:
-        labeled = solve_labeled(sampling, scheme=args.method, workers=args.workers)
+        labeled = solve_labeled(sampling, scheme=args.method)
         solution, labelings, k = labeled.local, labeled.labelings, labeled.k
     else:
-        solution = solve_local(sampling, scheme=args.method, workers=args.workers)
+        solution = solve_local(sampling, scheme=args.method)
     outputs = [
         _write_json(outdir / "solution.json", {
             "format_version": FORMAT_VERSION,
@@ -550,6 +553,14 @@ def cmd_figure4(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _number(text: str) -> float:
+    """Any float but NaN, which compares false and slips past every check."""
+    value = float(text)
+    if value != value:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thclust",
@@ -568,16 +579,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("fkw", "subdominant"), default="fkw")
     p.add_argument("--labels", action="store_true",
                    help="also compute flow-based labelings")
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--delta", type=_number, default=None,
                    help="certify contiguity at this radius instead of the solved delta")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--emit", choices=("json", "svg"), default="json")
     p.add_argument("-o", "--outdir", default=".")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("cut", help="cut a dendrogram at a height")
     p.add_argument("input", help="dendrogram JSON file")
-    p.add_argument("-r", type=float, required=True, help="cut height (inf allowed)")
+    p.add_argument("-r", type=_number, required=True, help="cut height (inf allowed)")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_cut)
 
@@ -597,8 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a witness against an instance")
     p.add_argument("instance", help="instance JSON file")
     p.add_argument("witness", help="witness JSON file")
-    p.add_argument("--chi", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--chi", type=_number, required=True)
+    p.add_argument("--rho", type=_number, required=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="run the flocking generator")

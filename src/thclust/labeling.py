@@ -432,14 +432,13 @@ class LabeledSolution:
         }
 
 
-def solve_labeled(sampling: TemporalSampling, scheme: str = "fkw",
-                  workers: int = 1) -> LabeledSolution:
+def solve_labeled(sampling: TemporalSampling, scheme: str = "fkw") -> LabeledSolution:
     """Full pipeline: fit levels, connect them, and label by minimum flow.
 
     Uses at most one label per point overall, and adjacent labelings are
     contiguous at the solution's delta.
     """
-    local = solve_local(sampling, scheme=scheme, workers=workers)
+    local = solve_local(sampling, scheme=scheme)
     network = build_flow_instance(sampling, local.correspondences)
     flow = min_feasible_flow(network)
     paths = tuple(decompose_paths(flow))

@@ -8,7 +8,6 @@ and rho (worst merge distortion across a correspondence).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,24 +175,18 @@ def _fit(scheme: str, space: MetricSpace) -> PseudoUltrametric:
     raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
-def solve_local(sampling: TemporalSampling, scheme: str = "fkw",
-                workers: int = 1) -> LocalSolution:
+def solve_local(sampling: TemporalSampling, scheme: str = "fkw") -> LocalSolution:
     """Fit every level and connect adjacent ones by Hausdorff correspondences.
 
     With scheme ``fkw`` the per-level fit error is the minimum possible and
     delta equals the largest adjacent Hausdorff distance, which no
     correspondence can beat. Scheme ``subdominant`` trades a factor of at
-    most 2 in fit error for perturbation stability. ``workers`` > 1 fits
-    levels concurrently without changing any result.
+    most 2 in fit error for perturbation stability.
     """
     if scheme not in SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     spaces = [sampling.level_space(i) for i in range(sampling.t)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fits = list(pool.map(lambda sp: _fit(scheme, sp), spaces))
-    else:
-        fits = [_fit(scheme, sp) for sp in spaces]
+    fits = [_fit(scheme, sp) for sp in spaces]
     corrs = [
         build_hausdorff_correspondence(
             sampling.levels[i], sampling.levels[i + 1], sampling.ambient

@@ -8,6 +8,7 @@ nearest ultrametric obtained by the cut-weight procedure (scheme token
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -55,6 +56,15 @@ def validate_ultrametric(mu, points=None, tol: float = TOL):
     return True, None
 
 
+def _require_ultrametric(mu, points) -> None:
+    ok, triple = validate_ultrametric(mu, points=points)
+    if not ok:
+        raise ValidationError(
+            "strong triangle inequality fails at "
+            f"({triple[0]!r}, {triple[1]!r}, {triple[2]!r})"
+        )
+
+
 class PseudoUltrametric:
     """Merge heights over a point set: symmetric, nonnegative, zero diagonal,
     and satisfying the strong triangle inequality. Zero height between
@@ -72,12 +82,7 @@ class PseudoUltrametric:
                 f"height matrix must be {len(pts)}x{len(pts)}, got {m.shape}"
             )
         if validate:
-            ok, triple = validate_ultrametric(m, points=pts)
-            if not ok:
-                raise ValidationError(
-                    "strong triangle inequality fails at "
-                    f"({triple[0]!r}, {triple[1]!r}, {triple[2]!r})"
-                )
+            _require_ultrametric(m, pts)
         m = np.maximum((m + m.T) / 2.0, 0.0)
         np.fill_diagonal(m, 0.0)
         m.setflags(write=False)
@@ -150,53 +155,85 @@ class _UnionFind:
         return True
 
 
-def minimum_spanning_edges(space: MetricSpace) -> MstEdgeList:
-    """Kruskal's algorithm on the complete distance graph.
+def _spanning_tree(points: tuple[str, ...], matrix: np.ndarray):
+    """Kruskal's algorithm on the complete graph weighted by ``matrix``.
 
-    Equal-weight ties are broken by the lexicographic pair of endpoint ids,
-    so the returned tree is unique for a given space.
+    Candidate pairs are ranked by (weight, smaller id, larger id), so
+    equal-weight ties go to the lexicographically first pair of endpoint ids
+    and the tree is unique. Returns edges (u, v, weight) with u < v in
+    selection order.
     """
-    pts = space.points
-    n = len(pts)
-    order = sorted(range(n), key=lambda i: pts[i])
-    candidates = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            i, j = order[a], order[b]
-            candidates.append((float(space.dist[i, j]), pts[i], pts[j], i, j))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+    n = len(points)
+    order = np.array(sorted(range(n), key=lambda i: points[i]), dtype=int)
+    a, b = np.triu_indices(n, 1)  # id ranks, a < b
+    w = matrix[order[a], order[b]]
+    ranked = np.lexsort((b, a, w))
     uf = _UnionFind(n)
     edges = []
-    for w, u, v, i, j in candidates:
+    for i, j, x in zip(order[a[ranked]].tolist(), order[b[ranked]].tolist(),
+                       w[ranked].tolist()):
+        if len(edges) == n - 1:
+            break
         if uf.union(i, j):
-            edges.append((u, v, w))
-            if len(edges) == n - 1:
-                break
-    return MstEdgeList(points=pts, edges=tuple(edges))
+            edges.append((points[i], points[j], x))
+    return tuple(edges)
 
 
-def _path_max_matrix(points: tuple[str, ...], edges) -> np.ndarray:
-    """Bottleneck matrix of a spanning tree: entry (x, y) is the maximum
-    edge weight on the tree path from x to y. Single linkage over the tree
-    edges in ascending order."""
+def minimum_spanning_edges(space: MetricSpace) -> MstEdgeList:
+    """The unique minimum spanning tree of the distance graph, equal-weight
+    ties broken by the lexicographic pair of endpoint ids."""
+    return MstEdgeList(space.points, _spanning_tree(space.points, space.dist))
+
+
+def _merges(points: tuple[str, ...], edges):
+    """Canonical merge list of the single linkage over spanning-tree edges.
+
+    Edges are taken in groups of exactly equal weight. Within a group, the
+    clusters its edges link are chained together into one merge event; each
+    event becomes successive binary merges joining its clusters smallest
+    leaf id first, and events run in order of their smallest leaf id.
+    """
     n = len(points)
     index = {p: i for i, p in enumerate(points)}
-    out = np.zeros((n, n))
     uf = _UnionFind(n)
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    for u, v, w in sorted(edges, key=lambda e: (e[2], e[0], e[1])):
-        i, j = index[u], index[v]
-        ri, rj = uf.find(i), uf.find(j)
-        if ri == rj:
-            raise ValidationError("edges contain a cycle")
-        a, b = members.pop(ri), members.pop(rj)
-        out[np.ix_(a, b)] = w
-        out[np.ix_(b, a)] = w
-        uf.union(ri, rj)
-        members[uf.find(ri)] = a + b
-    if len(members) != 1:
-        raise ValidationError("edges do not span the point set")
-    return out
+    # The root of each cluster is its smallest leaf, so ``points[root]``
+    # orders clusters by smallest leaf id.
+    node_ref: list[int | str] = list(points)
+    merges: list[tuple[float, int | str, int | str]] = []
+    ascending = sorted(edges, key=lambda e: e[2])
+    for h, group in itertools.groupby(ascending, key=lambda e: e[2]):
+        chain = _UnionFind(n)
+        roots = set()
+        for u, v, _ in group:
+            i, j = uf.find(index[u]), uf.find(index[v])
+            chain.union(i, j)
+            roots.update((i, j))
+        events: dict[int, list[int]] = {}
+        for root in roots:
+            events.setdefault(chain.find(root), []).append(root)
+        joined = [sorted(rs, key=points.__getitem__) for rs in events.values()]
+        for rs in sorted(joined, key=lambda rs: points[rs[0]]):
+            for nxt in rs[1:]:
+                merges.append((h, node_ref[rs[0]], node_ref[nxt]))
+                uf.union(rs[0], nxt)  # rs[0] stays the root
+                node_ref[rs[0]] = len(merges) - 1
+    return tuple(merges)
+
+
+def _heights(leaves: tuple[str, ...], merges) -> np.ndarray:
+    """Replay merges into a height matrix: the height of two leaves' first
+    shared merge becomes their entry."""
+    n = len(leaves)
+    index = {p: i for i, p in enumerate(leaves)}
+    mu = np.zeros((n, n))
+    clusters: list[list[int]] = []
+    for h, a, b in merges:
+        left = [index[a]] if isinstance(a, str) else clusters[a]
+        right = [index[b]] if isinstance(b, str) else clusters[b]
+        mu[np.ix_(left, right)] = h
+        mu[np.ix_(right, left)] = h
+        clusters.append(left + right)
+    return mu
 
 
 def subdominant_ultrametric(space: MetricSpace) -> PseudoUltrametric:
@@ -206,11 +243,9 @@ def subdominant_ultrametric(space: MetricSpace) -> PseudoUltrametric:
     single linkage in fitting terms. The output never exceeds the input
     entrywise and is the unique max-norm-closest such ultrametric.
     """
-    if len(space) == 1:
-        return PseudoUltrametric(space.points, np.zeros((1, 1)), validate=False)
-    tree = minimum_spanning_edges(space)
-    mu = _path_max_matrix(space.points, tree.edges)
-    return PseudoUltrametric(space.points, mu, validate=False)
+    pts = space.points
+    mu = _heights(pts, _merges(pts, minimum_spanning_edges(space).edges))
+    return PseudoUltrametric(pts, mu, validate=False)
 
 
 @dataclass(frozen=True)
@@ -246,12 +281,8 @@ def fkw_fit(space: MetricSpace) -> FkwFit:
     """
     pts = space.points
     n = len(pts)
-    if n == 1:
-        trivial = PseudoUltrametric(pts, np.zeros((1, 1)), validate=False)
-        return FkwFit(trivial, trivial, 0.0, 0.0, MstEdgeList(pts, ()), (), ())
-
     tree = minimum_spanning_edges(space)
-    musub = _path_max_matrix(pts, tree.edges)
+    musub = _heights(pts, _merges(pts, tree.edges))
     err = float(np.abs(space.dist - musub).max())
     shift = err / 2.0
 
@@ -286,7 +317,7 @@ def fkw_fit(space: MetricSpace) -> FkwFit:
         priorities.append(float(space.dist[np.ix_(left, right)].max()))
 
     reweighted = [(u, v, p) for (u, v, _), p in zip(tree.edges, priorities)]
-    raw = _path_max_matrix(pts, reweighted) - shift
+    raw = _heights(pts, _merges(pts, reweighted)) - shift
     clamped = np.argwhere(np.triu(raw < 0, 1))
     if len(clamped):
         log.info(
@@ -318,7 +349,10 @@ class Dendrogram:
     ``merges`` lists (height, left, right) with non-decreasing heights; each
     side is a leaf id (str) or the index of an earlier merge (int). Tied
     heights are stored as successive binary merges, smallest leaf id first,
-    so there are always ``len(leaves) - 1`` merges.
+    so there are always ``len(leaves) - 1`` merges. The merges are the
+    single linkage over a spanning tree of the heights (see
+    :func:`to_dendrogram`), and :meth:`to_ultrametric` replays them back
+    into the height matrix.
     """
 
     leaves: tuple[str, ...]
@@ -360,17 +394,7 @@ class Dendrogram:
     def to_ultrametric(self) -> PseudoUltrametric:
         """Replay the merges; the height of two leaves' first shared merge
         becomes their ultrametric value."""
-        n = len(self.leaves)
-        index = {p: i for i, p in enumerate(self.leaves)}
-        mu = np.zeros((n, n))
-        clusters: list[list[int]] = []
-        for h, a, b in self.merges:
-            left = [index[a]] if isinstance(a, str) else clusters[a]
-            right = [index[b]] if isinstance(b, str) else clusters[b]
-            mu[np.ix_(left, right)] = h
-            mu[np.ix_(right, left)] = h
-            clusters.append(left + right)
-        return PseudoUltrametric(self.leaves, mu)
+        return PseudoUltrametric(self.leaves, _heights(self.leaves, self.merges))
 
     def to_dict(self) -> dict:
         return {
@@ -394,46 +418,15 @@ class Dendrogram:
 def to_dendrogram(ultrametric: PseudoUltrametric) -> Dendrogram:
     """Canonical merge tree of an ultrametric.
 
-    Merge events are emitted in ascending height; a multiway event becomes
-    successive binary merges joining its groups smallest leaf id first.
+    The merges are the single linkage over a minimum spanning tree of the
+    heights: two points share a cluster at height h exactly when the tree
+    path between them has no edge above h. Merge events are emitted in
+    ascending height; a multiway event becomes successive binary merges
+    joining its groups smallest leaf id first.
     """
-    ok, triple = validate_ultrametric(ultrametric.mu, points=ultrametric.points)
-    if not ok:
-        raise ValidationError(
-            "strong triangle inequality fails at "
-            f"({triple[0]!r}, {triple[1]!r}, {triple[2]!r})"
-        )
+    _require_ultrametric(ultrametric.mu, ultrametric.points)
     pts = ultrametric.points
-    n = len(pts)
-    mu = ultrametric.mu
-    uf = _UnionFind(n)
-    node_ref: dict[int, int | str] = {i: pts[i] for i in range(n)}
-    min_leaf: dict[int, str] = {i: pts[i] for i in range(n)}
-    merges: list[tuple[float, int | str, int | str]] = []
-    iu, ju = np.triu_indices(n, 1)
-    heights = sorted(set(mu[iu, ju].tolist()))
-    for h in heights:
-        pairs = np.argwhere(np.triu(mu == h, 1))
-        # Components linked at this height may chain through several pairs;
-        # group by transitive closure over the pair roots.
-        chain = _UnionFind(n)
-        for i, j in pairs:
-            chain.union(uf.find(int(i)), uf.find(int(j)))
-        merged: dict[int, list[int]] = {}
-        for root in set(uf.find(i) for i in range(n)):
-            merged.setdefault(chain.find(root), []).append(root)
-        events = [sorted(roots, key=lambda r: min_leaf[r])
-                  for roots in merged.values() if len(roots) > 1]
-        for roots in sorted(events, key=lambda rs: min_leaf[rs[0]]):
-            acc = roots[0]
-            for nxt in roots[1:]:
-                merges.append((h, node_ref[acc], node_ref[nxt]))
-                uf.union(acc, nxt)
-                new_root = uf.find(acc)
-                node_ref[new_root] = len(merges) - 1
-                min_leaf[new_root] = min(min_leaf[acc], min_leaf[nxt])
-                acc = new_root
-    return Dendrogram(leaves=pts, merges=tuple(merges))
+    return Dendrogram(pts, _merges(pts, _spanning_tree(pts, ultrametric.mu)))
 
 
 def cut_at_height(ultrametric: PseudoUltrametric, r: float) -> list[list[str]]:
@@ -441,8 +434,8 @@ def cut_at_height(ultrametric: PseudoUltrametric, r: float) -> list[list[str]]:
 
     Blocks come back with sorted member ids, ordered by their first member.
     """
-    if r < 0:
-        raise ValidationError("cut height must be nonnegative")
+    if not r >= 0:
+        raise ValidationError(f"cut height must be a nonnegative number, got {r!r}")
     pts = ultrametric.points
     n = len(pts)
     uf = _UnionFind(n)

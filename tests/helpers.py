@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import logging
 from collections import deque
 
 import numpy as np
@@ -16,13 +17,20 @@ import numpy as np
 from thclust import (
     COLORS,
     Correspondence,
+    Dendrogram,
+    FkwFit,
     Graph,
     MetricSpace,
+    MstEdgeList,
     PseudoUltrametric,
     TemporalSampling,
+    ValidationError,
     Witness,
+    validate_ultrametric,
 )
 from thclust.labeling import SINK, SOURCE, IntegralFlow
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------- spaces
@@ -145,6 +153,216 @@ def threshold_components(space, r):
                     stack.append(q)
         blocks.append(sorted(block))
     return sorted(blocks)
+
+
+# ---------------------------------------------------------------- ultrametric oracles
+#
+# The tuple-sort Kruskal, the tree-replay bottleneck matrix, both fitters
+# built on them, and the dense per-height dendrogram scan that the
+# spanning-tree routines in ``thclust.ultrametric`` replaced. The fast code
+# must return the same edges, heights and merges.
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        root = i
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[i] != root:
+            self.parent[i], i = root, self.parent[i]
+        return root
+
+    def union(self, i: int, j: int) -> bool:
+        ri, rj = self.find(i), self.find(j)
+        if ri == rj:
+            return False
+        self.parent[rj] = ri
+        return True
+
+
+def reference_minimum_spanning_edges(space: MetricSpace) -> MstEdgeList:
+    """Kruskal's algorithm on the complete distance graph.
+
+    Equal-weight ties are broken by the lexicographic pair of endpoint ids,
+    so the returned tree is unique for a given space.
+    """
+    pts = space.points
+    n = len(pts)
+    order = sorted(range(n), key=lambda i: pts[i])
+    candidates = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            i, j = order[a], order[b]
+            candidates.append((float(space.dist[i, j]), pts[i], pts[j], i, j))
+    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+    uf = _UnionFind(n)
+    edges = []
+    for w, u, v, i, j in candidates:
+        if uf.union(i, j):
+            edges.append((u, v, w))
+            if len(edges) == n - 1:
+                break
+    return MstEdgeList(points=pts, edges=tuple(edges))
+
+
+def reference_path_max_matrix(points: tuple[str, ...], edges) -> np.ndarray:
+    """Bottleneck matrix of a spanning tree: entry (x, y) is the maximum
+    edge weight on the tree path from x to y. Single linkage over the tree
+    edges in ascending order."""
+    n = len(points)
+    index = {p: i for i, p in enumerate(points)}
+    out = np.zeros((n, n))
+    uf = _UnionFind(n)
+    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    for u, v, w in sorted(edges, key=lambda e: (e[2], e[0], e[1])):
+        i, j = index[u], index[v]
+        ri, rj = uf.find(i), uf.find(j)
+        if ri == rj:
+            raise ValidationError("edges contain a cycle")
+        a, b = members.pop(ri), members.pop(rj)
+        out[np.ix_(a, b)] = w
+        out[np.ix_(b, a)] = w
+        uf.union(ri, rj)
+        members[uf.find(ri)] = a + b
+    if len(members) != 1:
+        raise ValidationError("edges do not span the point set")
+    return out
+
+
+def reference_subdominant_ultrametric(space: MetricSpace) -> PseudoUltrametric:
+    """Largest ultrametric dominated by the given distances.
+
+    Heights are bottleneck weights over the minimum spanning tree, which is
+    single linkage in fitting terms. The output never exceeds the input
+    entrywise and is the unique max-norm-closest such ultrametric.
+    """
+    if len(space) == 1:
+        return PseudoUltrametric(space.points, np.zeros((1, 1)), validate=False)
+    tree = reference_minimum_spanning_edges(space)
+    mu = reference_path_max_matrix(space.points, tree.edges)
+    return PseudoUltrametric(space.points, mu, validate=False)
+
+
+def reference_fkw_fit(space: MetricSpace) -> FkwFit:
+    """Run the three-step cut-weight procedure and keep the intermediates.
+
+    Step 1 builds the minimum spanning tree. Step 2 assigns each tree edge a
+    priority: the largest source distance among pairs whose tree path
+    contains the edge and whose bottleneck equals the edge weight (every
+    such edge on the path receives the pair, which keeps the figure-style
+    pendant edges honest). Step 3 cuts in descending priority; a pair first
+    separated at edge e gets height p(e) minus half the subdominant fitting
+    error, clamped at zero. The cut order never changes the result, so the
+    heights are computed directly as tree path maxima over priorities.
+    """
+    pts = space.points
+    n = len(pts)
+    if n == 1:
+        trivial = PseudoUltrametric(pts, np.zeros((1, 1)), validate=False)
+        return FkwFit(trivial, trivial, 0.0, 0.0, MstEdgeList(pts, ()), (), ())
+
+    tree = reference_minimum_spanning_edges(space)
+    musub = reference_path_max_matrix(pts, tree.edges)
+    err = float(np.abs(space.dist - musub).max())
+    shift = err / 2.0
+
+    index = {p: i for i, p in enumerate(pts)}
+    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    for u, v, _ in tree.edges:
+        adj[index[u]].append(index[v])
+        adj[index[v]].append(index[u])
+    # Root the tree and collect subtree masks for the child side of each edge.
+    parent = np.full(n, -1, dtype=int)
+    bfs = [0]
+    seen = {0}
+    for node in bfs:
+        for nb in adj[node]:
+            if nb not in seen:
+                seen.add(nb)
+                parent[nb] = node
+                bfs.append(nb)
+    subtree = np.eye(n, dtype=bool)
+    for node in reversed(bfs):
+        if parent[node] >= 0:
+            subtree[parent[node]] |= subtree[node]
+
+    priorities = []
+    for u, v, w in tree.edges:
+        i, j = index[u], index[v]
+        child = i if parent[i] == j else j
+        side_child = subtree[child]
+        eligible = musub[i] <= w  # ball that makes the edge the bottleneck
+        left = eligible & side_child
+        right = eligible & ~side_child
+        priorities.append(float(space.dist[np.ix_(left, right)].max()))
+
+    reweighted = [(u, v, p) for (u, v, _), p in zip(tree.edges, priorities)]
+    raw = reference_path_max_matrix(pts, reweighted) - shift
+    clamped = np.argwhere(np.triu(raw < 0, 1))
+    if len(clamped):
+        log.info(
+            "clamped %d negative heights at zero (first pair: %s, %s)",
+            len(clamped), pts[clamped[0][0]], pts[clamped[0][1]],
+        )
+    mu = np.maximum(raw, 0.0)
+    np.fill_diagonal(mu, 0.0)
+    return FkwFit(
+        ultrametric=PseudoUltrametric(pts, mu, validate=False),
+        subdominant=PseudoUltrametric(pts, musub, validate=False),
+        subdominant_error=err,
+        shift=shift,
+        mst=tree,
+        priorities=tuple(priorities),
+        clamped_pairs=tuple((pts[i], pts[j]) for i, j in clamped),
+    )
+
+
+def reference_to_dendrogram(ultrametric: PseudoUltrametric) -> Dendrogram:
+    """Canonical merge tree of an ultrametric.
+
+    Merge events are emitted in ascending height; a multiway event becomes
+    successive binary merges joining its groups smallest leaf id first.
+    """
+    ok, triple = validate_ultrametric(ultrametric.mu, points=ultrametric.points)
+    if not ok:
+        raise ValidationError(
+            "strong triangle inequality fails at "
+            f"({triple[0]!r}, {triple[1]!r}, {triple[2]!r})"
+        )
+    pts = ultrametric.points
+    n = len(pts)
+    mu = ultrametric.mu
+    uf = _UnionFind(n)
+    node_ref: dict[int, int | str] = {i: pts[i] for i in range(n)}
+    min_leaf: dict[int, str] = {i: pts[i] for i in range(n)}
+    merges: list[tuple[float, int | str, int | str]] = []
+    iu, ju = np.triu_indices(n, 1)
+    heights = sorted(set(mu[iu, ju].tolist()))
+    for h in heights:
+        pairs = np.argwhere(np.triu(mu == h, 1))
+        # Components linked at this height may chain through several pairs;
+        # group by transitive closure over the pair roots.
+        chain = _UnionFind(n)
+        for i, j in pairs:
+            chain.union(uf.find(int(i)), uf.find(int(j)))
+        merged: dict[int, list[int]] = {}
+        for root in set(uf.find(i) for i in range(n)):
+            merged.setdefault(chain.find(root), []).append(root)
+        events = [sorted(roots, key=lambda r: min_leaf[r])
+                  for roots in merged.values() if len(roots) > 1]
+        for roots in sorted(events, key=lambda rs: min_leaf[rs[0]]):
+            acc = roots[0]
+            for nxt in roots[1:]:
+                merges.append((h, node_ref[acc], node_ref[nxt]))
+                uf.union(acc, nxt)
+                new_root = uf.find(acc)
+                node_ref[new_root] = len(merges) - 1
+                min_leaf[new_root] = min(min_leaf[acc], min_leaf[nxt])
+                acc = new_root
+    return Dendrogram(leaves=pts, merges=tuple(merges))
 
 
 # ---------------------------------------------------------------- correspondence oracles

@@ -132,6 +132,15 @@ def test_cut_blocks_and_extremes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cut_rejects_nan_height(tmp_path, capsys):
+    dend = tmp_path / "d.json"
+    main(["fit", line_file(tmp_path), "-o", str(dend)])
+    out = tmp_path / "cut.json"
+    assert main(["cut", str(dend), "-r", "nan", "-o", str(out)]) == 1
+    assert not out.exists()
+    capsys.readouterr()
+
+
 def test_cut_five_point_shape(tmp_path, capsys):
     mu = [
         [0.0, 4.0, 4.0, 4.0, 4.0],
@@ -214,6 +223,14 @@ def test_cluster_delta_override_can_fail_certification(tmp_path, capsys):
     assert "certification failure" in capsys.readouterr().err
 
 
+def test_cluster_rejects_nan_delta(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    args = ["cluster", sampling_file(tmp_path), "--labels", "--delta", "nan"]
+    assert main([*args, "-o", str(outdir)]) == 1
+    assert not outdir.exists()
+    capsys.readouterr()
+
+
 def test_cluster_svg_is_wellformed(tmp_path, capsys):
     outdir = tmp_path / "out"
     main(["cluster", sampling_file(tmp_path), "--emit", "svg", "-o", str(outdir)])
@@ -256,6 +273,28 @@ def test_verify_reports_extracted_coloring(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["metrics"]["accepted"] is True
     assert report["metrics"]["coloring"] == {"1": "r", "2": "g", "3": "b"}
+
+
+def test_verify_rejects_nan_chi(tmp_path, capsys):
+    graph = tmp_path / "k3.col"
+    graph.write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    inst = tmp_path / "inst.json"
+    wit = tmp_path / "wit.json"
+    coloring = write_json(tmp_path / "col.json", {"coloring": {"1": "r", "2": "g", "3": "b"}})
+    main(["reduce", str(graph), "-o", str(inst)])
+    main(["witness", str(graph), coloring, "-o", str(wit)])
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(wit), "--chi", "nan", "--rho", "0"]) == 1
+    assert main(["verify", str(inst), str(wit), "--chi", "1", "--rho", "nan"]) == 1
+    capsys.readouterr()
+
+
+def test_graph_json_rejects_nonfinite_token(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_text('{"vertices": ["1", "2"], "edges": [["1", "2"]], "weight": Infinity}')
+    assert main(["reduce", str(graph), "-o", str(tmp_path / "inst.json")]) == 1
+    err = capsys.readouterr().err
+    assert "g.json" in err and "Infinity" in err
 
 
 def test_witness_pad_flag(tmp_path, capsys):
@@ -320,6 +359,16 @@ def test_simulate_seed_flag_overrides_config(tmp_path, capsys):
     capsys.readouterr()
     assert base.read_bytes() != other.read_bytes()
     assert read_json(other)["metadata"]["config"]["seed"] == 6
+
+
+def test_simulate_rejects_nan_config_before_running(tmp_path, capsys):
+    cfg = tmp_path / "nan_cfg.json"
+    cfg.write_text('{"actor_count": 10, "total_ticks": 20, "wall_force": NaN}')
+    out = tmp_path / "s.json"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "nan_cfg.json" in err and "NaN" in err
+    assert not out.exists()
 
 
 def test_simulate_output_feeds_cluster(tmp_path, capsys):

@@ -1,0 +1,94 @@
+"""Property tests for the ultrametric layer.
+
+Examples are derandomized, so every run checks the same inputs. Integer
+coordinates and integer distances make exact ties common, which is where
+the merge order and the cut boundaries are easiest to get wrong.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import threshold_components
+from thclust import (
+    MetricSpace,
+    cut_at_height,
+    fkw_fit,
+    linf_distance,
+    subdominant_ultrametric,
+    to_dendrogram,
+    validate_ultrametric,
+)
+
+PROPERTY = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+
+def _ids(n):
+    return [f"p{i}" for i in range(n)]
+
+
+@st.composite
+def grid_spaces(draw, max_points=8):
+    """Distinct integer points in the plane, or integer distances in {2, 3, 4}
+    (where every triangle holds)."""
+    n = draw(st.integers(1, max_points))
+    if draw(st.booleans()):
+        cell = st.tuples(st.integers(0, 6), st.integers(0, 6))
+        coords = draw(st.lists(cell, min_size=n, max_size=n, unique=True))
+        return MetricSpace(_ids(n), coords=np.array(coords, dtype=float))
+    upper = draw(st.lists(st.integers(2, 4), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    dist = np.zeros((n, n))
+    dist[np.triu_indices(n, 1)] = upper
+    return MetricSpace(_ids(n), dist=dist + dist.T)
+
+
+@st.composite
+def dense_spaces(draw, max_points=8):
+    """Distances anywhere in [1, 2]; every triangle holds."""
+    n = draw(st.integers(1, max_points))
+    upper = draw(st.lists(st.floats(1.0, 2.0), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    dist = np.zeros((n, n))
+    dist[np.triu_indices(n, 1)] = upper
+    return MetricSpace(_ids(n), dist=dist + dist.T)
+
+
+spaces = grid_spaces() | dense_spaces()
+
+
+@PROPERTY
+@given(spaces)
+def test_subdominant_is_dominated_ultrametric(space):
+    u = subdominant_ultrametric(space)
+    assert (u.mu <= space.dist).all()
+    assert validate_ultrametric(u.mu)[0]
+
+
+@PROPERTY
+@given(spaces)
+def test_dendrogram_round_trips(space):
+    for u in (subdominant_ultrametric(space), fkw_fit(space).ultrametric):
+        dend = to_dendrogram(u)
+        heights = [h for h, _, _ in dend.merges]
+        assert len(heights) == len(space) - 1 and heights == sorted(heights)
+        assert np.array_equal(dend.to_ultrametric().mu, u.mu)
+
+
+@PROPERTY
+@given(grid_spaces())
+def test_cut_equals_threshold_components(space):
+    u = subdominant_ultrametric(space)
+    values = np.unique(space.dist)
+    probes = [*values, *((values[:-1] + values[1:]) / 2.0), values[-1] + 1.0]
+    for r in probes:
+        assert cut_at_height(u, float(r)) == threshold_components(space, float(r))
+
+
+@PROPERTY
+@given(spaces)
+def test_fkw_error_is_half_the_subdominant_error_unless_clamped(space):
+    fit = fkw_fit(space)
+    if not fit.clamped_pairs:
+        error = linf_distance(space, fit.ultrametric)
+        assert abs(error - fit.subdominant_error / 2.0) < 1e-9

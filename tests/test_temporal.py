@@ -155,14 +155,6 @@ def test_solve_local_rejects_unknown_scheme():
         solve_local(make_sampling(tiny_ambient(), [["a"]]), scheme="ward")
 
 
-def test_solve_local_workers_do_not_change_results():
-    rng = np.random.default_rng(24)
-    samp = random_sampling(rng, min_levels=3)
-    serial = solve_local(samp)
-    threaded = solve_local(samp, workers=3)
-    assert serial.to_dict() == threaded.to_dict()
-
-
 # ---------------------------------------------------------------- certification
 
 

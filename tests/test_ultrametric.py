@@ -9,6 +9,10 @@ from helpers import (
     dense_space,
     line_space,
     random_space,
+    reference_fkw_fit,
+    reference_minimum_spanning_edges,
+    reference_subdominant_ultrametric,
+    reference_to_dendrogram,
     spanning_weight_oracle,
     threshold_components,
 )
@@ -16,6 +20,7 @@ from thclust import (
     Dendrogram,
     MetricSpace,
     PseudoUltrametric,
+    TOL,
     ValidationError,
     cut_at_height,
     fkw_fit,
@@ -410,6 +415,12 @@ def test_cut_rejects_negative_radius():
         cut_at_height(u, -0.5)
 
 
+def test_cut_rejects_nan_radius():
+    u = PseudoUltrametric(FIG_POINTS, FIG_MU)
+    with pytest.raises(ValidationError):
+        cut_at_height(u, float("nan"))
+
+
 def test_cut_equals_threshold_components_of_source():
     """Single-linkage identity: blocks of the subdominant at r are the
     connected components of the distance graph thresholded at r."""
@@ -421,3 +432,65 @@ def test_cut_equals_threshold_components_of_source():
         probes = list(values) + list((values[:-1] + values[1:]) / 2.0) + [0.0, values[-1] + 1.0]
         for r in probes:
             assert cut_at_height(u, float(r)) == threshold_components(space, float(r))
+
+
+# ---------------------------------------------------------------- differential oracles
+
+
+def _grid_space(rng, n):
+    """Integer distances in {2, 3, 4}: every triangle holds and ties abound."""
+    m = rng.integers(2, 5, size=(n, n)).astype(float)
+    m = np.maximum(m, m.T)
+    np.fill_diagonal(m, 0.0)
+    ids = [f"g{(7 * i) % n:02d}_{i}" for i in range(n)]  # id order differs from index order
+    return MetricSpace(ids, dist=m)
+
+
+def _equal_space(n):
+    return MetricSpace([f"e{i}" for i in range(n)], dist=1.0 - np.eye(n))
+
+
+def _noisy(u, rng):
+    """The same ultrametric with symmetric perturbations far below TOL."""
+    n = len(u)
+    noise = rng.uniform(0.0, TOL / 10.0, size=(n, n))
+    mu = u.mu + (noise + noise.T) / 2.0
+    np.fill_diagonal(mu, 0.0)
+    return PseudoUltrametric(u.points, mu)
+
+
+def _differential_spaces():
+    rng = np.random.default_rng(31)
+    for n in range(1, 14):
+        for _ in range(4):
+            yield random_space(rng, n)
+            yield _grid_space(rng, n)
+        yield _equal_space(n)
+    for n in (5, 8, 12, 21):
+        for eps in (0.0, 0.1, 0.5):
+            yield from instability_family(n, eps)
+
+
+def test_spanning_tree_and_fits_match_reference():
+    for space in _differential_spaces():
+        assert minimum_spanning_edges(space).edges == \
+            reference_minimum_spanning_edges(space).edges
+        sub = subdominant_ultrametric(space)
+        assert np.array_equal(sub.mu, reference_subdominant_ultrametric(space).mu)
+        fit, ref = fkw_fit(space), reference_fkw_fit(space)
+        assert np.array_equal(fit.ultrametric.mu, ref.ultrametric.mu)
+        assert np.array_equal(fit.subdominant.mu, ref.subdominant.mu)
+        assert fit.priorities == ref.priorities
+        assert fit.clamped_pairs == ref.clamped_pairs
+
+
+def test_dendrogram_matches_reference():
+    rng = np.random.default_rng(32)
+    for space in _differential_spaces():
+        fits = [subdominant_ultrametric(space), fkw_fit(space).ultrametric]
+        grid = subdominant_ultrametric(_grid_space(rng, len(space)))
+        # heights {2, 3, 4} shifted down to {0, 1, 2}: zero between distinct points
+        fits.append(PseudoUltrametric(grid.points, np.maximum(grid.mu - 2.0, 0.0)))
+        fits += [_noisy(u, rng) for u in fits]
+        for u in fits:
+            assert to_dendrogram(u).merges == reference_to_dendrogram(u).merges
