@@ -141,11 +141,13 @@ class MetricSpace:
             raise ValidationError(f"nonzero self-distance at point {self.points[i]!r}")
 
     def _check_triangle(self, dist: np.ndarray) -> None:
-        # One hub at a time keeps memory linear in n^2.
+        # One hub at a time keeps memory linear in n^2; every hub reuses
+        # one buffer for its slack.
+        slack = np.empty_like(dist)
         for k in range(len(self.points)):
-            slack = dist - (dist[:, k : k + 1] + dist[k : k + 1, :])
-            worst = slack.max()
-            if worst > TOL:
+            np.add(dist[:, k : k + 1], dist[k : k + 1, :], out=slack)
+            np.subtract(dist, slack, out=slack)
+            if slack.max() > TOL:
                 i, j = np.unravel_index(int(slack.argmax()), slack.shape)
                 raise ValidationError(
                     "triangle inequality violated for "

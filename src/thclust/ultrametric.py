@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,13 @@ def validate_ultrametric(mu, points=None, tol: float = TOL):
     ``(False, (i, j, k))`` for the first violating triple in scan order.
     Malformed input (non-square, asymmetric, negative, nonzero diagonal)
     raises :class:`ValidationError` instead of returning False.
+
+    A matrix is an ultrametric exactly when it equals the single-linkage
+    heights of its own minimum spanning tree, so the check first compares
+    ``mu`` with those heights (:func:`_certifies`), which is O(n^2 log n).
+    Only when that certificate refuses does it scan all n^3 triples: noise
+    below ``tol`` can add up along a tree path and make the certificate
+    refuse a matrix whose every triple passes.
     """
     m = np.array(mu, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -38,14 +47,20 @@ def validate_ultrametric(mu, points=None, tol: float = TOL):
         names = tuple(points)
         if len(names) != n:
             raise ValidationError("points do not match matrix size")
+    if n == 0:
+        return True, None
     if not np.isfinite(m).all():
         raise ValidationError("ultrametric values must be finite")
-    if m.size and m.min() < -tol:
+    if m.min() < -tol:
         raise ValidationError("negative ultrametric value")
     if np.abs(m - m.T).max() > tol:
         raise ValidationError("ultrametric matrix must be symmetric")
-    if n and np.abs(np.diagonal(m)).max() > tol:
+    if np.abs(np.diagonal(m)).max() > tol:
         raise ValidationError("ultrametric diagonal must be zero")
+    ids = tuple(str(i) for i in range(n))  # _heights tells leaves by str
+    tree = _spanning_tree(ids, np.minimum(m, m.T))
+    if _certifies(m, _heights(ids, _merges(ids, tree)), tol):
+        return True, None
     for i in range(n):
         # max(mu[i][j], mu[j][k]) for all j,k at once; rows j, columns k.
         bound = np.maximum(m[i][:, None], m)
@@ -54,6 +69,25 @@ def validate_ultrametric(mu, points=None, tol: float = TOL):
             j, k = np.unravel_index(int(bad.argmax()), bad.shape)
             return False, (names[i], names[j], names[k])
     return True, None
+
+
+def _certifies(m: np.ndarray, heights: np.ndarray, tol: float) -> bool:
+    """True only if every triple of ``m`` passes the strong triangle
+    inequality within ``tol``.
+
+    ``heights`` must be the single-linkage heights of a minimum spanning
+    tree of ``min(m, m.T)``. Each such height is the smallest possible
+    largest edge over all paths, so ``heights[i, k] <= max(m[i, j], m[j, k])``
+    for every j; since adding ``tol`` is monotone in floating point,
+    ``m[i, k] <= heights[i, k] + tol`` then passes every triple (i, j, k)
+    with i != k. The diagonal is bounded by the smallest entry of its row
+    of ``max(m, m.T)``. Non-finite entries never certify.
+    """
+    return bool(
+        np.isfinite(m).all()
+        and (m <= heights + tol).all()
+        and (np.diagonal(m) <= np.maximum(m, m.T).min(axis=1) + tol).all()
+    )
 
 
 def _require_ultrametric(mu, points) -> None:
@@ -370,6 +404,8 @@ class Dendrogram:
         used: set[int | str] = set()
         prev = None
         for idx, (h, a, b) in enumerate(self.merges):
+            if not isinstance(h, numbers.Real) or not math.isfinite(h):
+                raise ValidationError(f"merge {idx} height must be a finite number, got {h!r}")
             if prev is not None and h < prev - TOL:
                 raise ValidationError(f"merge heights decrease at index {idx}")
             prev = max(h, prev) if prev is not None else h
@@ -407,11 +443,16 @@ class Dendrogram:
         if not isinstance(data, dict) or "leaves" not in data or "merges" not in data:
             raise ValidationError("dendrogram document needs 'leaves' and 'merges'")
         merges = []
-        for entry in data["merges"]:
+        for idx, entry in enumerate(data["merges"]):
             if not isinstance(entry, (list, tuple)) or len(entry) != 3:
                 raise ValidationError(f"malformed merge entry {entry!r}")
             h, a, b = entry
-            merges.append((float(h), a, b))
+            try:
+                merges.append((float(h), a, b))
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"merge {idx} height must be a finite number, got {h!r}"
+                ) from None
         return cls(tuple(str(p) for p in data["leaves"]), tuple(merges))
 
 
@@ -423,10 +464,18 @@ def to_dendrogram(ultrametric: PseudoUltrametric) -> Dendrogram:
     path between them has no edge above h. Merge events are emitted in
     ascending height; a multiway event becomes successive binary merges
     joining its groups smallest leaf id first.
+
+    The same tree certifies the input: when the heights replayed from the
+    merges bound ``mu`` within ``TOL`` (see :func:`validate_ultrametric`),
+    every triple passes. Only when they do not does the full triple scan
+    run, and it raises :class:`ValidationError` on a genuine violation.
     """
-    _require_ultrametric(ultrametric.mu, ultrametric.points)
     pts = ultrametric.points
-    return Dendrogram(pts, _merges(pts, _spanning_tree(pts, ultrametric.mu)))
+    mu = ultrametric.mu  # symmetric, so its tree is the tree of min(mu, mu.T)
+    merges = _merges(pts, _spanning_tree(pts, mu))
+    if not _certifies(mu, _heights(pts, merges), TOL):
+        _require_ultrametric(mu, pts)
+    return Dendrogram(pts, merges)
 
 
 def cut_at_height(ultrametric: PseudoUltrametric, r: float) -> list[list[str]]:

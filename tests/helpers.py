@@ -23,10 +23,10 @@ from thclust import (
     MetricSpace,
     MstEdgeList,
     PseudoUltrametric,
+    TOL,
     TemporalSampling,
     ValidationError,
     Witness,
-    validate_ultrametric,
 )
 from thclust.labeling import SINK, SOURCE, IntegralFlow
 
@@ -158,9 +158,55 @@ def threshold_components(space, r):
 # ---------------------------------------------------------------- ultrametric oracles
 #
 # The tuple-sort Kruskal, the tree-replay bottleneck matrix, both fitters
-# built on them, and the dense per-height dendrogram scan that the
-# spanning-tree routines in ``thclust.ultrametric`` replaced. The fast code
-# must return the same edges, heights and merges.
+# built on them, the dense per-height dendrogram scan and the full triple
+# scan that the spanning-tree routines in ``thclust.ultrametric`` replaced.
+# The fast code must return the same edges, heights, merges and verdicts.
+
+
+def reference_validate_ultrametric(mu, points=None, tol: float = TOL):
+    """Check the strong triangle inequality, returning the first bad triple.
+
+    Returns ``(True, None)`` when every triple satisfies
+    ``mu[i][k] <= max(mu[i][j], mu[j][k])`` within ``tol``, else
+    ``(False, (i, j, k))`` for the first violating triple in scan order.
+    Malformed input (non-square, asymmetric, negative, nonzero diagonal)
+    raises :class:`ValidationError` instead of returning False.
+    """
+    m = np.array(mu, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError("ultrametric matrix must be square")
+    n = m.shape[0]
+    if points is None:
+        names = tuple(range(n))
+    else:
+        names = tuple(points)
+        if len(names) != n:
+            raise ValidationError("points do not match matrix size")
+    if not np.isfinite(m).all():
+        raise ValidationError("ultrametric values must be finite")
+    if m.size and m.min() < -tol:
+        raise ValidationError("negative ultrametric value")
+    if np.abs(m - m.T).max() > tol:
+        raise ValidationError("ultrametric matrix must be symmetric")
+    if n and np.abs(np.diagonal(m)).max() > tol:
+        raise ValidationError("ultrametric diagonal must be zero")
+    for i in range(n):
+        # max(mu[i][j], mu[j][k]) for all j,k at once; rows j, columns k.
+        bound = np.maximum(m[i][:, None], m)
+        bad = m[i][None, :] > bound + tol
+        if bad.any():
+            j, k = np.unravel_index(int(bad.argmax()), bad.shape)
+            return False, (names[i], names[j], names[k])
+    return True, None
+
+
+def outcome(fn, *args, **kwargs):
+    """What ``fn`` does with the arguments: its return value, or the text
+    of the :class:`ValidationError` it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
 
 
 class _UnionFind:
@@ -326,7 +372,7 @@ def reference_to_dendrogram(ultrametric: PseudoUltrametric) -> Dendrogram:
     Merge events are emitted in ascending height; a multiway event becomes
     successive binary merges joining its groups smallest leaf id first.
     """
-    ok, triple = validate_ultrametric(ultrametric.mu, points=ultrametric.points)
+    ok, triple = reference_validate_ultrametric(ultrametric.mu, points=ultrametric.points)
     if not ok:
         raise ValidationError(
             "strong triangle inequality fails at "

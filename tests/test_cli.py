@@ -141,6 +141,20 @@ def test_cut_rejects_nan_height(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("height", ["x", None, [1], "nan", 1e999])
+def test_cut_rejects_malformed_merge_height(tmp_path, capsys, height):
+    dend = tmp_path / "d.json"
+    main(["fit", line_file(tmp_path), "-o", str(dend)])
+    doc = read_json(dend)
+    doc["dendrogram"]["merges"][1][0] = height
+    dend.write_text(json.dumps(doc).replace("Infinity", "1e999"))
+    out = tmp_path / "cut.json"
+    capsys.readouterr()
+    assert main(["cut", str(dend), "-r", "1", "-o", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cut_five_point_shape(tmp_path, capsys):
     mu = [
         [0.0, 4.0, 4.0, 4.0, 4.0],

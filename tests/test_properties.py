@@ -9,8 +9,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import threshold_components
+from helpers import outcome, reference_validate_ultrametric, threshold_components
 from thclust import (
+    TOL,
     MetricSpace,
     cut_at_height,
     fkw_fit,
@@ -92,3 +93,16 @@ def test_fkw_error_is_half_the_subdominant_error_unless_clamped(space):
     if not fit.clamped_pairs:
         error = linf_distance(space, fit.ultrametric)
         assert abs(error - fit.subdominant_error / 2.0) < 1e-9
+
+
+@PROPERTY
+@given(spaces, st.booleans(), st.data())
+def test_validate_matches_reference_near_the_boundary(space, fkw, data):
+    """Fitted heights plus symmetric noise of up to 3 TOL, in quarter-TOL steps
+    so that noisy entries tie: accepted, rejected and refused alike."""
+    mu = (fkw_fit(space).ultrametric if fkw else subdominant_ultrametric(space)).mu
+    n = len(space)
+    steps = data.draw(st.lists(st.integers(-12, 12), min_size=n * n, max_size=n * n))
+    noise = np.reshape(steps, (n, n)) * (TOL / 4.0)
+    noisy = mu + np.triu(noise, 1) + np.triu(noise, 1).T
+    assert outcome(validate_ultrametric, noisy) == outcome(reference_validate_ultrametric, noisy)

@@ -8,11 +8,13 @@ from helpers import (
     cloud_space,
     dense_space,
     line_space,
+    outcome,
     random_space,
     reference_fkw_fit,
     reference_minimum_spanning_edges,
     reference_subdominant_ultrametric,
     reference_to_dendrogram,
+    reference_validate_ultrametric,
     spanning_weight_oracle,
     threshold_components,
 )
@@ -33,6 +35,7 @@ from thclust import (
     to_dendrogram,
     validate_ultrametric,
 )
+from thclust.ultrametric import _certifies, _heights, _merges, _spanning_tree
 
 FIG_MU = np.array(
     [
@@ -73,6 +76,62 @@ def test_validate_rejects_malformed_matrix():
     asym = np.array([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(ValidationError):
         validate_ultrametric(asym)
+
+
+def test_validate_empty_matrix_passes():
+    assert validate_ultrametric(np.zeros((0, 0))) == (True, None)
+    with pytest.raises(ValidationError, match="points do not match"):
+        validate_ultrametric(np.zeros((0, 0)), points=["a"])
+
+
+def _four_point(bump):
+    """All off-diagonal heights 1, except (0, 2) and (1, 3) raised by 0.75 TOL
+    and (0, 3) raised by ``bump``: a path of sub-TOL steps."""
+    m = 1.0 - np.eye(4)
+    for (i, k), extra in {(0, 2): 0.75 * TOL, (1, 3): 0.75 * TOL, (0, 3): bump}.items():
+        m[i, k] = m[k, i] = 1.0 + extra
+    return m
+
+
+def _tree_certifies(m):
+    ids = tuple(str(i) for i in range(len(m)))
+    tree = _spanning_tree(ids, np.minimum(m, m.T))
+    return _certifies(m, _heights(ids, _merges(ids, tree)), TOL)
+
+
+def test_validate_falls_back_to_the_triple_scan():
+    """Sub-TOL steps add up along the tree path from 0 to 3: the spanning-tree
+    certificate refuses, and the triple scan decides."""
+    accepted, rejected = _four_point(1.5 * TOL), _four_point(1.8 * TOL)
+    assert not _tree_certifies(accepted) and not _tree_certifies(rejected)
+    assert validate_ultrametric(accepted) == reference_validate_ultrametric(accepted) \
+        == (True, None)
+    assert validate_ultrametric(rejected) == reference_validate_ultrametric(rejected) \
+        == (False, (0, 1, 3))
+    u = PseudoUltrametric("abcd", accepted)
+    assert to_dendrogram(u).merges == reference_to_dendrogram(u).merges
+    with pytest.raises(ValidationError, match=r"fails at \('a', 'b', 'd'\)"):
+        PseudoUltrametric("abcd", rejected)
+
+
+def test_validate_reads_both_triangles():
+    """Asymmetric within TOL: the lower triangle holds the violation (2, 1, 0),
+    which a tree over the upper triangle alone would miss."""
+    m = np.array([
+        [0.0, 1.0, 1.0 + 1.5 * TOL],
+        [1.0, 0.0, 1.0 + 0.6 * TOL],
+        [1.0 + 1.5 * TOL, 1.0 - 0.3 * TOL, 0.0],
+    ])
+    assert validate_ultrametric(m) == reference_validate_ultrametric(m) == (False, (2, 1, 0))
+
+
+def test_validate_bounds_the_diagonal():
+    """A TOL diagonal above negative off-diagonal dust fails at (i, j, i)."""
+    m = np.full((3, 3), -0.4 * TOL)
+    np.fill_diagonal(m, TOL)
+    assert validate_ultrametric(m) == reference_validate_ultrametric(m) == (False, (0, 1, 0))
+    np.fill_diagonal(m, 0.5 * TOL)
+    assert validate_ultrametric(m) == reference_validate_ultrametric(m) == (True, None)
 
 
 def test_pseudo_ultrametric_constructor_validates():
@@ -391,6 +450,12 @@ def test_dendrogram_structural_validation():
         Dendrogram(("a", "b", "c"), ((1.0, "a", "b"), (2.0, "a", "c")))  # leaf reused
     with pytest.raises(ValidationError):
         Dendrogram(("a", "b"), ((1.0, 0, "a"),))  # merge refers to itself
+    for h in (float("nan"), float("inf"), "1.0", None):
+        with pytest.raises(ValidationError, match=r"merge 1 height must be a finite number"):
+            Dendrogram(("a", "b", "c"), ((1.0, "a", "b"), (h, 0, "c")))
+    for h in ("x", None, [1]):
+        with pytest.raises(ValidationError, match=r"merge 0 height must be a finite number"):
+            Dendrogram.from_dict({"leaves": ["a", "b"], "merges": [[h, "a", "b"]]})
 
 
 # ---------------------------------------------------------------- cuts
@@ -494,3 +559,54 @@ def test_dendrogram_matches_reference():
         fits += [_noisy(u, rng) for u in fits]
         for u in fits:
             assert to_dendrogram(u).merges == reference_to_dendrogram(u).merges
+        # unchecked heights: the source distances, and a fit with an infinite pair
+        unchecked = [space.dist, fits[0].mu.copy()]
+        unchecked[1][0, -1] = unchecked[1][-1, 0] = np.inf
+        for mu in unchecked:
+            u = PseudoUltrametric(space.points, mu, validate=False)
+            assert outcome(to_dendrogram, u) == outcome(reference_to_dendrogram, u)
+
+
+def _validation_inputs():
+    """Matrices around the ultrametric boundary, with and without point ids:
+    fitted heights, integer ties, noise from 0.3 to 3 TOL (symmetric and
+    not), single bumped entries, source distances and malformed input."""
+    rng = np.random.default_rng(33)
+    spaces = list(_differential_spaces())
+    spaces += [cloud_space(rng, n) for n in (40, 60)]
+    spaces += [_grid_space(rng, n) for n in (30, 45)]
+    for space in spaces:
+        n = len(space)
+        grid = subdominant_ultrametric(_grid_space(rng, n)).mu
+        tied = grid - 2.0 * (grid > 0)  # heights {0, 1, 2}
+        fits = [subdominant_ultrametric(space).mu, fkw_fit(space).ultrametric.mu, tied]
+        yield space.dist, space.points
+        for mu in fits:
+            yield mu, space.points
+            for scale in (0.3, 1.0, 3.0):
+                noise = rng.uniform(-scale * TOL, scale * TOL, size=(n, n))
+                sym = mu + (noise + noise.T) / 2.0
+                np.fill_diagonal(sym, 0.0)
+                yield sym, None
+                yield np.abs(mu + noise), None  # asymmetric, with a noisy diagonal
+            if n > 1:
+                i, k = rng.choice(n, size=2, replace=False)
+                for bump in (0.5 * TOL, 2.0 * TOL, 0.1, 1.0):
+                    bumped = mu.copy()
+                    bumped[i, k] += bump
+                    bumped[k, i] += bump
+                    yield bumped, space.points
+    for bad in ([[0.0, 1.0]], [[0.0, np.nan], [np.nan, 0.0]], [[0.0, -1.0], [-1.0, 0.0]],
+                [[0.0, 1.0], [2.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]):
+        yield np.array(bad), None
+    yield FIG_MU, FIG_POINTS[:4]
+
+
+def test_validate_matches_reference():
+    verdicts = set()
+    for mu, points in _validation_inputs():
+        got = outcome(validate_ultrametric, mu, points=points)
+        assert got == outcome(reference_validate_ultrametric, mu, points=points)
+        verdicts.add(got[0] if isinstance(got, tuple) else got.split(" ")[-1])
+    # both verdicts, and each malformed-input message by its last word
+    assert {True, False, "finite", "value", "symmetric", "zero", "square", "size"} <= verdicts
