@@ -358,8 +358,7 @@ def cmd_cut(args: argparse.Namespace) -> int:
     try:
         dendrogram = Dendrogram.from_dict(body)
         fitted = dendrogram.to_ultrametric()
-        blocks = cut_at_height(fitted, args.r) if args.r != float("inf") \
-            else [sorted(fitted.points)]
+        blocks = cut_at_height(fitted, args.r)
     except ValidationError as exc:
         raise CliError(f"{args.input}: {exc}") from exc
     out = Path(args.output) if args.output else Path(Path(args.input).stem + ".cut.json")

@@ -8,6 +8,7 @@ locality.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .metric import TOL, MetricSpace, TemporalSampling, ValidationError
@@ -161,8 +162,13 @@ class _MaxFlowGraph:
         into_t = [-1] * len(self.adj)
         for a in self.adj[t]:
             into_t[head[a]] = rev[a]
+        from_s = None  # see _shortest_path
+        if all(into_t[head[a]] < 0 for a in self.adj[s]):
+            from_s = [-1] * len(self.adj)
+            for a in self.adj[s]:
+                from_s[head[a]] = a
         total = 0
-        while (via := self._shortest_path(s, t, into_t)) is not None:
+        while (via := self._shortest_path(s, t, into_t, from_s)) is not None:
             path = []
             v = t
             while v != s:
@@ -176,12 +182,23 @@ class _MaxFlowGraph:
             total += bottleneck
         return total
 
-    def _shortest_path(self, s: int, t: int, into_t: list[int]):
+    def _shortest_path(self, s: int, t: int, into_t: list[int], from_s):
         """BFS from ``s`` that stops at the first node found with residual into ``t``.
 
         ``into_t[v]`` is the arc from ``v`` to ``t``, or -1. Returns the arc
         each reached node was entered by, ``t`` included, or None when ``t``
         is unreachable.
+
+        ``from_s`` is None, or, when no neighbour of ``s`` has an arc to
+        ``t``, the arc from ``s`` to each node (-1 for none). Then the
+        heads of the unsaturated arcs out of ``s`` are not all discovered
+        up front: they are walked in arc order as the first segment of the
+        queue, each discovered just before it is expanded, and until then a
+        node with an unsaturated arc from ``s`` counts as discovered. A
+        search that discovered them all first would pop the same nodes in
+        the same order and could not stop at any of them, having no arc to
+        ``t``, so it finds the same path. In the feasibility phase this
+        saves rediscovering every unsaturated super-source arc per path.
         """
         adj, head, res = self.adj, self.head, self.res
         via = [-1] * len(adj)
@@ -190,12 +207,19 @@ class _MaxFlowGraph:
         if b >= 0 and res[b] > 0:
             via[t] = b
             return via
-        queue = [s]
-        for u in queue:
+        if from_s is None:
+            queue = [s]
+            pops = queue
+        else:
+            queue = []
+            pops = itertools.chain(self._first_segment(s, via), queue)
+        for u in pops:
             for a in adj[u]:
                 if res[a] > 0:
                     v = head[a]
                     if via[v] == -1:
+                        if from_s is not None and (c := from_s[v]) >= 0 and res[c] > 0:
+                            continue  # discovered from s, popped in the first segment
                         via[v] = a
                         b = into_t[v]
                         if b >= 0 and res[b] > 0:
@@ -203,6 +227,15 @@ class _MaxFlowGraph:
                             return via
                         queue.append(v)
         return None
+
+    def _first_segment(self, s: int, via: list[int]):
+        """Discover and yield the heads of the unsaturated arcs out of ``s``,
+        one at a time, in arc order."""
+        head, res = self.head, self.res
+        for a in self.adj[s]:
+            if res[a] > 0:
+                via[head[a]] = a
+                yield head[a]
 
 
 def min_feasible_flow(network: FlowNetwork) -> IntegralFlow:
@@ -221,7 +254,9 @@ def min_feasible_flow(network: FlowNetwork) -> IntegralFlow:
     breadth-first search stops at the first node it discovers that has
     residual capacity into the target. A search that ran on would pop nodes
     in discovery order and enter the target from the first of them with such
-    an arc, so it would find that same path.
+    an arc, so it would find that same path. No neighbour of either phase's
+    source has an arc to its target, so both phases read the source's arcs
+    lazily (see :meth:`_MaxFlowGraph._shortest_path`).
     """
     n = network.size
     cap = n  # no minimal flow needs more than one unit per point

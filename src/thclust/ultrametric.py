@@ -190,27 +190,64 @@ class _UnionFind:
 
 
 def _spanning_tree(points: tuple[str, ...], matrix: np.ndarray):
-    """Kruskal's algorithm on the complete graph weighted by ``matrix``.
+    """Minimum spanning tree of the complete graph weighted by ``matrix``.
 
-    Candidate pairs are ranked by (weight, smaller id, larger id), so
-    equal-weight ties go to the lexicographically first pair of endpoint ids
-    and the tree is unique. Returns edges (u, v, weight) with u < v in
-    selection order.
+    Edges are ranked by (weight, smaller id, larger id): a strict total
+    order, so the minimum spanning tree is unique and equal-weight ties go
+    to the lexicographically first pair of endpoint ids. Returns edges
+    (u, v, weight) with u < v, sorted by that rank, which is the order in
+    which Kruskal's algorithm would select them.
+
+    The tree is grown by Prim's algorithm over a dense array in O(n^2)
+    (Müllner, 2011), with vertices numbered by their rank in id order. Each
+    vertex outside the tree keeps its lightest edge into the tree, ``best``
+    and ``src``, and the next vertex joins along the lightest of those. Two
+    candidate edges into the same vertex x share the endpoint x, so their
+    (smaller, larger) rank pairs compare as their other endpoints do: a
+    candidate replaces ``src[x]`` when it is lighter, or as heavy with a
+    smaller tree endpoint. Among the vertices tied at the lightest weight,
+    the smallest rank pair wins. Every step thus adds the lightest edge
+    across the cut in the total order, which belongs to the unique tree
+    (cut property), so the edge set is exactly Kruskal's.
+
+    ``matrix`` must be exactly symmetric, because an edge is compared as
+    read from the row of whichever endpoint joined the tree first; the
+    callers pass ``space.dist``, ``min(m, m.T)`` and fitted heights, all
+    symmetric. Infinite weights are ordinary edges, so tree membership is
+    a mask, not a sentinel weight.
     """
     n = len(points)
-    order = np.array(sorted(range(n), key=lambda i: points[i]), dtype=int)
-    a, b = np.triu_indices(n, 1)  # id ranks, a < b
-    w = matrix[order[a], order[b]]
-    ranked = np.lexsort((b, a, w))
-    uf = _UnionFind(n)
-    edges = []
-    for i, j, x in zip(order[a[ranked]].tolist(), order[b[ranked]].tolist(),
-                       w[ranked].tolist()):
-        if len(edges) == n - 1:
-            break
-        if uf.union(i, j):
-            edges.append((points[i], points[j], x))
-    return tuple(edges)
+    if n < 2:
+        return ()
+    order = np.array(sorted(range(n), key=points.__getitem__), dtype=np.intp)
+    w = matrix[np.ix_(order, order)]
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
+    best = w[0].copy()
+    src = np.zeros(n, dtype=np.intp)
+    joined = np.empty(n - 1, dtype=np.intp)
+    for step in range(n - 1):
+        low = best.min(where=outside, initial=np.inf)
+        tied = np.flatnonzero(outside & (best == low))
+        v = tied[0]
+        if len(tied) > 1:
+            a, b = src[tied], tied
+            v = tied[np.lexsort((np.maximum(a, b), np.minimum(a, b)))[0]]
+        outside[v] = False
+        joined[step] = v
+        row = w[v]
+        closer = outside & ((row < best) | ((row == best) & (v < src)))
+        best[closer] = row[closer]
+        src[closer] = v
+    lo = np.minimum(src[joined], joined)
+    hi = np.maximum(src[joined], joined)
+    weight = w[lo, hi]
+    ranked = np.lexsort((hi, lo, weight))
+    return tuple(
+        (points[i], points[j], x)
+        for i, j, x in zip(order[lo[ranked]].tolist(), order[hi[ranked]].tolist(),
+                           weight[ranked].tolist())
+    )
 
 
 def minimum_spanning_edges(space: MetricSpace) -> MstEdgeList:
@@ -481,20 +518,31 @@ def to_dendrogram(ultrametric: PseudoUltrametric) -> Dendrogram:
 def cut_at_height(ultrametric: PseudoUltrametric, r: float) -> list[list[str]]:
     """Partition the points into the equivalence classes of ``mu <= r``.
 
-    Blocks come back with sorted member ids, ordered by their first member.
+    A class is the transitive closure of ``mu <= r + TOL``: noise below
+    ``TOL`` can link a to b and b to c but not a to c. Each class is grown
+    from its first point by breadth-first search, a whole frontier of rows
+    of the (symmetric) relation at a time. Blocks come back with sorted
+    member ids, ordered by their first member.
     """
     if not r >= 0:
         raise ValidationError(f"cut height must be a nonnegative number, got {r!r}")
     pts = ultrametric.points
     n = len(pts)
-    uf = _UnionFind(n)
-    close = np.argwhere(np.triu(ultrametric.mu <= r + TOL, 1))
-    for i, j in close:
-        uf.union(int(i), int(j))
-    blocks: dict[int, list[str]] = {}
+    close = ultrametric.mu <= r + TOL
+    unassigned = np.ones(n, dtype=bool)
+    blocks = []
     for i in range(n):
-        blocks.setdefault(uf.find(i), []).append(pts[i])
-    return sorted((sorted(b) for b in blocks.values()), key=lambda b: b[0])
+        if not unassigned[i]:
+            continue
+        members = np.zeros(n, dtype=bool)
+        members[i] = True
+        frontier = members
+        while frontier.any():
+            frontier = close[frontier].any(axis=0) & ~members
+            members |= frontier
+        unassigned &= ~members
+        blocks.append(sorted(pts[j] for j in np.flatnonzero(members)))
+    return sorted(blocks, key=lambda b: b[0])
 
 
 def instability_family(n: int, eps: float) -> tuple[MetricSpace, MetricSpace]:

@@ -158,9 +158,10 @@ def threshold_components(space, r):
 # ---------------------------------------------------------------- ultrametric oracles
 #
 # The tuple-sort Kruskal, the tree-replay bottleneck matrix, both fitters
-# built on them, the dense per-height dendrogram scan and the full triple
-# scan that the spanning-tree routines in ``thclust.ultrametric`` replaced.
-# The fast code must return the same edges, heights, merges and verdicts.
+# built on them, the dense per-height dendrogram scan, the full triple scan
+# and the union-find cut that the spanning-tree routines and the component
+# search in ``thclust.ultrametric`` replaced. The fast code must return the
+# same edges, heights, merges, verdicts and blocks.
 
 
 def reference_validate_ultrametric(mu, points=None, tol: float = TOL):
@@ -229,20 +230,21 @@ class _UnionFind:
         return True
 
 
-def reference_minimum_spanning_edges(space: MetricSpace) -> MstEdgeList:
-    """Kruskal's algorithm on the complete distance graph.
+def reference_spanning_tree(points: tuple[str, ...], matrix) -> tuple:
+    """Kruskal's algorithm on the complete graph weighted by ``matrix``.
 
-    Equal-weight ties are broken by the lexicographic pair of endpoint ids,
-    so the returned tree is unique for a given space.
+    Candidate pairs are sorted as (weight, smaller id, larger id) tuples and
+    each weight is read at (smaller id, larger id), so equal-weight ties are
+    broken by the lexicographic pair of endpoint ids and the returned tree
+    is unique. Edges (u, v, weight) with u < v come in selection order.
     """
-    pts = space.points
-    n = len(pts)
-    order = sorted(range(n), key=lambda i: pts[i])
+    n = len(points)
+    order = sorted(range(n), key=lambda i: points[i])
     candidates = []
     for a in range(n):
         for b in range(a + 1, n):
             i, j = order[a], order[b]
-            candidates.append((float(space.dist[i, j]), pts[i], pts[j], i, j))
+            candidates.append((float(matrix[i, j]), points[i], points[j], i, j))
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     uf = _UnionFind(n)
     edges = []
@@ -251,7 +253,13 @@ def reference_minimum_spanning_edges(space: MetricSpace) -> MstEdgeList:
             edges.append((u, v, w))
             if len(edges) == n - 1:
                 break
-    return MstEdgeList(points=pts, edges=tuple(edges))
+    return tuple(edges)
+
+
+def reference_minimum_spanning_edges(space: MetricSpace) -> MstEdgeList:
+    """The Kruskal tree of the distance graph (:func:`reference_spanning_tree`)."""
+    return MstEdgeList(points=space.points,
+                       edges=reference_spanning_tree(space.points, space.dist))
 
 
 def reference_path_max_matrix(points: tuple[str, ...], edges) -> np.ndarray:
@@ -409,6 +417,25 @@ def reference_to_dendrogram(ultrametric: PseudoUltrametric) -> Dendrogram:
                 min_leaf[new_root] = min(min_leaf[acc], min_leaf[nxt])
                 acc = new_root
     return Dendrogram(leaves=pts, merges=tuple(merges))
+
+
+def reference_cut_at_height(ultrametric: PseudoUltrametric, r: float) -> list[list[str]]:
+    """Partition the points into the equivalence classes of ``mu <= r``.
+
+    Blocks come back with sorted member ids, ordered by their first member.
+    """
+    if not r >= 0:
+        raise ValidationError(f"cut height must be a nonnegative number, got {r!r}")
+    pts = ultrametric.points
+    n = len(pts)
+    uf = _UnionFind(n)
+    close = np.argwhere(np.triu(ultrametric.mu <= r + TOL, 1))
+    for i, j in close:
+        uf.union(int(i), int(j))
+    blocks: dict[int, list[str]] = {}
+    for i in range(n):
+        blocks.setdefault(uf.find(i), []).append(pts[i])
+    return sorted((sorted(b) for b in blocks.values()), key=lambda b: b[0])
 
 
 # ---------------------------------------------------------------- correspondence oracles

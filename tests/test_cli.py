@@ -132,6 +132,22 @@ def test_cut_blocks_and_extremes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cut_at_infinity_writes_one_sorted_block(tmp_path, capsys):
+    """``-r inf`` keeps its artifact byte for byte: every leaf in one block
+    in id order (here not the space's order), and ``r`` as the string "inf"."""
+    space = line_space([0.0, 1.0, 3.0, 7.0], ids=["p10", "p2", "b", "p1"])
+    src = write_json(tmp_path / "ids.json", {"format_version": "1", "space": space.to_dict()})
+    dend = tmp_path / "ids.dend.json"
+    assert main(["fit", src, "-o", str(dend)]) == 0
+    out = tmp_path / "cut.json"
+    assert main(["cut", str(dend), "-r", "inf", "-o", str(out)]) == 0
+    assert out.read_text() == (
+        '{\n  "blocks": [\n    [\n      "b",\n      "p1",\n      "p10",\n      "p2"\n'
+        '    ]\n  ],\n  "format_version": "1",\n  "r": "inf"\n}\n'
+    )
+    capsys.readouterr()
+
+
 def test_cut_rejects_nan_height(tmp_path, capsys):
     dend = tmp_path / "d.json"
     main(["fit", line_file(tmp_path), "-o", str(dend)])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    _DictMaxFlowGraph,
     brute_min_flow,
     line_space,
     random_sampling,
@@ -22,6 +23,7 @@ from thclust import (
     solve_labeled,
     solve_local,
 )
+from thclust.labeling import _MaxFlowGraph
 
 
 def tiny_ambient():
@@ -128,6 +130,36 @@ def test_flow_validate_catches_tampering():
     unbalanced[key] += 1
     with pytest.raises(ValidationError):
         IntegralFlow(net, unbalanced, flow.value).validate()
+
+
+def _neighbours(arcs, x):
+    return {v for u, v, _ in arcs if u == x} | {u for u, v, _ in arcs if v == x}
+
+
+def test_max_flow_takes_the_reference_paths_on_random_graphs():
+    """Random digraphs, with and without a neighbour of the source that has
+    an arc to the sink, and with source neighbours reachable through other
+    nodes: the same value and residuals as the dict solver."""
+    rng = np.random.default_rng(607)
+    lazy = eager = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 9))
+        nodes = [("n", int(i)) for i in rng.permutation(n)]
+        arcs = [(nodes[i], nodes[j], int(rng.integers(1, 4)))
+                for i in range(n) for j in range(n) if i != j and rng.random() < 0.35]
+        source, sink = nodes[0], nodes[-1]
+        graph, reference = _MaxFlowGraph(arcs, nodes=nodes), _DictMaxFlowGraph()
+        for u, v, cap in arcs:
+            reference.add_edge(u, v, cap)
+        if _neighbours(arcs, source) & _neighbours(arcs, sink):
+            eager += 1
+        else:
+            lazy += 1
+        assert graph.max_flow(source, sink) == reference.max_flow(source, sink)
+        for u, v, _ in arcs:
+            assert graph.res[graph.arc(u, v)] == reference.cap[u][v]
+            assert graph.res[graph.arc(v, u)] == reference.cap[v][u]
+    assert lazy > 50 and eager > 50
 
 
 def assert_same_flow_as_reference(net):

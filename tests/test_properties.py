@@ -1,21 +1,34 @@
-"""Property tests for the ultrametric layer.
+"""Property tests for the ultrametric and labeling layers.
 
 Examples are derandomized, so every run checks the same inputs. Integer
 coordinates and integer distances make exact ties common, which is where
-the merge order and the cut boundaries are easiest to get wrong.
+the merge order, the cut boundaries and the correspondences are easiest to
+get wrong.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import outcome, reference_validate_ultrametric, threshold_components
+from helpers import (
+    brute_min_flow,
+    outcome,
+    reference_validate_ultrametric,
+    threshold_components,
+)
 from thclust import (
     TOL,
     MetricSpace,
+    TemporalSampling,
+    build_flow_instance,
+    check_contiguity,
     cut_at_height,
+    evaluate_general,
     fkw_fit,
     linf_distance,
+    min_feasible_flow,
+    solve_labeled,
+    solve_local,
     subdominant_ultrametric,
     to_dendrogram,
     validate_ultrametric,
@@ -56,6 +69,29 @@ def dense_spaces(draw, max_points=8):
 
 
 spaces = grid_spaces() | dense_spaces()
+
+
+@st.composite
+def samplings(draw, max_nodes=10):
+    """Two to four levels of distinct integer points in the plane, at most
+    ``max_nodes`` point nodes in all."""
+    n = draw(st.integers(1, 6))
+    cell = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    coords = draw(st.lists(cell, min_size=n, max_size=n, unique=True))
+    ambient = MetricSpace(_ids(n), coords=np.array(coords, dtype=float))
+    levels = []
+    budget = max_nodes
+    for _ in range(draw(st.integers(2, 4))):
+        if budget == 0:
+            break
+        level = draw(st.lists(st.sampled_from(ambient.points), min_size=1,
+                              max_size=min(n, budget), unique=True))
+        levels.append(sorted(level))
+        budget -= len(level)
+    return TemporalSampling(ambient, levels)
+
+
+schemes = st.sampled_from(["fkw", "subdominant"])
 
 
 @PROPERTY
@@ -106,3 +142,21 @@ def test_validate_matches_reference_near_the_boundary(space, fkw, data):
     noise = np.reshape(steps, (n, n)) * (TOL / 4.0)
     noisy = mu + np.triu(noise, 1) + np.triu(noise, 1).T
     assert outcome(validate_ultrametric, noisy) == outcome(reference_validate_ultrametric, noisy)
+
+
+@PROPERTY
+@given(samplings(), schemes)
+def test_min_flow_value_is_the_fewest_covering_paths(sampling, scheme):
+    local = solve_local(sampling, scheme=scheme)
+    network = build_flow_instance(sampling, local.correspondences)
+    assert min_feasible_flow(network).value == brute_min_flow(network)
+
+
+@PROPERTY
+@given(samplings(), schemes)
+def test_adjacent_labelings_are_contiguous_at_the_certified_delta(sampling, scheme):
+    sol = solve_labeled(sampling, scheme=scheme)
+    delta = evaluate_general(sol.local).delta
+    for l1, l2 in zip(sol.labelings, sol.labelings[1:]):
+        ok, violation = check_contiguity(l1, l2, delta, sampling.ambient)
+        assert ok, violation

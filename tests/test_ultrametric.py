@@ -10,8 +10,10 @@ from helpers import (
     line_space,
     outcome,
     random_space,
+    reference_cut_at_height,
     reference_fkw_fit,
     reference_minimum_spanning_edges,
+    reference_spanning_tree,
     reference_subdominant_ultrametric,
     reference_to_dendrogram,
     reference_validate_ultrametric,
@@ -547,6 +549,59 @@ def test_spanning_tree_and_fits_match_reference():
         assert np.array_equal(fit.subdominant.mu, ref.subdominant.mu)
         assert fit.priorities == ref.priorities
         assert fit.clamped_pairs == ref.clamped_pairs
+
+
+def _tree_inputs():
+    """The matrices the callers of ``_spanning_tree`` pass, which are all
+    exactly symmetric: source distances, fitted heights, ``min(m, m.T)`` of
+    heights asymmetric within TOL or noisy below it, integer and zero
+    heights, infinite pairs and blocks, each under shuffled ids too."""
+    rng = np.random.default_rng(34)
+    for space in _differential_spaces():
+        n = len(space)
+        sub = subdominant_ultrametric(space).mu
+        grid = subdominant_ultrametric(_grid_space(rng, n)).mu
+        noise = rng.uniform(-TOL, TOL, size=(n, n))
+        lopsided = sub + noise
+        noisy = sub + (noise + noise.T) / 20.0
+        apart = rng.random(n) < 0.5
+        split = sub.copy()
+        split[np.ix_(apart, ~apart)] = split[np.ix_(~apart, apart)] = np.inf
+        pair = sub.copy()
+        pair[0, -1] = pair[-1, 0] = np.inf
+        shuffled = tuple(f"s{k:02d}" for k in rng.permutation(n))
+        for m in (space.dist, sub, fkw_fit(space).ultrametric.mu,
+                  np.minimum(lopsided, lopsided.T), np.minimum(noisy, noisy.T),
+                  grid, np.maximum(grid - 2.0, 0.0), np.zeros((n, n)), split, pair):
+            yield space.points, m
+            yield shuffled, m
+    yield (), np.zeros((0, 0))
+    yield ("a",), np.zeros((1, 1))
+    for h in (0.0, 1.0, np.inf):
+        yield ("b", "a"), np.array([[0.0, h], [h, 0.0]])
+
+
+def test_spanning_tree_matches_reference():
+    for points, m in _tree_inputs():
+        assert _spanning_tree(points, m) == reference_spanning_tree(points, m)
+
+
+def test_cut_matches_reference():
+    """Every distinct merge height of every fit, the fits with sub-TOL
+    noise, and the extremes; then sub-TOL steps that link 0 to 3 only
+    through 1 and 2, so the blocks need the transitive closure."""
+    rng = np.random.default_rng(35)
+    for space in _differential_spaces():
+        fits = [subdominant_ultrametric(space), fkw_fit(space).ultrametric]
+        fits += [_noisy(u, rng) for u in fits]
+        for u in fits:
+            heights = {h for h, _, _ in to_dendrogram(u).merges}
+            for r in (0.0, *sorted(heights), np.inf):
+                assert cut_at_height(u, r) == reference_cut_at_height(u, r)
+    chain = PseudoUltrametric("abcd", _four_point(1.5 * TOL))
+    for r in 1.0 + np.arange(-4, 5) * (TOL / 4.0):
+        assert cut_at_height(chain, r) == reference_cut_at_height(chain, r)
+    assert cut_at_height(chain, 1.0 - 0.5 * TOL) == [["a", "b", "c", "d"]]
 
 
 def test_dendrogram_matches_reference():
