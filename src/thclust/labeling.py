@@ -162,11 +162,11 @@ class _MaxFlowGraph:
         into_t = [-1] * len(self.adj)
         for a in self.adj[t]:
             into_t[head[a]] = rev[a]
-        from_s = None  # see _shortest_path
-        if all(into_t[head[a]] < 0 for a in self.adj[s]):
-            from_s = [-1] * len(self.adj)
-            for a in self.adj[s]:
-                from_s[head[a]] = a
+        from_s = [-1] * len(self.adj)
+        for a in self.adj[s]:
+            if into_t[head[a]] >= 0:
+                raise RuntimeError("a neighbour of the source has an arc to the sink")
+            from_s[head[a]] = a
         total = 0
         while (via := self._shortest_path(s, t, into_t, from_s)) is not None:
             path = []
@@ -182,23 +182,23 @@ class _MaxFlowGraph:
             total += bottleneck
         return total
 
-    def _shortest_path(self, s: int, t: int, into_t: list[int], from_s):
+    def _shortest_path(self, s: int, t: int, into_t: list[int], from_s: list[int]):
         """BFS from ``s`` that stops at the first node found with residual into ``t``.
 
-        ``into_t[v]`` is the arc from ``v`` to ``t``, or -1. Returns the arc
-        each reached node was entered by, ``t`` included, or None when ``t``
-        is unreachable.
+        ``into_t[v]`` is the arc from ``v`` to ``t``, or -1; ``from_s[v]`` is
+        the arc from ``s`` to ``v``, or -1. Returns the arc each reached node
+        was entered by, ``t`` included, or None when ``t`` is unreachable.
 
-        ``from_s`` is None, or, when no neighbour of ``s`` has an arc to
-        ``t``, the arc from ``s`` to each node (-1 for none). Then the
-        heads of the unsaturated arcs out of ``s`` are not all discovered
-        up front: they are walked in arc order as the first segment of the
-        queue, each discovered just before it is expanded, and until then a
-        node with an unsaturated arc from ``s`` counts as discovered. A
-        search that discovered them all first would pop the same nodes in
-        the same order and could not stop at any of them, having no arc to
-        ``t``, so it finds the same path. In the feasibility phase this
-        saves rediscovering every unsaturated super-source arc per path.
+        No neighbour of ``s`` has an arc to ``t`` (:meth:`max_flow` checks),
+        so the heads of the unsaturated arcs out of ``s`` are not all
+        discovered up front: they are walked in arc order as the first
+        segment of the queue, each discovered just before it is expanded,
+        and until then a node with an unsaturated arc from ``s`` counts as
+        discovered. A search that discovered them all first would pop the
+        same nodes in the same order and could not stop at any of them,
+        having no arc to ``t``, so it finds the same path. In the
+        feasibility phase this saves rediscovering every unsaturated
+        super-source arc per path.
         """
         adj, head, res = self.adj, self.head, self.res
         via = [-1] * len(adj)
@@ -207,18 +207,13 @@ class _MaxFlowGraph:
         if b >= 0 and res[b] > 0:
             via[t] = b
             return via
-        if from_s is None:
-            queue = [s]
-            pops = queue
-        else:
-            queue = []
-            pops = itertools.chain(self._first_segment(s, via), queue)
-        for u in pops:
+        queue: list[int] = []
+        for u in itertools.chain(self._first_segment(s, via), queue):
             for a in adj[u]:
                 if res[a] > 0:
                     v = head[a]
                     if via[v] == -1:
-                        if from_s is not None and (c := from_s[v]) >= 0 and res[c] > 0:
+                        if (c := from_s[v]) >= 0 and res[c] > 0:
                             continue  # discovered from s, popped in the first segment
                         via[v] = a
                         b = into_t[v]

@@ -23,7 +23,7 @@ from thclust import (
     solve_labeled,
     solve_local,
 )
-from thclust.labeling import _MaxFlowGraph
+from thclust.labeling import SINK, SOURCE, FlowNetwork, _MaxFlowGraph, point_node
 
 
 def tiny_ambient():
@@ -137,11 +137,11 @@ def _neighbours(arcs, x):
 
 
 def test_max_flow_takes_the_reference_paths_on_random_graphs():
-    """Random digraphs, with and without a neighbour of the source that has
-    an arc to the sink, and with source neighbours reachable through other
-    nodes: the same value and residuals as the dict solver."""
+    """Random digraphs, with source neighbours reachable through other
+    nodes: the same value and residuals as the dict solver. A graph where a
+    neighbour of the source has an arc to the sink is refused."""
     rng = np.random.default_rng(607)
-    lazy = eager = 0
+    solved = refused = 0
     for _ in range(300):
         n = int(rng.integers(3, 9))
         nodes = [("n", int(i)) for i in rng.permutation(n)]
@@ -149,17 +149,19 @@ def test_max_flow_takes_the_reference_paths_on_random_graphs():
                 for i in range(n) for j in range(n) if i != j and rng.random() < 0.35]
         source, sink = nodes[0], nodes[-1]
         graph, reference = _MaxFlowGraph(arcs, nodes=nodes), _DictMaxFlowGraph()
+        if _neighbours(arcs, source) & _neighbours(arcs, sink):
+            refused += 1
+            with pytest.raises(RuntimeError, match="neighbour of the source"):
+                graph.max_flow(source, sink)
+            continue
+        solved += 1
         for u, v, cap in arcs:
             reference.add_edge(u, v, cap)
-        if _neighbours(arcs, source) & _neighbours(arcs, sink):
-            eager += 1
-        else:
-            lazy += 1
         assert graph.max_flow(source, sink) == reference.max_flow(source, sink)
         for u, v, _ in arcs:
             assert graph.res[graph.arc(u, v)] == reference.cap[u][v]
             assert graph.res[graph.arc(v, u)] == reference.cap[v][u]
-    assert lazy > 50 and eager > 50
+    assert solved > 50 and refused > 50
 
 
 def assert_same_flow_as_reference(net):
@@ -177,6 +179,28 @@ def test_min_flow_matches_reference_solver_on_random_samplings():
         for scheme in ("fkw", "subdominant"):
             sol = solve_local(samp, scheme=scheme)
             assert_same_flow_as_reference(build_flow_instance(samp, sol.correspondences))
+
+
+def test_min_flow_matches_reference_solver_when_value_is_pushed_back(monkeypatch):
+    """A two-level network on which the feasibility phase routes one unit
+    more than the minimum, so the sink-to-source phase has to return it."""
+    pairs = [(0, 0), (0, 3), (1, 1), (1, 2), (2, 1), (2, 3), (3, 0), (4, 2), (4, 5), (5, 4)]
+    level = tuple(f"p{i}" for i in range(6))
+    edges = [(SOURCE, point_node(0, p)) for p in level]
+    edges += [(point_node(0, f"p{u}"), point_node(1, f"p{v}")) for u, v in pairs]
+    edges += [(point_node(1, p), SINK) for p in level]
+    net = FlowNetwork(levels=(level, level), edges=tuple(sorted(edges)))
+    pushed = []
+    max_flow = _MaxFlowGraph.max_flow
+
+    def recording_max_flow(graph, source, sink):
+        pushed.append(max_flow(graph, source, sink))
+        return pushed[-1]
+
+    monkeypatch.setattr(_MaxFlowGraph, "max_flow", recording_max_flow)
+    assert_same_flow_as_reference(net)
+    assert pushed == [12, 1]
+    assert reference_min_feasible_flow(net).value == brute_min_flow(net) == 6
 
 
 def test_min_flow_matches_reference_solver_on_flock():
