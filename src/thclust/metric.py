@@ -13,6 +13,10 @@ import numpy as np
 
 TOL = 1e-9
 
+# Rows and hubs per block of the triangle check; each block's temporary
+# holds _BLOCK * _BLOCK * n floats.
+_BLOCK = 16
+
 
 class ValidationError(ValueError):
     """An input violates a structural invariant (shape, symmetry, metric axioms)."""
@@ -141,6 +145,40 @@ class MetricSpace:
             raise ValidationError(f"nonzero self-distance at point {self.points[i]!r}")
 
     def _check_triangle(self, dist: np.ndarray) -> None:
+        """Raise :class:`ValidationError` unless every triple satisfies
+        ``dist[i, j] - (dist[i, k] + dist[k, j]) <= TOL``.
+
+        The scan runs over blocks of ``_BLOCK`` rows and only the columns at
+        or right of the block, folding hubs in blocks of ``_BLOCK`` into a
+        running minimum of ``dist[i, k] + dist[k, j]``. It judges every
+        triple by the hub scan's own expression:
+
+        - ``dist`` is canonical, so exactly symmetric, and floating-point
+          addition commutes; pair (j, i) via k has the bits of (i, j) via k,
+          and the pairs with j >= i suffice.
+        - Rounded subtraction is monotone, so the largest
+          ``dist[i, j] - s_k`` over hubs is ``dist[i, j] - min_k s_k``.
+
+        A block that does not pass hands the matrix to :meth:`_scan_hubs`,
+        which decides it and names the first violating triple in hub order.
+        Distances that overflowed to inf give NaN slack (inf - inf), which
+        passes both scans: it arises here only where every hub's sum is inf,
+        and then every hub of the hub scan sees it.
+        """
+        n = len(dist)
+        for i0 in range(0, n, _BLOCK):
+            i1 = min(i0 + _BLOCK, n)
+            row = dist[i0:i1, i0:]
+            via = np.full_like(row, np.inf)
+            for k0 in range(0, n, _BLOCK):
+                k1 = min(k0 + _BLOCK, n)
+                hubs = dist[i0:i1, k0:k1, None] + dist[None, k0:k1, i0:]
+                np.minimum(via, hubs.min(axis=1), out=via)
+            if (row - via).max() > TOL:
+                self._scan_hubs(dist)
+                return
+
+    def _scan_hubs(self, dist: np.ndarray) -> None:
         # One hub at a time keeps memory linear in n^2; every hub reuses
         # one buffer for its slack.
         slack = np.empty_like(dist)

@@ -8,6 +8,7 @@ and rho (worst merge distortion across a correspondence).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +152,17 @@ class LocalSolution:
         if not isinstance(data, dict) or not needed <= set(data):
             missing = sorted(needed - set(data)) if isinstance(data, dict) else []
             raise ValidationError(f"solution document is missing {missing}")
+        metrics = {}
+        for name in ("chi", "delta", "rho"):
+            try:
+                value = float(data[name])
+            except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"stored {name} must be a finite number, got {data[name]!r}"
+                )
+            metrics[name] = value
         return cls(
             sampling=TemporalSampling.from_dict(data["sampling"]),
             scheme=str(data["scheme"]),
@@ -160,9 +172,7 @@ class LocalSolution:
             correspondences=tuple(
                 Correspondence.from_pairs(c) for c in data["correspondences"]
             ),
-            chi=float(data["chi"]),
-            delta=float(data["delta"]),
-            rho=float(data["rho"]),
+            **metrics,
             delta_vacuous=bool(data.get("delta_vacuous", False)),
         )
 
@@ -269,7 +279,7 @@ def evaluate_general(sol: LocalSolution) -> Certification:
             )
     for name, got, stored in (("chi", chi, sol.chi), ("delta", delta, sol.delta),
                               ("rho", rho, sol.rho)):
-        if abs(got - stored) > TOL:
+        if not abs(got - stored) <= TOL:  # NaN fails too
             raise CertificationError(
                 f"stored {name} {stored:.12g} disagrees with recomputed {got:.12g}"
             )

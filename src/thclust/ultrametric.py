@@ -293,18 +293,37 @@ def _merges(points: tuple[str, ...], edges):
 
 def _heights(leaves: tuple[str, ...], merges) -> np.ndarray:
     """Replay merges into a height matrix: the height of two leaves' first
-    shared merge becomes their entry."""
+    shared merge becomes their entry.
+
+    The merges must span the leaves, as a :class:`Dendrogram`'s do. Laid out
+    in dendrogram leaf order, every cluster is a run of slots, so a merge
+    writes two rectangles of slices; one permutation then returns the matrix
+    to leaf-id order.
+    """
     n = len(leaves)
     index = {p: i for i, p in enumerate(leaves)}
-    mu = np.zeros((n, n))
-    clusters: list[list[int]] = []
-    for h, a, b in merges:
-        left = [index[a]] if isinstance(a, str) else clusters[a]
-        right = [index[b]] if isinstance(b, str) else clusters[b]
-        mu[np.ix_(left, right)] = h
-        mu[np.ix_(right, left)] = h
-        clusters.append(left + right)
-    return mu
+
+    def node(ref):  # leaf i is node i, merge t is node n + t
+        return index[ref] if isinstance(ref, str) else n + ref
+
+    kids = [(node(a), node(b)) for _, a, b in merges]
+    size = [1] * n
+    for a, b in kids:
+        size.append(size[a] + size[b])
+    # A merge comes after its children, so walking down from the root (the
+    # last node) places every node before its children.
+    start = [0] * len(size)
+    for t in range(len(kids) - 1, -1, -1):
+        a, b = kids[t]
+        start[a], start[b] = start[n + t], start[n + t] + size[a]
+    slots = np.zeros((n, n))
+    for (h, _, _), (a, b) in zip(merges, kids):
+        left = slice(start[a], start[b])
+        right = slice(start[b], start[b] + size[b])
+        slots[left, right] = h
+        slots[right, left] = h
+    pos = np.array(start[:n], dtype=np.intp)
+    return slots[np.ix_(pos, pos)]
 
 
 def subdominant_ultrametric(space: MetricSpace) -> PseudoUltrametric:

@@ -11,6 +11,7 @@ import functools
 import itertools
 import logging
 from collections import deque
+from unittest import mock
 
 import numpy as np
 
@@ -155,13 +156,39 @@ def threshold_components(space, r):
     return sorted(blocks)
 
 
+def reference_check_triangle(space: MetricSpace, dist) -> None:
+    """The hub-by-hub triangle check that the blocked scan in
+    ``MetricSpace._check_triangle`` replaced: one n x n slack matrix per hub,
+    raising on the first hub with a slack above ``TOL``."""
+    # One hub at a time keeps memory linear in n^2; every hub reuses
+    # one buffer for its slack.
+    slack = np.empty_like(dist)
+    for k in range(len(space.points)):
+        np.add(dist[:, k : k + 1], dist[k : k + 1, :], out=slack)
+        np.subtract(dist, slack, out=slack)
+        if slack.max() > TOL:
+            i, j = np.unravel_index(int(slack.argmax()), slack.shape)
+            raise ValidationError(
+                "triangle inequality violated for "
+                f"({space.points[i]!r}, {space.points[j]!r}) via {space.points[k]!r}"
+            )
+
+
+def reference_space_outcome(points, dist, **kwargs):
+    """``outcome(MetricSpace, points, dist=dist, ...)`` with
+    :func:`reference_check_triangle` as the triangle check."""
+    with mock.patch.object(MetricSpace, "_check_triangle", reference_check_triangle):
+        return outcome(MetricSpace, points, dist=dist, **kwargs)
+
+
 # ---------------------------------------------------------------- ultrametric oracles
 #
 # The tuple-sort Kruskal, the tree-replay bottleneck matrix, both fitters
-# built on them, the dense per-height dendrogram scan, the full triple scan
-# and the union-find cut that the spanning-tree routines and the component
-# search in ``thclust.ultrametric`` replaced. The fast code must return the
-# same edges, heights, merges, verdicts and blocks.
+# built on them, the dense per-height dendrogram scan, the full triple scan,
+# the per-merge ``np.ix_`` height replay and the union-find cut that the
+# spanning-tree routines, the slice replay and the component search in
+# ``thclust.ultrametric`` replaced. The fast code must return the same edges,
+# heights, merges, verdicts and blocks.
 
 
 def reference_validate_ultrametric(mu, points=None, tol: float = TOL):
@@ -417,6 +444,22 @@ def reference_to_dendrogram(ultrametric: PseudoUltrametric) -> Dendrogram:
                 min_leaf[new_root] = min(min_leaf[acc], min_leaf[nxt])
                 acc = new_root
     return Dendrogram(leaves=pts, merges=tuple(merges))
+
+
+def reference_heights(leaves: tuple[str, ...], merges) -> np.ndarray:
+    """Replay merges into a height matrix: the height of two leaves' first
+    shared merge becomes their entry."""
+    n = len(leaves)
+    index = {p: i for i, p in enumerate(leaves)}
+    mu = np.zeros((n, n))
+    clusters: list[list[int]] = []
+    for h, a, b in merges:
+        left = [index[a]] if isinstance(a, str) else clusters[a]
+        right = [index[b]] if isinstance(b, str) else clusters[b]
+        mu[np.ix_(left, right)] = h
+        mu[np.ix_(right, left)] = h
+        clusters.append(left + right)
+    return mu
 
 
 def reference_cut_at_height(ultrametric: PseudoUltrametric, r: float) -> list[list[str]]:

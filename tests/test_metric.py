@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import cloud_space, dense_space, line_space, random_space, shortest_path_oracle
+from helpers import (
+    cloud_space,
+    dense_space,
+    line_space,
+    outcome,
+    random_space,
+    reference_space_outcome,
+    shortest_path_oracle,
+)
 from thclust import (
+    TOL,
     MetricSpace,
     TemporalSampling,
     ValidationError,
@@ -191,3 +200,117 @@ def test_sampling_accessors_and_round_trip():
     back = TemporalSampling.from_dict(samp.to_dict())
     assert back.levels == samp.levels
     assert back.ambient == samp.ambient
+
+
+# ---------------------------------------------------------------- triangle check
+#
+# Row blocks and hub blocks hold 16 points, so n = 15, 16, 17 and 33 end a
+# block early, exactly and one past; n = 40 has two full blocks and a partial
+# one of 8.
+
+
+def _verdict(m):
+    """Validate ``m`` with the blocked scan and with the hub scan; both must
+    accept it or raise the same error. Returns None or the error text."""
+    ids = tuple(f"p{i}" for i in range(len(m)))
+    got = outcome(MetricSpace, ids, dist=m, pseudo=True)
+    assert got == reference_space_outcome(ids, m, pseudo=True)
+    return None if isinstance(got, MetricSpace) else got
+
+
+def _violated(i, j, k):
+    return f"ValidationError: triangle inequality violated for ('p{i}', 'p{j}') via 'p{k}'"
+
+
+def _planted(n, i, j, k, slack, rng):
+    """Distances in [1.5, 2), except legs (i, k) and (k, j) of 0.5 and the pair
+    (i, j) at 1 + ``slack``: (i, j) via k is the only triple that can fail."""
+    m = rng.uniform(1.5, 2.0, size=(n, n))
+    m = (m + m.T) / 2.0
+    m[i, k] = m[k, i] = m[j, k] = m[k, j] = 0.5
+    m[i, j] = m[j, i] = 1.0 + slack
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def _closure(rng, n):
+    raw = rng.uniform(0.5, 5.0, size=(n, n))
+    return shortest_path_closure((raw + raw.T) / 2.0)
+
+
+def test_triangle_check_matches_hub_scan_on_metrics():
+    """Clouds, shortest-path closures (tight triangles with zero slack) and
+    perturbed matrices are all accepted, as the hub scan accepts them."""
+    rng = np.random.default_rng(40)
+    for n in (1, 2, 3, 15, 16, 17, 33, 40, 64):
+        cloud = cloud_space(rng, n)
+        for m in (cloud.dist, _closure(rng, n), perturb(cloud, 0.5, seed=n).dist,
+                  dense_space(rng, n).dist):
+            assert _verdict(m) is None
+
+
+def test_triangle_check_matches_hub_scan_near_tol():
+    """Closures with symmetric noise of up to 0.3, 1 and 3 TOL per entry
+    (slack up to 9 TOL): accepted and refused alike, with the same first
+    triple."""
+    rng = np.random.default_rng(41)
+    verdicts = set()
+    for n in (2, 3, 15, 16, 17, 33, 40):
+        for scale in (0.3, 1.0, 3.0):
+            noise = rng.uniform(-scale * TOL, scale * TOL, size=(n, n))
+            m = _closure(rng, n) + (noise + noise.T) / 2.0
+            np.fill_diagonal(m, 0.0)
+            verdicts.add(_verdict(m) is None)
+    assert verdicts == {True, False}
+
+
+def test_triangle_check_names_a_violation_in_every_block_position():
+    """One violating pair with its row in the first, a middle and the last
+    (partial) row block, its column anywhere, and its hub in the first, a
+    middle and the last hub block; slack from half a TOL to 0.25."""
+    rng = np.random.default_rng(42)
+    for n, rows, hubs, cols in ((40, (2, 20, 35), (5, 24, 38), (0, 21, 39)),
+                                (33, (1, 17, 32), (4, 30, 32), (0, 16, 31)),
+                                (17, (0, 9, 16), (3, 15, 16), (1, 8, 16))):
+        for i in rows:
+            for k in hubs:
+                for j in cols:
+                    if len({i, j, k}) < 3:
+                        continue
+                    for slack in (0.5 * TOL, 1.0 * TOL, 1.5 * TOL, 2.0 * TOL, 0.25):
+                        got = _verdict(_planted(n, i, j, k, slack, rng))
+                        if slack >= 1.5 * TOL:
+                            assert got == _violated(min(i, j), max(i, j), k)
+                        elif slack == 0.5 * TOL:
+                            assert got is None
+
+
+def test_triangle_check_reads_violations_from_the_lower_triangle():
+    """A tight triple (i, j) via k whose violation is written only into the
+    lower triangle: the pair raised by a, both legs lowered by b, so the
+    canonical slack is a / 2 + b. An edit of just under TOL is the largest
+    the symmetry check lets through, so the slack reaches 0.5, 1 and just
+    under 1.5 TOL; a 2 TOL edit is refused as asymmetric by both scans."""
+    rng = np.random.default_rng(43)
+    for n, i, j, k in ((40, 3, 37, 20), (40, 36, 34, 2), (17, 16, 0, 8), (33, 32, 5, 18)):
+        pair = f"('p{min(i, j)}', 'p{max(i, j)}')"
+        for a, b, want in ((0.999, 0.0, None), (0.999, 0.5, None),
+                           (0.999, 0.51, _violated(min(i, j), max(i, j), k)),
+                           (0.999, 0.999, _violated(min(i, j), max(i, j), k)),
+                           (2.0, 1.0, f"ValidationError: asymmetric distances at pair {pair}")):
+            m = _planted(n, i, j, k, 0.0, rng)
+            m[max(i, j), min(i, j)] += a * TOL
+            m[max(i, k), min(i, k)] -= b * TOL
+            m[max(j, k), min(j, k)] -= b * TOL
+            assert _verdict(m) == want
+
+
+def test_triangle_check_matches_hub_scan_on_overflowed_distances():
+    """Entries near the float maximum canonicalise to inf. In the 4-point
+    matrix hubs 0 and 1 give the hub scan a NaN slack (inf - inf) and pass,
+    hub 2 refuses; in the 2-point one every hub gives NaN and both accept."""
+    m = 1.0 - np.eye(4)
+    m[0, 1] = m[1, 0] = 1.7e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _verdict(m) == _violated(0, 1, 2)
+        assert _verdict(m[:2, :2]) is None

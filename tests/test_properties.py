@@ -1,4 +1,4 @@
-"""Property tests for the ultrametric and labeling layers.
+"""Property tests for the metric, ultrametric and labeling layers.
 
 Examples are derandomized, so every run checks the same inputs. Integer
 coordinates and integer distances make exact ties common, which is where
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (
     brute_min_flow,
     outcome,
+    reference_space_outcome,
     reference_validate_ultrametric,
     threshold_components,
 )
@@ -27,6 +28,7 @@ from thclust import (
     fkw_fit,
     linf_distance,
     min_feasible_flow,
+    shortest_path_closure,
     solve_labeled,
     solve_local,
     subdominant_ultrametric,
@@ -142,6 +144,23 @@ def test_validate_matches_reference_near_the_boundary(space, fkw, data):
     noise = np.reshape(steps, (n, n)) * (TOL / 4.0)
     noisy = mu + np.triu(noise, 1) + np.triu(noise, 1).T
     assert outcome(validate_ultrametric, noisy) == outcome(reference_validate_ultrametric, noisy)
+
+
+@PROPERTY
+@given(st.integers(1, 20), st.data())
+def test_triangle_check_matches_the_hub_scan_near_the_boundary(n, data):
+    """Shortest-path closures of integer weights, whose triangles are tight,
+    plus symmetric noise below TOL in quarter-TOL steps: the slack of a
+    triple reaches 2.25 TOL, so both verdicts occur, in full and partial
+    row blocks."""
+    raw = np.reshape(data.draw(st.lists(st.integers(1, 6), min_size=n * n,
+                                        max_size=n * n)), (n, n))
+    closure = shortest_path_closure(np.minimum(raw, raw.T).astype(float))
+    steps = data.draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+    noise = np.triu(np.reshape(steps, (n, n)) * (TOL / 4.0), 1)
+    noisy = closure + noise + noise.T
+    ids = _ids(n)
+    assert outcome(MetricSpace, ids, dist=noisy) == reference_space_outcome(ids, noisy)
 
 
 @PROPERTY

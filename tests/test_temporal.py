@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -209,3 +210,19 @@ def test_local_solution_round_trip():
     for a, b in zip(back.ultrametrics, sol.ultrametrics):
         assert np.array_equal(a.mu, b.mu)
     evaluate_general(back)
+
+
+@pytest.mark.parametrize("name", ["chi", "delta", "rho"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "x"])
+def test_solution_document_rejects_nonfinite_metric(name, token):
+    doc = solve_local(random_sampling(np.random.default_rng(28), min_levels=2)).to_dict()
+    doc[name] = token
+    with pytest.raises(ValidationError, match=f"stored {name} must be a finite number"):
+        LocalSolution.from_dict(doc)
+
+
+def test_evaluate_general_refuses_a_nan_metric():
+    sol = solve_local(random_sampling(np.random.default_rng(29), min_levels=2))
+    for name in ("chi", "delta", "rho"):
+        with pytest.raises(CertificationError, match=f"stored {name} nan disagrees"):
+            evaluate_general(dataclasses.replace(sol, **{name: math.nan}))

@@ -12,6 +12,7 @@ from helpers import (
     random_space,
     reference_cut_at_height,
     reference_fkw_fit,
+    reference_heights,
     reference_minimum_spanning_edges,
     reference_spanning_tree,
     reference_subdominant_ultrametric,
@@ -549,6 +550,29 @@ def test_spanning_tree_and_fits_match_reference():
         assert np.array_equal(fit.subdominant.mu, ref.subdominant.mu)
         assert fit.priorities == ref.priorities
         assert fit.clamped_pairs == ref.clamped_pairs
+
+
+def test_heights_match_reference():
+    """The slice replay writes the matrices the per-merge ``np.ix_`` replay
+    wrote: merges of both fits, of integer ties, of all-zero heights and of
+    the source distances' own tree, over n = 1 to 13, ``instability_family``
+    and 40- and 120-point clouds, plus integer merge heights."""
+    rng = np.random.default_rng(36)
+    spaces = [*_differential_spaces(), cloud_space(rng, 40), cloud_space(rng, 120)]
+    for space in spaces:
+        pts, n = space.points, len(space)
+        grid = subdominant_ultrametric(_grid_space(rng, n))
+        fits = [subdominant_ultrametric(space), fkw_fit(space).ultrametric, grid,
+                PseudoUltrametric(grid.points, np.maximum(grid.mu - 2.0, 0.0)),
+                PseudoUltrametric(pts, np.zeros((n, n)))]
+        trees = [to_dendrogram(u) for u in fits]
+        trees.append(Dendrogram(pts, _merges(pts, _spanning_tree(pts, space.dist))))
+        for d in trees:
+            assert np.array_equal(_heights(d.leaves, d.merges),
+                                  reference_heights(d.leaves, d.merges))
+    ints = Dendrogram(("c", "a", "b", "d"), ((1, "b", "d"), (2, "c", 0), (2, "a", 1)))
+    assert np.array_equal(_heights(ints.leaves, ints.merges),
+                          reference_heights(ints.leaves, ints.merges))
 
 
 def _tree_inputs():
