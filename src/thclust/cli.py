@@ -1,9 +1,10 @@
 """Command-line surface for the fitting, clustering, and labeling pipeline.
 
-Artifacts are JSON files tagged with a format_version; run reports go to
-stdout as JSON and carry the timing, while files stay byte-identical across
-reruns with the same inputs. Exit codes: 0 success, 1 input error, 2
-certification failure.
+Artifacts are JSON files tagged with a format_version. Each ``cmd_*``
+returns its metrics and outputs, and :func:`main` prints them as one JSON
+run report with the command, its config and the timing, so files stay
+byte-identical across reruns with the same inputs. Exit codes: 0 success,
+1 input error, 2 certification failure.
 """
 
 from __future__ import annotations
@@ -27,13 +28,20 @@ from .hardness import (
 )
 from .labeling import Labeling, check_contiguity, solve_labeled
 from .metric import MetricSpace, TemporalSampling, ValidationError, linf_distance
-from .temporal import CertificationError, LocalSolution, evaluate_general, solve_local
+from .temporal import (
+    SCHEMES,
+    CertificationError,
+    LocalSolution,
+    _fit,
+    evaluate_general,
+    solve_local,
+)
 from .ultrametric import (
     Dendrogram,
+    _layout,
     cut_at_height,
     fkw_fit,
     instability_family,
-    subdominant_ultrametric,
     to_dendrogram,
 )
 
@@ -68,28 +76,32 @@ def _parse_json(text: str, path: str):
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def _read_json(path: str) -> dict:
-    return _parse_json(_read_text(path), path)
+def _write_json(path: Path, payload: dict) -> str:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    doc = {"format_version": FORMAT_VERSION, **payload}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    return str(path)
 
 
-def _unwrap(doc: dict, path: str) -> dict:
+def _load(path: str, key: str | None, parse, text: str | None = None):
+    """Parse one JSON artifact: the body under ``key`` when present, else the
+    whole document. A wrong format_version, and any :class:`ValidationError`
+    that ``parse`` raises, become input errors naming the file."""
+    doc = _parse_json(_read_text(path) if text is None else text, path)
     if not isinstance(doc, dict):
         raise CliError(f"{path}: top level must be a JSON object")
     version = doc.get("format_version")
     if version is not None and version != FORMAT_VERSION:
         raise CliError(f"{path}: unsupported format_version {version!r}")
-    return doc
+    try:
+        return parse(doc.get(key, doc))
+    except ValidationError as exc:
+        raise CliError(f"{path}: {exc}") from exc
 
 
-def _write_json(path: Path, payload: dict) -> str:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n")
-    return str(path)
-
-
-def _print_report(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+def _output(args: argparse.Namespace, source: str, suffix: str) -> Path:
+    """The ``-o`` path, else the source file's stem plus ``suffix``."""
+    return Path(args.output or Path(source).stem + suffix)
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -101,30 +113,11 @@ def _resolved_config(args: argparse.Namespace) -> dict:
     return out
 
 
-def _load_space(path: str) -> MetricSpace:
-    doc = _unwrap(_read_json(path), path)
-    body = doc.get("space", doc)
-    try:
-        return MetricSpace.from_dict(body)
-    except ValidationError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-def _load_sampling(path: str) -> TemporalSampling:
-    doc = _unwrap(_read_json(path), path)
-    body = doc.get("sampling", doc)
-    try:
-        return TemporalSampling.from_dict(body)
-    except ValidationError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
 def _load_graph(path: str) -> Graph:
     text = _read_text(path)
+    if text.lstrip().startswith("{"):
+        return _load(path, "graph", Graph.from_dict, text)
     try:
-        if text.lstrip().startswith("{"):
-            doc = _unwrap(_parse_json(text, path), path)
-            return Graph.from_dict(doc.get("graph", doc))
         return Graph.from_dimacs(text)
     except ValidationError as exc:
         raise CliError(f"{path}: {exc}") from exc
@@ -132,37 +125,25 @@ def _load_graph(path: str) -> Graph:
 
 # ---------------------------------------------------------------- fit
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    space = _load_space(args.input)
+def cmd_fit(args: argparse.Namespace) -> dict:
+    space = _load(args.input, "space", MetricSpace.from_dict)
     if args.method == "fkw":
         fit = fkw_fit(space)
         fitted = fit.ultrametric
         extras = {"shift": fit.shift, "clamped_pairs": len(fit.clamped_pairs)}
     else:
-        fitted = subdominant_ultrametric(space)
-        extras = {}
-    dendrogram = to_dendrogram(fitted)
-    error = linf_distance(space, fitted)
-    out = Path(args.output) if args.output else Path(Path(args.input).stem + ".dendrogram.json")
-    written = _write_json(out, {
-        "format_version": FORMAT_VERSION,
+        fitted, extras = _fit(args.method, space), {}
+    written = _write_json(_output(args, args.input, ".dendrogram.json"), {
         "method": args.method,
-        "fit_error": error,
-        "dendrogram": dendrogram.to_dict(),
+        "fit_error": linf_distance(space, fitted),
+        "dendrogram": to_dendrogram(fitted).to_dict(),
     })
     # Recompute the reported error from the artifact, not from live state.
-    reread = Dendrogram.from_dict(
-        _unwrap(_read_json(written), written)["dendrogram"]
-    ).to_ultrametric()
-    _print_report({
-        "command": "fit",
-        "config": _resolved_config(args),
+    reread = _load(written, "dendrogram", Dendrogram.from_dict).to_ultrametric()
+    return {
         "metrics": {"fit_error": linf_distance(space, reread), **extras},
         "outputs": [written],
-        "elapsed_s": round(time.perf_counter() - started, 6),
-    })
-    return 0
+    }
 
 
 # ---------------------------------------------------------------- cluster
@@ -170,42 +151,24 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def _dendrogram_layout(dendrogram: Dendrogram):
     """Leaf order and node coordinates for drawing: (leaf order, segments).
 
-    Segments are (x1, h1, x2, h2) in leaf-slot and height units.
+    Leaves sit in the slots of :func:`~thclust.ultrametric._layout`, each
+    merge midway between its children. Segments are (x1, h1, x2, h2) in
+    leaf-slot and height units.
     """
-    children: dict[int | str, tuple] = {}
-    for idx, (h, a, b) in enumerate(dendrogram.merges):
-        children[idx] = (h, a, b)
-
-    roots = set(dendrogram.leaves) | set(range(len(dendrogram.merges)))
-    for h, a, b in dendrogram.merges:
-        roots.discard(a)
-        roots.discard(b)
-
-    order: list[str] = []
-
-    def walk(ref) -> None:
-        if isinstance(ref, str):
-            order.append(ref)
-        else:
-            _, a, b = children[ref]
-            walk(a)
-            walk(b)
-
-    for root in sorted(roots, key=lambda r: (isinstance(r, str), str(r))):
-        walk(root)
-
-    xs: dict[int | str, float] = {}
-    hs: dict[int | str, float] = {}
-    for slot, leaf in enumerate(order):
-        xs[leaf] = float(slot)
-        hs[leaf] = 0.0
+    leaves, merges = dendrogram.leaves, dendrogram.merges
+    kids, start, _ = _layout(leaves, merges)
+    order = [""] * len(leaves)
+    for leaf, slot in zip(leaves, start):
+        order[slot] = leaf
+    xs = [float(slot) for slot in start[:len(leaves)]]
+    hs = [0.0] * len(leaves)
     segments = []
-    for idx, (h, a, b) in enumerate(dendrogram.merges):
+    for (h, _, _), (a, b) in zip(merges, kids):
         segments.append((xs[a], hs[a], xs[a], h))
         segments.append((xs[b], hs[b], xs[b], h))
         segments.append((xs[a], h, xs[b], h))
-        xs[idx] = (xs[a] + xs[b]) / 2.0
-        hs[idx] = h
+        xs.append((xs[a] + xs[b]) / 2.0)
+        hs.append(h)
     return order, segments
 
 
@@ -248,9 +211,8 @@ def _render_svg(panels) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    sampling = _load_sampling(args.input)
+def cmd_cluster(args: argparse.Namespace) -> dict:
+    sampling = _load(args.input, "sampling", TemporalSampling.from_dict)
     outdir = Path(args.outdir)
     labelings: tuple[Labeling, ...] = ()
     k = None
@@ -259,31 +221,21 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         solution, labelings, k = labeled.local, labeled.labelings, labeled.k
     else:
         solution = solve_local(sampling, scheme=args.method)
-    outputs = [
-        _write_json(outdir / "solution.json", {
-            "format_version": FORMAT_VERSION,
-            **solution.to_dict(),
-        })
-    ]
+    outputs = [_write_json(outdir / "solution.json", solution.to_dict())]
     if args.labels:
         outputs.append(_write_json(outdir / "labels.json", {
-            "format_version": FORMAT_VERSION,
             "k": k,
             "labelings": [lab.to_list() for lab in labelings],
         }))
 
-    dendrograms = [to_dendrogram(u) for u in solution.ultrametrics]
-    plot_doc: dict = {"format_version": FORMAT_VERSION, "levels": []}
+    levels = []
     panels = []
-    for i, dendrogram in enumerate(dendrograms):
+    for i, fitted in enumerate(solution.ultrametrics):
+        dendrogram = to_dendrogram(fitted)
         heights = sorted({h for h, _, _ in dendrogram.merges})
-        fitted = solution.ultrametrics[i]
-        cuts = [
-            {"r": h, "blocks": cut_at_height(fitted, h)} for h in heights
-        ]
-        plot_doc["levels"].append({
+        levels.append({
             "dendrogram": dendrogram.to_dict(),
-            "cuts": cuts,
+            "cuts": [{"r": h, "blocks": cut_at_height(fitted, h)} for h in heights],
         })
         order, segments = _dendrogram_layout(dendrogram)
         colors = {}
@@ -296,187 +248,112 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             "segments": segments,
             "colors": colors,
         })
-    outputs.append(_write_json(outdir / "plots.json", plot_doc))
+    outputs.append(_write_json(outdir / "plots.json", {"levels": levels}))
     if args.emit == "svg":
         svg_path = outdir / "plots.svg"
         svg_path.write_text(_render_svg(panels))
         outputs.append(str(svg_path))
 
     # Certify from the written artifacts rather than in-memory objects.
-    reread = LocalSolution.from_dict(
-        _unwrap(_read_json(str(outdir / "solution.json")), "solution.json")
+    certification = evaluate_general(
+        _load(str(outdir / "solution.json"), None, LocalSolution.from_dict)
     )
-    certification = evaluate_general(reread)
-    contiguity_report = None
-    if labelings:
-        doc = _unwrap(_read_json(str(outdir / "labels.json")), "labels.json")
-        loaded = [
-            Labeling.from_list(entries, k=doc["k"]) for entries in doc["labelings"]
-        ]
-        radius = args.delta if args.delta is not None else certification.delta
-        checks = []
-        for i in range(len(loaded) - 1):
-            ok, violation = check_contiguity(
-                loaded[i], loaded[i + 1], radius, sampling.ambient
-            )
-            checks.append(ok)
-            if not ok:
-                raise CertificationError(
-                    f"labelings {i} and {i + 1} break contiguity at delta "
-                    f"{radius:g}: label {violation.label} near point "
-                    f"{violation.point!r} (condition {violation.condition})"
-                )
-        contiguity_report = {"delta": radius, "adjacent_pairs_checked": len(checks)}
-
     metrics = {
         "chi": certification.chi,
         "delta": certification.delta,
         "rho": certification.rho,
         "rho_bound": certification.bound,
     }
-    if k is not None:
+    report = {"metrics": metrics, "outputs": outputs}
+    if labelings:
         metrics["k"] = k
-    report = {
-        "command": "cluster",
-        "config": _resolved_config(args),
-        "metrics": metrics,
-        "outputs": outputs,
-        "elapsed_s": round(time.perf_counter() - started, 6),
-    }
-    if contiguity_report is not None:
-        report["contiguity"] = contiguity_report
-    _print_report(report)
-    return 0
+        loaded = _load(str(outdir / "labels.json"), None, lambda doc: [
+            Labeling.from_list(entries, k=doc["k"]) for entries in doc["labelings"]
+        ])
+        radius = args.delta if args.delta is not None else certification.delta
+        for i in range(len(loaded) - 1):
+            ok, violation = check_contiguity(
+                loaded[i], loaded[i + 1], radius, sampling.ambient
+            )
+            if not ok:
+                raise CertificationError(
+                    f"labelings {i} and {i + 1} break contiguity at delta "
+                    f"{radius:g}: label {violation.label} near point "
+                    f"{violation.point!r} (condition {violation.condition})"
+                )
+        report["contiguity"] = {"delta": radius, "adjacent_pairs_checked": len(loaded) - 1}
+    return report
 
 
 # ---------------------------------------------------------------- cut
 
-def cmd_cut(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    doc = _unwrap(_read_json(args.input), args.input)
-    body = doc.get("dendrogram", doc)
-    try:
-        dendrogram = Dendrogram.from_dict(body)
-        fitted = dendrogram.to_ultrametric()
-        blocks = cut_at_height(fitted, args.r)
-    except ValidationError as exc:
-        raise CliError(f"{args.input}: {exc}") from exc
-    out = Path(args.output) if args.output else Path(Path(args.input).stem + ".cut.json")
-    written = _write_json(out, {
-        "format_version": FORMAT_VERSION,
+def cmd_cut(args: argparse.Namespace) -> dict:
+    blocks = _load(args.input, "dendrogram", lambda body: cut_at_height(
+        Dendrogram.from_dict(body).to_ultrametric(), args.r
+    ))
+    written = _write_json(_output(args, args.input, ".cut.json"), {
         "r": "inf" if args.r == float("inf") else args.r,
         "blocks": blocks,
     })
-    _print_report({
-        "command": "cut",
-        "config": _resolved_config(args),
-        "metrics": {"blocks": len(blocks)},
-        "outputs": [written],
-        "elapsed_s": round(time.perf_counter() - started, 6),
-    })
-    return 0
+    return {"metrics": {"blocks": len(blocks)}, "outputs": [written]}
 
 
 # ---------------------------------------------------------------- hardness
 
-def cmd_reduce(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_reduce(args: argparse.Namespace) -> dict:
     graph = _load_graph(args.input)
     instance = reduce_from_graph(graph)
-    out = Path(args.output) if args.output else Path(Path(args.input).stem + ".instance.json")
-    written = _write_json(out, {
-        "format_version": FORMAT_VERSION,
-        **instance.to_dict(),
-    })
-    _print_report({
-        "command": "reduce",
-        "config": _resolved_config(args),
+    written = _write_json(_output(args, args.input, ".instance.json"), instance.to_dict())
+    return {
         "metrics": {"vertices": len(graph.vertices), "edges": len(graph.edges)},
         "outputs": [written],
-        "elapsed_s": round(time.perf_counter() - started, 6),
-    })
-    return 0
+    }
 
 
-def cmd_witness(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_witness(args: argparse.Namespace) -> dict:
     graph = _load_graph(args.graph)
-    doc = _unwrap(_read_json(args.coloring), args.coloring)
-    coloring = doc.get("coloring", doc)
-    if not isinstance(coloring, dict):
-        raise CliError(f"{args.coloring}: coloring must map vertices to colors")
-    coloring = {str(k): str(v) for k, v in coloring.items()
-                if k != "format_version"}
-    try:
+
+    def witness(coloring) -> Witness:
+        if not isinstance(coloring, dict):
+            raise ValidationError("coloring must map vertices to colors")
+        coloring = {str(k): str(v) for k, v in coloring.items()
+                    if k != "format_version"}
         if args.pad:
             coloring = pad_to_three_colors(graph, coloring)
-        witness = witness_from_coloring(graph, coloring)
-    except ValidationError as exc:
-        raise CliError(f"{args.coloring}: {exc}") from exc
-    out = Path(args.output) if args.output else Path(Path(args.graph).stem + ".witness.json")
-    written = _write_json(out, {
-        "format_version": FORMAT_VERSION,
-        **witness.to_dict(),
-    })
-    _print_report({
-        "command": "witness",
-        "config": _resolved_config(args),
-        "metrics": {"vertices": len(graph.vertices)},
-        "outputs": [written],
-        "elapsed_s": round(time.perf_counter() - started, 6),
-    })
-    return 0
+        return witness_from_coloring(graph, coloring)
+
+    written = _write_json(
+        _output(args, args.graph, ".witness.json"),
+        _load(args.coloring, "coloring", witness).to_dict(),
+    )
+    return {"metrics": {"vertices": len(graph.vertices)}, "outputs": [written]}
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    inst_doc = _unwrap(_read_json(args.instance), args.instance)
-    wit_doc = _unwrap(_read_json(args.witness), args.witness)
-    try:
-        instance = ThcInstance.from_dict(inst_doc)
-        witness = Witness.from_dict(wit_doc)
-    except ValidationError as exc:
-        raise CliError(f"{exc}") from exc
+def cmd_verify(args: argparse.Namespace) -> dict:
+    instance = _load(args.instance, None, ThcInstance.from_dict)
+    witness = _load(args.witness, None, Witness.from_dict)
     accepted = verify_witness(instance, witness, args.chi, args.rho)
-    extraction = None
+    metrics = {"accepted": accepted}
     if accepted and args.chi < 2 and args.rho == 0:
-        extraction = coloring_from_witness(instance, witness)
-    _print_report({
-        "command": "verify",
-        "config": _resolved_config(args),
-        "metrics": {
-            "accepted": accepted,
-            **({"coloring": extraction} if extraction else {}),
-        },
-        "outputs": [],
-        "elapsed_s": round(time.perf_counter() - started, 6),
-    })
-    return 0 if accepted else 2
+        metrics["coloring"] = coloring_from_witness(instance, witness)
+    return {"metrics": metrics, "outputs": [], "exit": 0 if accepted else 2}
 
 
 # ---------------------------------------------------------------- simulate
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    if args.config:
-        doc = _unwrap(_read_json(args.config), args.config)
+def cmd_simulate(args: argparse.Namespace) -> dict:
+    def config(doc: dict) -> SimConfig:
         body = {k: v for k, v in doc.items() if k != "format_version"}
-        try:
-            cfg = SimConfig.from_dict(body)
-        except (ValidationError, TypeError) as exc:
-            raise CliError(f"{args.config}: {exc}") from exc
-    else:
-        cfg = SimConfig()
-    if args.seed is not None:
-        cfg = SimConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+        if args.seed is not None:
+            body["seed"] = args.seed
+        return SimConfig.from_dict(body)
 
+    cfg = _load(args.config, None, config) if args.config else config({})
     trace: list[dict] = []
     on_tick = (lambda tick, pop: trace.append({"tick": tick, "population": pop})) \
         if args.trace else None
     sampling, kinds = run_detailed(cfg, on_tick=on_tick)
-    out = Path(args.output) if args.output else Path("sampling.json")
-    written = [_write_json(out, {
-        "format_version": FORMAT_VERSION,
+    written = [_write_json(Path(args.output or "sampling.json"), {
         "sampling": sampling.to_dict(),
         "metadata": {
             "config": cfg.to_dict(),
@@ -490,64 +367,42 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "".join(json.dumps(row, sort_keys=True) + "\n" for row in trace)
         )
         written.append(str(trace_path))
-    _print_report({
-        "command": "simulate",
-        "config": _resolved_config(args),
+    return {
         "metrics": {
             "levels": sampling.t,
             "points": sampling.size,
             "final_population": len(sampling.levels[-1]),
         },
         "outputs": written,
-        "elapsed_s": round(time.perf_counter() - started, 6),
-    })
-    return 0
+    }
 
 
 # ---------------------------------------------------------------- figure4
 
-def cmd_figure4(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    try:
-        m, m_prime = instability_family(args.n, args.eps)
-    except ValidationError as exc:
-        raise CliError(str(exc)) from exc
+def cmd_figure4(args: argparse.Namespace) -> dict:
+    m, m_prime = instability_family(args.n, args.eps)
     outdir = Path(args.outdir)
     outputs = [
-        _write_json(outdir / "figure4_m.json", {
-            "format_version": FORMAT_VERSION, **m.to_dict(),
-        }),
-        _write_json(outdir / "figure4_m_prime.json", {
-            "format_version": FORMAT_VERSION, **m_prime.to_dict(),
-        }),
+        _write_json(outdir / "figure4_m.json", m.to_dict()),
+        _write_json(outdir / "figure4_m_prime.json", m_prime.to_dict()),
     ]
-    diameter = float(m.dist.max())
     comparison = {}
-    for method in ("fkw", "subdominant"):
-        if method == "fkw":
-            fit_a = fkw_fit(m).ultrametric
-            fit_b = fkw_fit(m_prime).ultrametric
-        else:
-            fit_a = subdominant_ultrametric(m)
-            fit_b = subdominant_ultrametric(m_prime)
-        comparison[method] = {
+    for scheme in SCHEMES:
+        fit_a, fit_b = _fit(scheme, m), _fit(scheme, m_prime)
+        comparison[scheme] = {
             "mu_uv": fit_a.value("u", "v"),
             "mu_uv_perturbed": fit_b.value("u", "v"),
             "gap_uv": abs(fit_a.value("u", "v") - fit_b.value("u", "v")),
             "linf_between_fits": linf_distance(fit_a, fit_b),
         }
-    _print_report({
-        "command": "figure4",
-        "config": _resolved_config(args),
+    return {
         "metrics": {
-            "diameter": diameter,
+            "diameter": float(m.dist.max()),
             "linf_between_inputs": linf_distance(m, m_prime),
             "comparison": comparison,
         },
         "outputs": outputs,
-        "elapsed_s": round(time.perf_counter() - started, 6),
-    })
-    return 0
+    }
 
 
 # ---------------------------------------------------------------- parser
@@ -569,13 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one metric space and emit its dendrogram")
     p.add_argument("input", help="metric space JSON file")
-    p.add_argument("--method", choices=("fkw", "subdominant"), default="fkw")
+    p.add_argument("--method", choices=SCHEMES, default="fkw")
     p.add_argument("-o", "--output", default=None, help="dendrogram output path")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("cluster", help="solve a temporal sampling end to end")
     p.add_argument("input", help="temporal sampling JSON file")
-    p.add_argument("--method", choices=("fkw", "subdominant"), default="fkw")
+    p.add_argument("--method", choices=SCHEMES, default="fkw")
     p.add_argument("--labels", action="store_true",
                    help="also compute flow-based labelings")
     p.add_argument("--delta", type=_number, default=None,
@@ -628,13 +483,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and print its report: the command's metrics and
+    outputs (and contiguity, for ``cluster --labels``) with the command
+    name, the resolved config and the elapsed time."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 means certification failure here
         return 0 if exc.code in (0, None) else 1
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        result = args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -644,6 +503,14 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 2
+    code = result.pop("exit", 0)
+    print(json.dumps({
+        "command": args.command,
+        "config": _resolved_config(args),
+        **result,
+        "elapsed_s": round(time.perf_counter() - started, 6),
+    }, indent=2, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

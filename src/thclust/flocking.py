@@ -15,6 +15,8 @@ identically.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -55,6 +57,16 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{f.name} must be a number, got {value!r}")
+            if f.type == "int" and not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value!r}")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
         if self.actor_count < 1:
             raise ValidationError("actor_count must be positive")
         if self.arena_side <= 0:

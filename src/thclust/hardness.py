@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import MetricSpace, ValidationError
+from .metric import MetricSpace, ValidationError, linf_distance
 from .temporal import Correspondence, distortion
 from .ultrametric import PseudoUltrametric
 
@@ -219,6 +219,15 @@ def pad_to_three_colors(graph: Graph, coloring: dict[str, str]) -> dict[str, str
         out[classes[donors[0]][0]] = unused[0]
 
 
+def _fit_error(inst: ThcInstance, witness: Witness) -> float:
+    """Worse max-norm fit error of the two levels, points aligned by id."""
+    try:
+        return max(linf_distance(inst.level1, witness.u_p),
+                   linf_distance(inst.level2, witness.u_v))
+    except ValidationError as exc:
+        raise WitnessError(f"witness points differ from the instance: {exc}") from exc
+
+
 def verify_witness(inst: ThcInstance, witness: Witness,
                    chi_bound: float, rho_bound: float) -> bool:
     """Does the witness meet both fit bounds and the distortion bound?
@@ -235,9 +244,7 @@ def verify_witness(inst: ThcInstance, witness: Witness,
         rho = distortion(witness.u_p, witness.u_v, witness.corr)
     except ValidationError:
         return False
-    fit1 = float(np.abs(inst.level1.dist - witness.u_p.mu).max())
-    fit2 = float(np.abs(inst.level2.dist - witness.u_v.mu).max())
-    return fit1 <= chi_bound and fit2 <= chi_bound and rho <= rho_bound
+    return _fit_error(inst, witness) <= chi_bound and rho <= rho_bound
 
 
 def coloring_from_witness(inst: ThcInstance, witness: Witness) -> dict[str, str]:
@@ -249,9 +256,7 @@ def coloring_from_witness(inst: ThcInstance, witness: Witness) -> dict[str, str]
     and no edge can be monochromatic (its height would be 0 against a
     source distance of 2). Violations raise :class:`WitnessError`.
     """
-    fit1 = float(np.abs(inst.level1.dist - witness.u_p.mu).max())
-    fit2 = float(np.abs(inst.level2.dist - witness.u_v.mu).max())
-    chi = max(fit1, fit2)
+    chi = _fit_error(inst, witness)
     if chi >= 2:
         raise WitnessError(f"witness fit error {chi:g} is not below 2")
     try:

@@ -46,10 +46,6 @@ class FlowNetwork:
         )
 
     @property
-    def vertices(self) -> tuple[tuple, ...]:
-        return (SOURCE,) + self.point_nodes + (SINK,)
-
-    @property
     def size(self) -> int:
         """Total number of point nodes, the n of the value bound."""
         return sum(len(level) for level in self.levels)
@@ -106,16 +102,6 @@ class IntegralFlow:
                 raise ValidationError(f"flow not conserved at {node}")
         if self.value != outflow.get(SOURCE, 0) or self.value != inflow.get(SINK, 0):
             raise ValidationError("flow value disagrees with terminal throughput")
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "edges": [
-                {"from": list(a), "to": list(b), "flow": self.flow[(a, b)]}
-                for a, b in self.network.edges
-                if self.flow.get((a, b), 0) > 0
-            ],
-        }
 
 
 class _MaxFlowGraph:
@@ -363,12 +349,6 @@ class Labeling:
         except KeyError:
             raise ValidationError(f"unknown point {point!r}") from None
 
-    def holder_of(self, label: int) -> str:
-        for point, group in self.labels.items():
-            if label in group:
-                return point
-        raise ValidationError(f"label {label} not in use")
-
     def to_list(self) -> list[dict]:
         return [
             {"point": p, "labels": sorted(self.labels[p])}
@@ -453,13 +433,6 @@ class LabeledSolution:
     @property
     def k(self) -> int:
         return self.flow.value
-
-    def to_dict(self) -> dict:
-        return {
-            "solution": self.local.to_dict(),
-            "k": self.k,
-            "labelings": [lab.to_list() for lab in self.labelings],
-        }
 
 
 def solve_labeled(sampling: TemporalSampling, scheme: str = "fkw") -> LabeledSolution:

@@ -89,8 +89,11 @@ class MetricSpace:
         if dist is None:
             if coords is None:
                 raise ValidationError("provide dist or coords")
-            diff = coords[:, None, :] - coords[None, :, :]
-            dist = np.sqrt((diff**2).sum(axis=-1))
+            with np.errstate(over="ignore"):
+                diff = coords[:, None, :] - coords[None, :, :]
+                dist = np.sqrt((diff**2).sum(axis=-1))
+            if not np.isfinite(dist).all():
+                raise ValidationError("distances derived from coordinates must be finite")
             derived = True
         else:
             dist = np.array(dist, dtype=float)
@@ -110,7 +113,8 @@ class MetricSpace:
                         f"({self.points[i]!r}, {self.points[j]!r})"
                     )
         # Canonicalize: exact symmetry, exact zero diagonal, no negative dust.
-        dist = np.maximum((dist + dist.T) / 2.0, 0.0)
+        # Halving first keeps entries near the float maximum finite.
+        dist = np.maximum(dist / 2.0 + dist.T / 2.0, 0.0)
         np.fill_diagonal(dist, 0.0)
         dist.setflags(write=False)
         self.dist = dist
@@ -161,9 +165,6 @@ class MetricSpace:
 
         A block that does not pass hands the matrix to :meth:`_scan_hubs`,
         which decides it and names the first violating triple in hub order.
-        Distances that overflowed to inf give NaN slack (inf - inf), which
-        passes both scans: it arises here only where every hub's sum is inf,
-        and then every hub of the hub scan sees it.
         """
         n = len(dist)
         for i0 in range(0, n, _BLOCK):

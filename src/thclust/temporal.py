@@ -21,9 +21,9 @@ from .metric import (
     hausdorff_distance,
     linf_distance,
 )
-from .ultrametric import PseudoUltrametric, fkw_nearest_ultrametric, subdominant_ultrametric
+from .ultrametric import PseudoUltrametric, fkw_fit, subdominant_ultrametric
 
-SCHEMES = ("subdominant", "fkw")
+SCHEMES = ("fkw", "subdominant")
 
 
 class CertificationError(RuntimeError):
@@ -50,9 +50,6 @@ class Correspondence:
 
     def right(self) -> set[str]:
         return {v for _, v in self.pairs}
-
-    def transpose(self) -> "Correspondence":
-        return Correspondence.from_pairs((v, u) for u, v in self.pairs)
 
     def to_list(self) -> list[list[str]]:
         return [[u, v] for u, v in self.pairs]
@@ -178,8 +175,9 @@ class LocalSolution:
 
 
 def _fit(scheme: str, space: MetricSpace) -> PseudoUltrametric:
+    """The one dispatch from a scheme token to its fitter."""
     if scheme == "fkw":
-        return fkw_nearest_ultrametric(space)
+        return fkw_fit(space).ultrametric
     if scheme == "subdominant":
         return subdominant_ultrametric(space)
     raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -193,8 +191,6 @@ def solve_local(sampling: TemporalSampling, scheme: str = "fkw") -> LocalSolutio
     correspondence can beat. Scheme ``subdominant`` trades a factor of at
     most 2 in fit error for perturbation stability.
     """
-    if scheme not in SCHEMES:
-        raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     spaces = [sampling.level_space(i) for i in range(sampling.t)]
     fits = [_fit(scheme, sp) for sp in spaces]
     corrs = [

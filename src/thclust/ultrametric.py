@@ -21,11 +21,11 @@ from .metric import TOL, MetricSpace, ValidationError, shortest_path_closure
 log = logging.getLogger(__name__)
 
 
-def validate_ultrametric(mu, points=None, tol: float = TOL):
+def validate_ultrametric(mu, points=None):
     """Check the strong triangle inequality, returning the first bad triple.
 
     Returns ``(True, None)`` when every triple satisfies
-    ``mu[i][k] <= max(mu[i][j], mu[j][k])`` within ``tol``, else
+    ``mu[i][k] <= max(mu[i][j], mu[j][k])`` within ``TOL``, else
     ``(False, (i, j, k))`` for the first violating triple in scan order.
     Malformed input (non-square, asymmetric, negative, nonzero diagonal)
     raises :class:`ValidationError` instead of returning False.
@@ -34,7 +34,7 @@ def validate_ultrametric(mu, points=None, tol: float = TOL):
     heights of its own minimum spanning tree, so the check first compares
     ``mu`` with those heights (:func:`_certifies`), which is O(n^2 log n).
     Only when that certificate refuses does it scan all n^3 triples: noise
-    below ``tol`` can add up along a tree path and make the certificate
+    below ``TOL`` can add up along a tree path and make the certificate
     refuse a matrix whose every triple passes.
     """
     m = np.array(mu, dtype=float)
@@ -51,20 +51,20 @@ def validate_ultrametric(mu, points=None, tol: float = TOL):
         return True, None
     if not np.isfinite(m).all():
         raise ValidationError("ultrametric values must be finite")
-    if m.min() < -tol:
+    if m.min() < -TOL:
         raise ValidationError("negative ultrametric value")
-    if np.abs(m - m.T).max() > tol:
+    if np.abs(m - m.T).max() > TOL:
         raise ValidationError("ultrametric matrix must be symmetric")
-    if np.abs(np.diagonal(m)).max() > tol:
+    if np.abs(np.diagonal(m)).max() > TOL:
         raise ValidationError("ultrametric diagonal must be zero")
     ids = tuple(str(i) for i in range(n))  # _heights tells leaves by str
     tree = _spanning_tree(ids, np.minimum(m, m.T))
-    if _certifies(m, _heights(ids, _merges(ids, tree)), tol):
+    if _certifies(m, _heights(ids, _merges(ids, tree)), TOL):
         return True, None
     for i in range(n):
         # max(mu[i][j], mu[j][k]) for all j,k at once; rows j, columns k.
         bound = np.maximum(m[i][:, None], m)
-        bad = m[i][None, :] > bound + tol
+        bad = m[i][None, :] > bound + TOL
         if bad.any():
             j, k = np.unravel_index(int(bad.argmax()), bad.shape)
             return False, (names[i], names[j], names[k])
@@ -117,7 +117,7 @@ class PseudoUltrametric:
             )
         if validate:
             _require_ultrametric(m, pts)
-        m = np.maximum((m + m.T) / 2.0, 0.0)
+        m = np.maximum(m / 2.0 + m.T / 2.0, 0.0)  # halved first: no overflow
         np.fill_diagonal(m, 0.0)
         m.setflags(write=False)
         self.points = pts
@@ -164,9 +164,6 @@ class MstEdgeList:
 
     points: tuple[str, ...]
     edges: tuple[tuple[str, str, float], ...]
-
-    def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
 
 
 class _UnionFind:
@@ -291,31 +288,43 @@ def _merges(points: tuple[str, ...], edges):
     return tuple(merges)
 
 
-def _heights(leaves: tuple[str, ...], merges) -> np.ndarray:
-    """Replay merges into a height matrix: the height of two leaves' first
-    shared merge becomes their entry.
+def _layout(leaves: tuple[str, ...], merges):
+    """Dendrogram leaf order as runs of slots: (kids, start, size).
 
-    The merges must span the leaves, as a :class:`Dendrogram`'s do. Laid out
-    in dendrogram leaf order, every cluster is a run of slots, so a merge
-    writes two rectangles of slices; one permutation then returns the matrix
-    to leaf-id order.
+    Leaf i is node i and merge t is node n + t; ``kids[t]`` holds merge t's
+    two children, and node x covers slots ``start[x]`` up to
+    ``start[x] + size[x]``, its left child's run before its right child's.
+    The merges must span the leaves, as a :class:`Dendrogram`'s do. A merge
+    comes after its children, so walking down from the root (the last node)
+    places every node before its children.
     """
     n = len(leaves)
     index = {p: i for i, p in enumerate(leaves)}
 
-    def node(ref):  # leaf i is node i, merge t is node n + t
+    def node(ref):
         return index[ref] if isinstance(ref, str) else n + ref
 
     kids = [(node(a), node(b)) for _, a, b in merges]
     size = [1] * n
     for a, b in kids:
         size.append(size[a] + size[b])
-    # A merge comes after its children, so walking down from the root (the
-    # last node) places every node before its children.
     start = [0] * len(size)
     for t in range(len(kids) - 1, -1, -1):
         a, b = kids[t]
         start[a], start[b] = start[n + t], start[n + t] + size[a]
+    return kids, start, size
+
+
+def _heights(leaves: tuple[str, ...], merges) -> np.ndarray:
+    """Replay merges into a height matrix: the height of two leaves' first
+    shared merge becomes their entry.
+
+    In the slots of :func:`_layout` every cluster is a run, so a merge
+    writes two rectangles of slices; one permutation then returns the
+    matrix to leaf-id order.
+    """
+    n = len(leaves)
+    kids, start, size = _layout(leaves, merges)
     slots = np.zeros((n, n))
     for (h, _, _), (a, b) in zip(merges, kids):
         left = slice(start[a], start[b])
@@ -349,12 +358,6 @@ class FkwFit:
     mst: MstEdgeList
     priorities: tuple[float, ...] = field(repr=False)
     clamped_pairs: tuple[tuple[str, str], ...] = field(repr=False)
-
-    @property
-    def error_bound(self) -> float:
-        """The guaranteed max-norm error of ``ultrametric``: half the
-        subdominant error."""
-        return self.shift
 
 
 def fkw_fit(space: MetricSpace) -> FkwFit:
@@ -425,11 +428,6 @@ def fkw_fit(space: MetricSpace) -> FkwFit:
         priorities=tuple(priorities),
         clamped_pairs=tuple((pts[i], pts[j]) for i, j in clamped),
     )
-
-
-def fkw_nearest_ultrametric(space: MetricSpace) -> PseudoUltrametric:
-    """Max-norm-nearest ultrametric; its error is half the subdominant's."""
-    return fkw_fit(space).ultrametric
 
 
 @dataclass(frozen=True)

@@ -187,8 +187,9 @@ def reference_space_outcome(points, dist, **kwargs):
 # built on them, the dense per-height dendrogram scan, the full triple scan,
 # the per-merge ``np.ix_`` height replay and the union-find cut that the
 # spanning-tree routines, the slice replay and the component search in
-# ``thclust.ultrametric`` replaced. The fast code must return the same edges,
-# heights, merges, verdicts and blocks.
+# ``thclust.ultrametric`` replaced, and the recursive leaf-order walk that
+# ``thclust.cli._dendrogram_layout`` replaced. The fast code must return the
+# same edges, heights, merges, verdicts, blocks and drawings.
 
 
 def reference_validate_ultrametric(mu, points=None, tol: float = TOL):
@@ -460,6 +461,49 @@ def reference_heights(leaves: tuple[str, ...], merges) -> np.ndarray:
         mu[np.ix_(right, left)] = h
         clusters.append(left + right)
     return mu
+
+
+def reference_dendrogram_layout(dendrogram: Dendrogram):
+    """Leaf order and node coordinates for drawing: (leaf order, segments),
+    the leaf order found by a recursive walk from the roots.
+
+    Segments are (x1, h1, x2, h2) in leaf-slot and height units.
+    """
+    children: dict[int | str, tuple] = {}
+    for idx, (h, a, b) in enumerate(dendrogram.merges):
+        children[idx] = (h, a, b)
+
+    roots = set(dendrogram.leaves) | set(range(len(dendrogram.merges)))
+    for h, a, b in dendrogram.merges:
+        roots.discard(a)
+        roots.discard(b)
+
+    order: list[str] = []
+
+    def walk(ref) -> None:
+        if isinstance(ref, str):
+            order.append(ref)
+        else:
+            _, a, b = children[ref]
+            walk(a)
+            walk(b)
+
+    for root in sorted(roots, key=lambda r: (isinstance(r, str), str(r))):
+        walk(root)
+
+    xs: dict[int | str, float] = {}
+    hs: dict[int | str, float] = {}
+    for slot, leaf in enumerate(order):
+        xs[leaf] = float(slot)
+        hs[leaf] = 0.0
+    segments = []
+    for idx, (h, a, b) in enumerate(dendrogram.merges):
+        segments.append((xs[a], hs[a], xs[a], h))
+        segments.append((xs[b], hs[b], xs[b], h))
+        segments.append((xs[a], h, xs[b], h))
+        xs[idx] = (xs[a] + xs[b]) / 2.0
+        hs[idx] = h
+    return order, segments
 
 
 def reference_cut_at_height(ultrametric: PseudoUltrametric, r: float) -> list[list[str]]:

@@ -1,19 +1,25 @@
+import importlib
+import importlib.util
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import line_space
+from helpers import cloud_space, line_space, reference_dendrogram_layout
 from thclust import (
+    Dendrogram,
     MetricSpace,
     SimConfig,
     TemporalSampling,
     evaluate_general,
     run,
     solve_labeled,
+    subdominant_ultrametric,
+    to_dendrogram,
 )
-from thclust.cli import main
+from thclust.cli import _dendrogram_layout, _render_svg, main
 
 
 def write_json(path, payload):
@@ -269,6 +275,49 @@ def test_cluster_svg_is_wellformed(tmp_path, capsys):
     capsys.readouterr()
 
 
+# ---------------------------------------------------------------- layout
+
+
+def _random_dendrogram(rng, n):
+    """Merges of random pairs of open clusters at non-decreasing integer
+    heights, so ties and both child orders occur."""
+    open_nodes = [f"x{i:02d}" for i in rng.permutation(n)]
+    leaves = tuple(sorted(open_nodes))
+    merges = []
+    height = 0.0
+    while len(open_nodes) > 1:
+        i, j = rng.choice(len(open_nodes), size=2, replace=False)
+        a, b = open_nodes[i], open_nodes[j]
+        open_nodes = [x for k, x in enumerate(open_nodes) if k not in (i, j)]
+        height += float(rng.integers(0, 2))
+        merges.append((height, a, b))
+        open_nodes.append(len(merges) - 1)
+    return Dendrogram(leaves, tuple(merges))
+
+
+def test_layout_matches_recursive_walk():
+    rng = np.random.default_rng(60)
+    dendrograms = [_random_dendrogram(rng, n) for n in (1, 2, 3, 5, 8, 13, 21) for _ in range(6)]
+    dendrograms += [to_dendrogram(subdominant_ultrametric(cloud_space(rng, n)))
+                    for n in (1, 2, 7, 30)]
+    for dendrogram in dendrograms:
+        assert _dendrogram_layout(dendrogram) == reference_dendrogram_layout(dendrogram)
+
+
+def test_layout_of_a_deep_caterpillar_renders():
+    """1,200 leaves joined one at a time: a merge tree 1,199 levels deep,
+    beyond the interpreter's recursion limit."""
+    leaves = tuple(f"p{i:04d}" for i in range(1200))
+    merges = [(1.0, leaves[0], leaves[1])]
+    merges += [(float(t + 1), t - 1, leaves[t + 1]) for t in range(1, 1199)]
+    order, segments = _dendrogram_layout(Dendrogram(leaves, tuple(merges)))
+    assert order == list(leaves)
+    assert len(segments) == 3 * 1199
+    assert segments[-1] == (1197.0, 1199.0, 1199.0, 1199.0)  # the root bar
+    svg = _render_svg([{"title": "deep", "order": order, "segments": segments, "colors": {}}])
+    assert ET.fromstring(svg).tag.endswith("svg")
+
+
 # ---------------------------------------------------------------- hardness chain
 
 
@@ -401,6 +450,22 @@ def test_simulate_rejects_nan_config_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc", [{"seed": -1}, {"actor_count": 2.5}])
+def test_simulate_rejects_bad_config_numbers(tmp_path, capsys, doc):
+    cfg = write_json(tmp_path / "bad_cfg.json", doc)
+    out = tmp_path / "s.json"
+    assert main(["simulate", cfg, "-o", str(out)]) == 1
+    assert "bad_cfg.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_negative_seed_flag(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert main(["simulate", "--seed", "-1", "-o", str(out)]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_output_feeds_cluster(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "cfg.json",
@@ -449,3 +514,54 @@ def test_figure4_zero_eps_gap_free(tmp_path, capsys):
 def test_figure4_rejects_small_n(tmp_path, capsys):
     assert main(["figure4", "-n", "3", "-o", str(tmp_path / "f")]) == 1
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------- run report
+
+
+def test_every_report_has_one_shape(tmp_path, capsys):
+    src, out = line_file(tmp_path), str(tmp_path / "d.json")
+    assert main(["fit", src, "-o", out]) == 0
+    fit = json.loads(capsys.readouterr().out)
+    assert set(fit) == {"command", "config", "metrics", "outputs", "elapsed_s"}
+    assert fit["config"] == {"input": src, "method": "fkw", "output": out}
+    assert main(["cluster", sampling_file(tmp_path), "--labels", "-o", str(tmp_path / "c")]) == 0
+    cluster = json.loads(capsys.readouterr().out)
+    assert set(cluster) == set(fit) | {"contiguity"}
+    assert cluster["command"] == "cluster"
+    for name in cluster["outputs"]:
+        assert read_json(Path(name))["format_version"] == "1"
+
+
+def _bench_tracing():
+    """``bench/tracing.py`` as the benchmark loads it, unchanged."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_spans_the_cli_commands(tmp_path, capsys):
+    """The traced benchmark wraps each SPANS function by module attribute and
+    counts bytes only inside the ``cmd_*`` spans."""
+    tracing = _bench_tracing()
+    for _, module, path in tracing.SPANS:
+        importlib.import_module(module)
+        owner, attr = tracing._resolve(module, path)
+        assert callable(getattr(owner, attr)), path
+    src = line_file(tmp_path)
+    dend = tmp_path / "d.json"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["fit", src, "-o", str(dend)]) == 0
+        assert main(["cut", str(dend), "-r", "1", "-o", str(tmp_path / "c.json")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.calls["cli.fit"] == 1
+    assert tracer.calls["cli.cut"] == 1
+    assert tracer.calls["ultrametric.fkw_fit"] == 1
+    assert tracer.counts["cli.bytes_written"] > 0
+    assert tracer.counts["cli.bytes_read"] > 0

@@ -44,6 +44,16 @@ def test_config_validation():
         SimConfig(max_speed=0.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("seed", -1), ("seed", 1.0), ("seed", True), ("actor_count", 2.5),
+    ("snapshot_interval", "5"), ("total_ticks", 10.0), ("dt", float("nan")),
+    ("arena_side", float("inf")), ("wall_force", "4"), ("interact_prob", float("nan")),
+])
+def test_config_rejects_bad_numbers(name, value):
+    with pytest.raises(ValidationError, match=name):
+        SimConfig(**{name: value})
+
+
 def test_config_round_trip_and_unknown_key():
     cfg = SimConfig(actor_count=7, seed=3)
     assert SimConfig.from_dict(cfg.to_dict()) == cfg

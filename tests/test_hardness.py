@@ -202,6 +202,15 @@ def test_extraction_rejects_distorted_matching():
         coloring_from_witness(inst, Witness(wit.u_p, spread, wit.corr))
 
 
+def test_extraction_rejects_witness_over_other_vertices():
+    g = path_graph(4)
+    wit = witness_from_coloring(g, pad_to_three_colors(g, brute_force_3color(g)))
+    inst = reduce_from_graph(path_graph(5))
+    with pytest.raises(WitnessError, match="differ from the instance"):
+        coloring_from_witness(inst, wit)
+    assert not verify_witness(inst, wit, 1.0, 0.0)
+
+
 # ---------------------------------------------------------------- equivalence
 
 

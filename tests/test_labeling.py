@@ -244,7 +244,7 @@ def test_paths_to_labelings_known_example():
     assert labs[0].label_of("a") == frozenset({1})
     assert labs[0].label_of("b") == frozenset({2})
     assert labs[1].label_of("a") == frozenset({1, 2})
-    assert labs[2].holder_of(2) == "b"
+    assert [p for p, group in labs[2].labels.items() if 2 in group] == ["b"]
 
 
 def test_paths_are_sorted_before_numbering():

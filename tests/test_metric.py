@@ -306,11 +306,22 @@ def test_triangle_check_reads_violations_from_the_lower_triangle():
 
 
 def test_triangle_check_matches_hub_scan_on_overflowed_distances():
-    """Entries near the float maximum canonicalise to inf. In the 4-point
-    matrix hubs 0 and 1 give the hub scan a NaN slack (inf - inf) and pass,
-    hub 2 refuses; in the 2-point one every hub gives NaN and both accept."""
+    """Entries near the float maximum stay finite when canonicalised. In the
+    4-point matrix hubs 0 and 1 give zero slack and hub 2 refuses; the
+    2-point one is accepted by both scans."""
     m = 1.0 - np.eye(4)
     m[0, 1] = m[1, 0] = 1.7e308
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):  # hub sums of two such entries
         assert _verdict(m) == _violated(0, 1, 2)
         assert _verdict(m[:2, :2]) is None
+
+
+def test_distances_near_float_max_stay_finite():
+    with np.errstate(over="ignore"):
+        space = MetricSpace(["a", "b"], dist=[[0.0, 1.7e308], [1.7e308, 0.0]])
+    assert space.distance("a", "b") == 1.7e308
+
+
+def test_coordinates_with_overflowing_distances_rejected():
+    with pytest.raises(ValidationError, match="derived from coordinates must be finite"):
+        MetricSpace(["a", "b"], coords=[[0.0, 0.0], [1e200, 0.0]])
