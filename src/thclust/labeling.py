@@ -9,7 +9,10 @@ locality.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .metric import TOL, MetricSpace, TemporalSampling, ValidationError
 from .temporal import (
@@ -400,25 +403,44 @@ def check_contiguity(l1: Labeling, l2: Labeling, delta: float,
 
     Condition 1: each point's labels in the first level reappear among the
     second level's points inside its closed delta-ball. Condition 2 is the
-    mirror image. Returns (True, None) or (False, first violation).
+    mirror image. Returns (True, None) or (False, first violation): the
+    first violating point in sorted id order, with its smallest missing label.
+
+    A :class:`Labeling` gives each label to exactly one point per level, so
+    condition 1 holds for label l exactly when the other level has l and
+    ``dist[holder1[l], holder2[l]] <= delta + TOL``; condition 2 reads
+    ``dist[holder2[l], holder1[l]]``. Every labeling point is resolved in the
+    ambient space first (sorted first-level points, then the second level's);
+    an unknown point or a NaN ``delta`` raises :class:`ValidationError`.
     """
     slack = delta + TOL
+    if math.isnan(slack):
+        raise ValidationError("contiguity needs a number for delta, got NaN")
+    first, second = _holders(l1, ambient), _holders(l2, ambient)
+    for condition, (points, rank, holder), (_, _, other) in (
+            (1, first, second), (2, second, first)):
+        shared = min(len(holder), len(other))
+        found = np.zeros(len(holder), dtype=bool)
+        found[:shared] = ambient.dist[holder[:shared], other[:shared]] <= slack
+        missing = np.flatnonzero(~found)
+        if missing.size:
+            label = missing[np.argmin(rank[missing])]
+            return False, ContiguityViolation(
+                condition=condition, point=points[rank[label]], label=int(label) + 1
+            )
+    return True, None
 
-    def covered(src: Labeling, dst: Labeling, condition: int):
-        for point in sorted(src.labels):
-            nearby: set[int] = set()
-            for other in dst.labels:
-                if ambient.distance(point, other) <= slack:
-                    nearby |= dst.labels[other]
-            missing = src.labels[point] - nearby
-            if missing:
-                return ContiguityViolation(
-                    condition=condition, point=point, label=min(missing)
-                )
-        return None
 
-    violation = covered(l1, l2, 1) or covered(l2, l1, 2)
-    return (violation is None), violation
+def _holders(labeling: Labeling, ambient: MetricSpace):
+    """The sorted points of a labeling, then for each label 1..k (at position
+    label - 1) its holder's rank among them and its holder's ambient index."""
+    points = sorted(labeling.labels)
+    index = np.array([ambient.index_of(p) for p in points], dtype=np.intp)
+    labels = [label for p in points for label in labeling.labels[p]]
+    owners = [r for r, p in enumerate(points) for _ in labeling.labels[p]]
+    rank = np.empty(labeling.k, dtype=np.intp)
+    rank[np.array(labels, dtype=np.intp) - 1] = owners
+    return points, rank, index[rank]
 
 
 @dataclass(frozen=True)

@@ -171,10 +171,11 @@ class MetricSpace:
             i1 = min(i0 + _BLOCK, n)
             row = dist[i0:i1, i0:]
             via = np.full_like(row, np.inf)
-            for k0 in range(0, n, _BLOCK):
-                k1 = min(k0 + _BLOCK, n)
-                hubs = dist[i0:i1, k0:k1, None] + dist[None, k0:k1, i0:]
-                np.minimum(via, hubs.min(axis=1), out=via)
+            with np.errstate(over="ignore"):  # hub sums above 1.8e308 are inf
+                for k0 in range(0, n, _BLOCK):
+                    k1 = min(k0 + _BLOCK, n)
+                    hubs = dist[i0:i1, k0:k1, None] + dist[None, k0:k1, i0:]
+                    np.minimum(via, hubs.min(axis=1), out=via)
             if (row - via).max() > TOL:
                 self._scan_hubs(dist)
                 return
@@ -184,7 +185,8 @@ class MetricSpace:
         # one buffer for its slack.
         slack = np.empty_like(dist)
         for k in range(len(self.points)):
-            np.add(dist[:, k : k + 1], dist[k : k + 1, :], out=slack)
+            with np.errstate(over="ignore"):
+                np.add(dist[:, k : k + 1], dist[k : k + 1, :], out=slack)
             np.subtract(dist, slack, out=slack)
             if slack.max() > TOL:
                 i, j = np.unravel_index(int(slack.argmax()), slack.shape)

@@ -21,6 +21,7 @@ from thclust import (
     Dendrogram,
     FkwFit,
     Graph,
+    Labeling,
     MetricSpace,
     MstEdgeList,
     PseudoUltrametric,
@@ -28,8 +29,10 @@ from thclust import (
     TemporalSampling,
     ValidationError,
     Witness,
+    instability_family,
 )
-from thclust.labeling import SINK, SOURCE, IntegralFlow
+from thclust.labeling import SINK, SOURCE, ContiguityViolation, IntegralFlow
+from thclust.temporal import require_correspondence
 
 log = logging.getLogger(__name__)
 
@@ -62,6 +65,33 @@ def random_space(rng, n):
     if rng.integers(2):
         return dense_space(rng, n)
     return cloud_space(rng, n, dim=int(rng.integers(1, 4)))
+
+
+def grid_space(rng, n):
+    """Integer distances in {2, 3, 4}: every triangle holds and ties abound."""
+    m = rng.integers(2, 5, size=(n, n)).astype(float)
+    m = np.maximum(m, m.T)
+    np.fill_diagonal(m, 0.0)
+    ids = [f"g{(7 * i) % n:02d}_{i}" for i in range(n)]  # id order differs from index order
+    return MetricSpace(ids, dist=m)
+
+
+def equal_space(n):
+    return MetricSpace([f"e{i}" for i in range(n)], dist=1.0 - np.eye(n))
+
+
+def differential_spaces():
+    """The fixed space set of the differential tests: random, integer-tie and
+    all-equal spaces at n = 1 to 13, and the ``instability_family`` pairs."""
+    rng = np.random.default_rng(31)
+    for n in range(1, 14):
+        for _ in range(4):
+            yield random_space(rng, n)
+            yield grid_space(rng, n)
+        yield equal_space(n)
+    for n in (5, 8, 12, 21):
+        for eps in (0.0, 0.1, 0.5):
+            yield from instability_family(n, eps)
 
 
 def random_sampling(rng, ambient_size=8, min_levels=1, max_levels=4, max_level_size=5):
@@ -563,6 +593,63 @@ def correspondence_localities(p_ids, q_ids, ambient):
             continue
         out.append(max(d[i, j] for i, j in chosen))
     return out
+
+
+def reference_locality(corr: Correspondence, ambient: MetricSpace) -> float:
+    """The pair-by-pair locality that the fancy-index max in
+    ``thclust.temporal.locality`` replaced."""
+    if not corr.pairs:
+        raise ValidationError("locality of an empty correspondence is undefined")
+    return max(ambient.distance(u, v) for u, v in corr.pairs)
+
+
+def reference_distortion(u1: PseudoUltrametric, u2: PseudoUltrametric,
+                         corr: Correspondence) -> float:
+    """The K x K block distortion that the grouped reductions in
+    ``thclust.temporal.distortion`` replaced: both height blocks over every
+    ordered pair of correspondence elements, compared entry by entry.
+
+    Maximized over ordered pairs of correspondence elements, including pairs
+    that share a point on either side.
+    """
+    require_correspondence(corr, u1.points, u2.points)
+    i1 = [u1.index_of(u) for u, _ in corr.pairs]
+    i2 = [u2.index_of(v) for _, v in corr.pairs]
+    a = u1.mu[np.ix_(i1, i1)]
+    b = u2.mu[np.ix_(i2, i2)]
+    return float(np.abs(a - b).max())
+
+
+# ---------------------------------------------------------------- contiguity oracle
+
+
+def reference_check_contiguity(l1: Labeling, l2: Labeling, delta: float,
+                               ambient: MetricSpace):
+    """The ball-by-ball contiguity check that the label-holder test in
+    ``thclust.labeling.check_contiguity`` replaced: for each point, the union
+    of the labels inside its closed delta-ball on the other level.
+
+    Condition 1: each point's labels in the first level reappear among the
+    second level's points inside its closed delta-ball. Condition 2 is the
+    mirror image. Returns (True, None) or (False, first violation).
+    """
+    slack = delta + TOL
+
+    def covered(src: Labeling, dst: Labeling, condition: int):
+        for point in sorted(src.labels):
+            nearby: set[int] = set()
+            for other in dst.labels:
+                if ambient.distance(point, other) <= slack:
+                    nearby |= dst.labels[other]
+            missing = src.labels[point] - nearby
+            if missing:
+                return ContiguityViolation(
+                    condition=condition, point=point, label=min(missing)
+                )
+        return None
+
+    violation = covered(l1, l2, 1) or covered(l2, l1, 2)
+    return (violation is None), violation
 
 
 # ---------------------------------------------------------------- flow oracle

@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from helpers import (
     _DictMaxFlowGraph,
     brute_min_flow,
+    cloud_space,
     line_space,
     random_sampling,
+    reference_check_contiguity,
     reference_min_feasible_flow,
 )
 from thclust import (
+    TOL,
     IntegralFlow,
     Labeling,
     SimConfig,
@@ -306,6 +311,89 @@ def test_contiguity_closed_ball_boundary():
     assert ok
     ok, _ = check_contiguity(l1, l2, 2.9, ambient)
     assert not ok
+
+
+def _random_labeling(rng, points, k):
+    """Labels 1..k dealt to a random subset of ``points``, one or more each."""
+    if k == 0:
+        return Labeling({}, 0)
+    m = int(rng.integers(1, min(k, len(points)) + 1))
+    chosen = rng.choice(len(points), size=m, replace=False)
+    owner = np.concatenate([np.arange(m), rng.integers(0, m, size=k - m)])
+    rng.shuffle(owner)
+    labels: dict[str, set[int]] = {}
+    for label, o in enumerate(owner, start=1):
+        labels.setdefault(points[chosen[o]], set()).add(label)
+    return Labeling({p: frozenset(g) for p, g in labels.items()}, k)
+
+
+def _deltas_around(l1, l2, ambient):
+    """Each distance between the two labelings' points, and just below it:
+    by TOL, one step under that, and by 2 TOL; plus 0 and inf."""
+    out = {0.0, math.inf}
+    for d in {ambient.distance(p, q) for p in l1.labels for q in l2.labels}:
+        out |= {d, d - TOL, float(np.nextafter(d - TOL, -np.inf)), d - 2 * TOL}
+    return sorted(out)
+
+
+def _assert_contiguity_matches_reference(l1, l2, delta, ambient):
+    assert check_contiguity(l1, l2, delta, ambient) == \
+        reference_check_contiguity(l1, l2, delta, ambient)
+
+
+def test_contiguity_matches_reference_on_random_labelings():
+    """Random labelings of the same and of differing ``k`` on clouds and on
+    integer lines (where distances tie), at deltas on and just below every
+    pair distance."""
+    rng = np.random.default_rng(71)
+    for trial in range(80):
+        n = int(rng.integers(1, 9))
+        if trial % 2:
+            ambient = cloud_space(rng, n)
+        else:
+            ambient = line_space(rng.choice(12, size=n, replace=False))
+        k1 = int(rng.integers(1, 8))
+        k2 = k1 if trial % 4 < 2 else int(rng.integers(0, 8))
+        l1 = _random_labeling(rng, ambient.points, k1)
+        l2 = _random_labeling(rng, ambient.points, k2)
+        for delta in _deltas_around(l1, l2, ambient):
+            _assert_contiguity_matches_reference(l1, l2, delta, ambient)
+            _assert_contiguity_matches_reference(l2, l1, delta, ambient)
+
+
+def test_contiguity_matches_reference_on_solver_labelings():
+    rng = np.random.default_rng(72)
+    samplings = [random_sampling(rng, min_levels=2) for _ in range(15)]
+    samplings.append(run(SimConfig(actor_count=30)))
+    for samp in samplings:
+        sol = solve_labeled(samp)
+        for l1, l2 in zip(sol.labelings, sol.labelings[1:]):
+            for factor in (1.0, 0.9, 0.5, 0.2, 0.0):
+                _assert_contiguity_matches_reference(
+                    l1, l2, sol.local.delta * factor, samp.ambient)
+
+
+def test_contiguity_refuses_nan_delta():
+    lab = Labeling({"a": frozenset({1}), "b": frozenset({2})}, 2)
+    with pytest.raises(ValidationError, match="NaN"):
+        check_contiguity(lab, lab, math.nan, tiny_ambient())
+
+
+def test_contiguity_names_the_first_unknown_point():
+    """Sorted first-level points are resolved before the second level's."""
+    ambient = tiny_ambient()
+    l1 = Labeling({"x1": frozenset({2}), "b": frozenset({1})}, 2)
+    l2 = Labeling({"a": frozenset({1}), "x0": frozenset({2})}, 2)
+    with pytest.raises(ValidationError, match="unknown point 'x1'"):
+        check_contiguity(l1, l2, 1.0, ambient)
+    with pytest.raises(ValidationError, match="unknown point 'x0'"):
+        check_contiguity(l2, l1, 1.0, ambient)
+    far = Labeling({"z": frozenset({1}), "y": frozenset({2})}, 2)
+    with pytest.raises(ValidationError, match="unknown point 'y'"):
+        check_contiguity(far, l2, 1.0, ambient)
+    empty = Labeling({}, 0)  # nothing to compare with, still resolved
+    with pytest.raises(ValidationError, match="unknown point 'x0'"):
+        check_contiguity(empty, l2, 100.0, ambient)
 
 
 # ---------------------------------------------------------------- full pipeline

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,24 @@ def test_distances_near_float_max_stay_finite():
     with np.errstate(over="ignore"):
         space = MetricSpace(["a", "b"], dist=[[0.0, 1.7e308], [1.7e308, 0.0]])
     assert space.distance("a", "b") == 1.7e308
+
+
+def test_hub_sums_near_float_max_do_not_warn():
+    """Hub sums of two entries near the float maximum overflow to inf in the
+    triangle check and in the hub scan; neither may warn, and the verdicts
+    stay those of ``test_triangle_check_matches_hub_scan_on_overflowed_distances``."""
+    big = 1.7e308
+    m = 1.0 - np.eye(4)
+    m[0, 1] = m[1, 0] = big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        two = MetricSpace(["a", "b"], dist=[[0.0, big], [big, 0.0]])
+        three = MetricSpace(["a", "b", "c"],
+                            dist=[[0.0, big, big], [big, 0.0, 1.0], [big, 1.0, 0.0]])
+        refused = outcome(MetricSpace, [f"p{i}" for i in range(4)], dist=m)
+    assert two.distance("a", "b") == big
+    assert three.distance("a", "c") == big and three.distance("b", "c") == 1.0
+    assert refused == _violated(0, 1, 2)
 
 
 def test_coordinates_with_overflowing_distances_rejected():

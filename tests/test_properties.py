@@ -13,17 +13,22 @@ from hypothesis import strategies as st
 from helpers import (
     brute_min_flow,
     outcome,
+    reference_check_contiguity,
+    reference_distortion,
     reference_space_outcome,
     reference_validate_ultrametric,
     threshold_components,
 )
 from thclust import (
     TOL,
+    Correspondence,
+    Labeling,
     MetricSpace,
     TemporalSampling,
     build_flow_instance,
     check_contiguity,
     cut_at_height,
+    distortion,
     evaluate_general,
     fkw_fit,
     linf_distance,
@@ -179,3 +184,43 @@ def test_adjacent_labelings_are_contiguous_at_the_certified_delta(sampling, sche
     for l1, l2 in zip(sol.labelings, sol.labelings[1:]):
         ok, violation = check_contiguity(l1, l2, delta, sampling.ambient)
         assert ok, violation
+
+
+@st.composite
+def labelings(draw, points, max_labels=6):
+    """Labels 1..k, each given to one drawn point; k may be 0."""
+    holders = draw(st.lists(st.sampled_from(points), max_size=max_labels))
+    labels: dict[str, set[int]] = {}
+    for label, point in enumerate(holders, start=1):
+        labels.setdefault(point, set()).add(label)
+    return Labeling({p: frozenset(g) for p, g in labels.items()}, len(holders))
+
+
+@PROPERTY
+@given(samplings(), schemes, st.data())
+def test_distortion_matches_the_block_reference(sampling, scheme, data):
+    """The solver's correspondences and drawn relations (extra pairs on top
+    of a cover of both levels) give the K x K block's distortion."""
+    sol = solve_local(sampling, scheme=scheme)
+    for i, corr in enumerate(sol.correspondences):
+        p, q = sampling.levels[i], sampling.levels[i + 1]
+        extra = data.draw(st.lists(st.tuples(st.sampled_from(p), st.sampled_from(q)),
+                                   max_size=12))
+        cover = [(a, q[j % len(q)]) for j, a in enumerate(p)]
+        cover += [(p[j % len(p)], b) for j, b in enumerate(q)]
+        u1, u2 = sol.ultrametrics[i], sol.ultrametrics[i + 1]
+        for c in (corr, Correspondence.from_pairs(cover + extra)):
+            assert distortion(u1, u2, c) == reference_distortion(u1, u2, c)
+
+
+@PROPERTY
+@given(grid_spaces(), st.data())
+def test_contiguity_matches_the_ball_reference(space, data):
+    """Any two labelings, of equal or differing k, at a delta on or just
+    below one of their pair distances."""
+    l1 = data.draw(labelings(space.points))
+    l2 = data.draw(labelings(space.points))
+    near = sorted({space.distance(a, b) for a in l1.labels for b in l2.labels} | {0.0})
+    delta = data.draw(st.sampled_from(near)) - data.draw(st.sampled_from([0.0, TOL, 2 * TOL]))
+    assert check_contiguity(l1, l2, delta, space) == \
+        reference_check_contiguity(l1, l2, delta, space)

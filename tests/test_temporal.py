@@ -7,15 +7,23 @@ import pytest
 from helpers import (
     cloud_space,
     correspondence_localities,
+    differential_spaces,
     line_space,
     min_locality_scan,
+    outcome,
+    random_graph,
     random_sampling,
+    raw_color_witness,
+    reference_distortion,
+    reference_locality,
 )
 from thclust import (
+    COLORS,
     CertificationError,
     Correspondence,
     LocalSolution,
     PseudoUltrametric,
+    TemporalSampling,
     ValidationError,
     build_hausdorff_correspondence,
     distortion,
@@ -23,6 +31,7 @@ from thclust import (
     hausdorff_distance,
     locality,
     solve_local,
+    subdominant_ultrametric,
 )
 
 
@@ -114,6 +123,119 @@ def test_distortion_requires_full_coverage():
     partial = Correspondence.from_pairs([("x1", "y1"), ("x1", "y2")])
     with pytest.raises(ValidationError, match="x2"):
         distortion(u1, u2, partial)
+
+
+def _same(x, y):
+    """Equal floats, or both NaN."""
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def _covering_relation(rng, p_ids, q_ids):
+    """A random relation that projects onto both point lists."""
+    pairs = set()
+    for p in p_ids:
+        size = int(rng.integers(1, len(q_ids) + 1))
+        pairs |= {(p, q_ids[j]) for j in rng.choice(len(q_ids), size=size, replace=False)}
+    for q in set(q_ids) - {q for _, q in pairs}:
+        pairs.add((p_ids[int(rng.integers(len(p_ids)))], q))
+    return Correspondence.from_pairs(pairs)
+
+
+def _assert_matches_reference(u1, u2, corr, ambient=None):
+    assert _same(distortion(u1, u2, corr), reference_distortion(u1, u2, corr))
+    if ambient is not None:
+        assert locality(corr, ambient) == reference_locality(corr, ambient)
+
+
+def test_distortion_matches_reference_on_differential_samplings():
+    """Both fits of three random levels of every differential space, linked
+    by their Hausdorff correspondences and by random covering relations."""
+    rng = np.random.default_rng(61)
+    for space in differential_spaces():
+        n = len(space)
+        levels = [
+            [space.points[j] for j in
+             sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))]
+            for _ in range(3)
+        ]
+        samp = TemporalSampling(space, levels)
+        for scheme in ("fkw", "subdominant"):
+            sol = solve_local(samp, scheme=scheme)
+            for i, corr in enumerate(sol.correspondences):
+                u1, u2 = sol.ultrametrics[i], sol.ultrametrics[i + 1]
+                _assert_matches_reference(u1, u2, corr, space)
+                relation = _covering_relation(rng, levels[i], levels[i + 1])
+                _assert_matches_reference(u1, u2, relation, space)
+
+
+def test_distortion_matches_reference_on_hardness_witnesses():
+    """Color-class witnesses pair each color with a whole class; colorings
+    that leave a color unused fail coverage with the same error."""
+    rng = np.random.default_rng(62)
+    for n in range(1, 9):
+        graph = random_graph(rng, n)
+        for _ in range(8):
+            coloring = {v: COLORS[int(rng.integers(3))] for v in graph.vertices}
+            wit = raw_color_witness(graph.vertices, coloring)
+            flipped = Correspondence.from_pairs((v, c) for c, v in wit.corr.pairs)
+            for u1, u2, corr in ((wit.u_p, wit.u_v, wit.corr), (wit.u_v, wit.u_p, flipped)):
+                assert outcome(distortion, u1, u2, corr) == \
+                    outcome(reference_distortion, u1, u2, corr)
+
+
+def test_distortion_matches_reference_when_one_point_has_many_partners():
+    """Stars on either side, two crossed stars and the full relation, also
+    given unsorted and with repeats to the dataclass directly."""
+    rng = np.random.default_rng(63)
+    for n1, n2 in ((1, 12), (12, 1), (5, 30), (30, 5), (20, 20)):
+        ambient = cloud_space(rng, n1 + n2)
+        u1 = subdominant_ultrametric(ambient.restrict(ambient.points[:n1]))
+        u2 = subdominant_ultrametric(ambient.restrict(ambient.points[n1:]))
+        hub_p, hub_q = u1.points[-1], u2.points[0]
+        anyq = [u2.points[int(rng.integers(n2))] for _ in u1.points]
+        anyp = [u1.points[int(rng.integers(n1))] for _ in u2.points]
+        relations = [
+            [(hub_p, q) for q in u2.points] + list(zip(u1.points, anyq)),
+            [(p, hub_q) for p in u1.points] + list(zip(anyp, u2.points)),
+            [(hub_p, q) for q in u2.points] + [(p, hub_q) for p in u1.points],
+            [(p, q) for p in u1.points for q in u2.points],
+        ]
+        for pairs in relations:
+            _assert_matches_reference(u1, u2, Correspondence.from_pairs(pairs), ambient)
+            shuffled = [pairs[j] for j in rng.permutation(len(pairs))]
+            raw = Correspondence(pairs=tuple(shuffled + shuffled[:3]))
+            _assert_matches_reference(u1, u2, raw, ambient)
+
+
+def test_distortion_keeps_nan_and_inf_of_infinite_heights():
+    """inf - inf is NaN in the block reference; the grouped reductions must
+    return NaN there too, also when the same block has a finite partner
+    height (which makes the other term inf), and inf where only one side is
+    infinite."""
+    inf = math.inf
+    u1 = PseudoUltrametric(["a", "b"], [[0, inf], [inf, 0]], validate=False)
+    fin1 = PseudoUltrametric(["a", "b"], [[0, 1], [1, 0]])
+    u2 = PseudoUltrametric(["x", "y", "z"], [[0, inf, 1], [inf, 0, inf], [1, inf, 0]],
+                           validate=False)
+    fin2 = PseudoUltrametric(["x", "y", "z"], [[0, 2, 1], [2, 0, 2], [1, 2, 0]])
+    corr = Correspondence.from_pairs([("a", "x"), ("b", "y"), ("b", "z")])
+    rng = np.random.default_rng(64)
+    with np.errstate(invalid="ignore"):  # inf - inf, in both routines
+        for left, right, want in ((u1, u2, math.nan), (u1, fin2, inf), (fin1, u2, inf),
+                                  (fin1, fin2, 2.0)):
+            got = distortion(left, right, corr)
+            assert _same(got, want) and _same(got, reference_distortion(left, right, corr))
+        for _ in range(60):
+            mats = []
+            for n in (int(rng.integers(1, 6)), int(rng.integers(1, 6))):
+                m = rng.integers(0, 4, size=(n, n)).astype(float)
+                m[rng.random((n, n)) < 0.3] = inf
+                mats.append(np.maximum(m, m.T))
+            u1 = PseudoUltrametric([f"a{i}" for i in range(len(mats[0]))], mats[0],
+                                   validate=False)
+            u2 = PseudoUltrametric([f"b{i}" for i in range(len(mats[1]))], mats[1],
+                                   validate=False)
+            _assert_matches_reference(u1, u2, _covering_relation(rng, u1.points, u2.points))
 
 
 # ---------------------------------------------------------------- solve_local

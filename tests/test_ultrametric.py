@@ -7,6 +7,8 @@ from helpers import (
     bottleneck_oracle,
     cloud_space,
     dense_space,
+    differential_spaces,
+    grid_space,
     line_space,
     outcome,
     random_space,
@@ -503,19 +505,6 @@ def test_cut_equals_threshold_components_of_source():
 # ---------------------------------------------------------------- differential oracles
 
 
-def _grid_space(rng, n):
-    """Integer distances in {2, 3, 4}: every triangle holds and ties abound."""
-    m = rng.integers(2, 5, size=(n, n)).astype(float)
-    m = np.maximum(m, m.T)
-    np.fill_diagonal(m, 0.0)
-    ids = [f"g{(7 * i) % n:02d}_{i}" for i in range(n)]  # id order differs from index order
-    return MetricSpace(ids, dist=m)
-
-
-def _equal_space(n):
-    return MetricSpace([f"e{i}" for i in range(n)], dist=1.0 - np.eye(n))
-
-
 def _noisy(u, rng):
     """The same ultrametric with symmetric perturbations far below TOL."""
     n = len(u)
@@ -525,20 +514,8 @@ def _noisy(u, rng):
     return PseudoUltrametric(u.points, mu)
 
 
-def _differential_spaces():
-    rng = np.random.default_rng(31)
-    for n in range(1, 14):
-        for _ in range(4):
-            yield random_space(rng, n)
-            yield _grid_space(rng, n)
-        yield _equal_space(n)
-    for n in (5, 8, 12, 21):
-        for eps in (0.0, 0.1, 0.5):
-            yield from instability_family(n, eps)
-
-
 def test_spanning_tree_and_fits_match_reference():
-    for space in _differential_spaces():
+    for space in differential_spaces():
         assert minimum_spanning_edges(space).edges == \
             reference_minimum_spanning_edges(space).edges
         sub = subdominant_ultrametric(space)
@@ -556,10 +533,10 @@ def test_heights_match_reference():
     the source distances' own tree, over n = 1 to 13, ``instability_family``
     and 40- and 120-point clouds, plus integer merge heights."""
     rng = np.random.default_rng(36)
-    spaces = [*_differential_spaces(), cloud_space(rng, 40), cloud_space(rng, 120)]
+    spaces = [*differential_spaces(), cloud_space(rng, 40), cloud_space(rng, 120)]
     for space in spaces:
         pts, n = space.points, len(space)
-        grid = subdominant_ultrametric(_grid_space(rng, n))
+        grid = subdominant_ultrametric(grid_space(rng, n))
         fits = [subdominant_ultrametric(space), fkw_fit(space).ultrametric, grid,
                 PseudoUltrametric(grid.points, np.maximum(grid.mu - 2.0, 0.0)),
                 PseudoUltrametric(pts, np.zeros((n, n)))]
@@ -579,10 +556,10 @@ def _tree_inputs():
     heights asymmetric within TOL or noisy below it, integer and zero
     heights, infinite pairs and blocks, each under shuffled ids too."""
     rng = np.random.default_rng(34)
-    for space in _differential_spaces():
+    for space in differential_spaces():
         n = len(space)
         sub = subdominant_ultrametric(space).mu
-        grid = subdominant_ultrametric(_grid_space(rng, n)).mu
+        grid = subdominant_ultrametric(grid_space(rng, n)).mu
         noise = rng.uniform(-TOL, TOL, size=(n, n))
         lopsided = sub + noise
         noisy = sub + (noise + noise.T) / 20.0
@@ -613,7 +590,7 @@ def test_cut_matches_reference():
     noise, and the extremes; then sub-TOL steps that link 0 to 3 only
     through 1 and 2, so the blocks need the transitive closure."""
     rng = np.random.default_rng(35)
-    for space in _differential_spaces():
+    for space in differential_spaces():
         fits = [subdominant_ultrametric(space), fkw_fit(space).ultrametric]
         fits += [_noisy(u, rng) for u in fits]
         for u in fits:
@@ -628,9 +605,9 @@ def test_cut_matches_reference():
 
 def test_dendrogram_matches_reference():
     rng = np.random.default_rng(32)
-    for space in _differential_spaces():
+    for space in differential_spaces():
         fits = [subdominant_ultrametric(space), fkw_fit(space).ultrametric]
-        grid = subdominant_ultrametric(_grid_space(rng, len(space)))
+        grid = subdominant_ultrametric(grid_space(rng, len(space)))
         # heights {2, 3, 4} shifted down to {0, 1, 2}: zero between distinct points
         fits.append(PseudoUltrametric(grid.points, np.maximum(grid.mu - 2.0, 0.0)))
         fits += [_noisy(u, rng) for u in fits]
@@ -649,12 +626,12 @@ def _validation_inputs():
     fitted heights, integer ties, noise from 0.3 to 3 TOL (symmetric and
     not), single bumped entries, source distances and malformed input."""
     rng = np.random.default_rng(33)
-    spaces = list(_differential_spaces())
+    spaces = list(differential_spaces())
     spaces += [cloud_space(rng, n) for n in (40, 60)]
-    spaces += [_grid_space(rng, n) for n in (30, 45)]
+    spaces += [grid_space(rng, n) for n in (30, 45)]
     for space in spaces:
         n = len(space)
-        grid = subdominant_ultrametric(_grid_space(rng, n)).mu
+        grid = subdominant_ultrametric(grid_space(rng, n)).mu
         tied = grid - 2.0 * (grid > 0)  # heights {0, 1, 2}
         fits = [subdominant_ultrametric(space).mu, fkw_fit(space).ultrametric.mu, tied]
         yield space.dist, space.points
