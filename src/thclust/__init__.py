@@ -70,62 +70,3 @@ from .hardness import (
 from .flocking import Actor, SimConfig, initial_state, run, run_detailed, step
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "TOL",
-    "MetricSpace",
-    "TemporalSampling",
-    "ValidationError",
-    "hausdorff_distance",
-    "linf_distance",
-    "perturb",
-    "shortest_path_closure",
-    "Certification",
-    "CertificationError",
-    "Correspondence",
-    "LocalSolution",
-    "build_hausdorff_correspondence",
-    "distortion",
-    "evaluate_general",
-    "locality",
-    "solve_local",
-    "Dendrogram",
-    "FkwFit",
-    "MstEdgeList",
-    "PseudoUltrametric",
-    "cut_at_height",
-    "fkw_fit",
-    "instability_family",
-    "minimum_spanning_edges",
-    "subdominant_ultrametric",
-    "to_dendrogram",
-    "validate_ultrametric",
-    "ContiguityViolation",
-    "FlowNetwork",
-    "IntegralFlow",
-    "LabeledSolution",
-    "Labeling",
-    "build_flow_instance",
-    "check_contiguity",
-    "decompose_paths",
-    "min_feasible_flow",
-    "paths_to_labelings",
-    "solve_labeled",
-    "COLORS",
-    "Graph",
-    "ThcInstance",
-    "Witness",
-    "WitnessError",
-    "brute_force_3color",
-    "coloring_from_witness",
-    "pad_to_three_colors",
-    "reduce_from_graph",
-    "verify_witness",
-    "witness_from_coloring",
-    "Actor",
-    "SimConfig",
-    "initial_state",
-    "run",
-    "run_detailed",
-    "step",
-]

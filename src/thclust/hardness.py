@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import MetricSpace, ValidationError, linf_distance
+from .metric import MetricSpace, ValidationError, _json_list, _json_pairs, linf_distance
 from .temporal import Correspondence, distortion
 from .ultrametric import PseudoUltrametric
 
@@ -65,7 +65,8 @@ class Graph:
     def from_dict(cls, data: dict) -> "Graph":
         if not isinstance(data, dict) or "vertices" not in data:
             raise ValidationError("graph document needs 'vertices'")
-        return cls.build(data["vertices"], data.get("edges", []))
+        return cls.build(_json_list(data["vertices"], "vertices"),
+                         _json_pairs(data.get("edges", []), "edges"))
 
     @classmethod
     def from_dimacs(cls, text: str) -> "Graph":
@@ -79,9 +80,10 @@ class Graph:
                 continue
             parts = line.split()
             if parts[0] == "p":
-                if len(parts) < 3 or declared is not None:
+                count = parts[2] if len(parts) >= 3 and declared is None else ""
+                if not (count.isascii() and count.isdigit()):
                     raise ValidationError(f"bad problem line at line {lineno}")
-                declared = int(parts[2])
+                declared = int(count)
                 vertices = [str(i) for i in range(1, declared + 1)]
             elif parts[0] == "e":
                 if len(parts) != 3:
@@ -137,7 +139,9 @@ class Witness:
         return cls(
             u_p=PseudoUltrametric.from_dict(data["u_p"]),
             u_v=PseudoUltrametric.from_dict(data["u_v"]),
-            corr=Correspondence.from_pairs(data["correspondence"]),
+            corr=Correspondence.from_pairs(
+                _json_pairs(data["correspondence"], "correspondence")
+            ),
         )
 
 

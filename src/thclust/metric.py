@@ -22,6 +22,30 @@ class ValidationError(ValueError):
     """An input violates a structural invariant (shape, symmetry, metric axioms)."""
 
 
+def _float_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array; a ValidationError naming ``what`` unless
+    numpy reads it as numbers in a grid."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be a rectangular array of numbers") from None
+
+
+def _json_list(value, what: str, size: int | None = None):
+    """``value`` if it is a JSON array (or a Python tuple), of ``size`` items
+    when given: never a string to split into characters, nor a number."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{what} must be a list, got {type(value).__name__}")
+    if size is not None and len(value) != size:
+        raise ValidationError(f"{what} must have {size} items, got {len(value)}")
+    return value
+
+
+def _json_pairs(value, what: str) -> list:
+    """A JSON array of two-item arrays, such as edges or correspondence pairs."""
+    return [_json_list(pair, f"{what} entry", 2) for pair in _json_list(value, what)]
+
+
 def shortest_path_closure(weights: np.ndarray) -> np.ndarray:
     """All-pairs shortest paths of a symmetric weight matrix (Floyd-Warshall).
 
@@ -29,7 +53,7 @@ def shortest_path_closure(weights: np.ndarray) -> np.ndarray:
     pseudometric dominated by the input, which makes this the canonical
     metric-repair step for perturbed matrices.
     """
-    w = np.array(weights, dtype=float)
+    w = _float_array(weights, "weight matrix")
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValidationError("weight matrix must be square")
     np.fill_diagonal(w, 0.0)
@@ -75,7 +99,7 @@ class MetricSpace:
         self.pseudo = bool(pseudo)
 
         if coords is not None:
-            coords = np.array(coords, dtype=float)
+            coords = _float_array(coords, "coords")
             if coords.ndim != 2 or coords.shape[0] != n:
                 raise ValidationError(
                     f"coords must have one row per point ({n}), got shape {coords.shape}"
@@ -96,7 +120,7 @@ class MetricSpace:
                 raise ValidationError("distances derived from coordinates must be finite")
             derived = True
         else:
-            dist = np.array(dist, dtype=float)
+            dist = _float_array(dist, "distance matrix")
 
         if dist.shape != (n, n):
             raise ValidationError(f"distance matrix must be {n}x{n}, got {dist.shape}")
@@ -246,7 +270,7 @@ class MetricSpace:
         if "points" not in data:
             raise ValidationError("metric space document is missing 'points'")
         return cls(
-            data["points"],
+            _json_list(data["points"], "points"),
             dist=data.get("matrix"),
             coords=data.get("coords"),
             pseudo=bool(data.get("pseudo", False)),
@@ -376,4 +400,6 @@ class TemporalSampling:
     def from_dict(cls, data: dict) -> "TemporalSampling":
         if not isinstance(data, dict) or "ambient" not in data or "levels" not in data:
             raise ValidationError("sampling document needs 'ambient' and 'levels'")
-        return cls(MetricSpace.from_dict(data["ambient"]), data["levels"])
+        levels = _json_list(data["levels"], "levels")
+        return cls(MetricSpace.from_dict(data["ambient"]),
+                   [_json_list(level, f"level {i}") for i, level in enumerate(levels)])

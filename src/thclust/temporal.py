@@ -18,6 +18,8 @@ from .metric import (
     MetricSpace,
     TemporalSampling,
     ValidationError,
+    _json_list,
+    _json_pairs,
     hausdorff_distance,
     linf_distance,
 )
@@ -182,10 +184,12 @@ class LocalSolution:
             sampling=TemporalSampling.from_dict(data["sampling"]),
             scheme=str(data["scheme"]),
             ultrametrics=tuple(
-                PseudoUltrametric.from_dict(u) for u in data["ultrametrics"]
+                PseudoUltrametric.from_dict(u)
+                for u in _json_list(data["ultrametrics"], "ultrametrics")
             ),
             correspondences=tuple(
-                Correspondence.from_pairs(c) for c in data["correspondences"]
+                Correspondence.from_pairs(_json_pairs(c, "correspondence"))
+                for c in _json_list(data["correspondences"], "correspondences")
             ),
             **metrics,
             delta_vacuous=bool(data.get("delta_vacuous", False)),
@@ -277,9 +281,9 @@ def evaluate_general(sol: LocalSolution) -> Certification:
     pair_delta = []
     pair_rho = []
     for i, corr in enumerate(sol.correspondences):
-        require_correspondence(corr, s.levels[i], s.levels[i + 1])
-        pair_delta.append(locality(corr, s.ambient))
+        # distortion checks corr against both levels before locality runs
         pair_rho.append(distortion(sol.ultrametrics[i], sol.ultrametrics[i + 1], corr))
+        pair_delta.append(locality(corr, s.ambient))
     chi = max(level_chi)
     delta = max(pair_delta, default=0.0)
     rho = max(pair_rho, default=0.0)

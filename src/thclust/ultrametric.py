@@ -12,11 +12,13 @@ import itertools
 import logging
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .metric import TOL, MetricSpace, ValidationError, shortest_path_closure
+from .metric import _as_point_tuple, _float_array, _json_list
 
 log = logging.getLogger(__name__)
 
@@ -37,7 +39,7 @@ def validate_ultrametric(mu, points=None):
     below ``TOL`` can add up along a tree path and make the certificate
     refuse a matrix whose every triple passes.
     """
-    m = np.array(mu, dtype=float)
+    m = _float_array(mu, "ultrametric matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("ultrametric matrix must be square")
     n = m.shape[0]
@@ -90,33 +92,32 @@ def _certifies(m: np.ndarray, heights: np.ndarray, tol: float) -> bool:
     )
 
 
-def _require_ultrametric(mu, points) -> None:
-    ok, triple = validate_ultrametric(mu, points=points)
-    if not ok:
-        raise ValidationError(
-            "strong triangle inequality fails at "
-            f"({triple[0]!r}, {triple[1]!r}, {triple[2]!r})"
-        )
-
-
 class PseudoUltrametric:
     """Merge heights over a point set: symmetric, nonnegative, zero diagonal,
     and satisfying the strong triangle inequality. Zero height between
-    distinct points is allowed."""
+    distinct points is allowed.
+
+    Heights from outside enter with ``validate=True``, which proves all of
+    that (:func:`validate_ultrametric`). With ``validate=False`` the caller
+    vouches for them, as the fitters and :meth:`Dendrogram.to_ultrametric`
+    do, and :func:`to_dendrogram`, :func:`cut_at_height` and
+    :func:`~thclust.temporal.distortion` rely on it unchecked.
+    """
 
     def __init__(self, points, mu, validate=True):
-        pts = tuple(str(p) for p in points)
-        if not pts:
-            raise ValidationError("at least one point is required")
-        if len(set(pts)) != len(pts):
-            raise ValidationError("duplicate point identifier")
-        m = np.array(mu, dtype=float)
+        pts = _as_point_tuple(points)
+        m = _float_array(mu, "height matrix")
         if m.shape != (len(pts), len(pts)):
             raise ValidationError(
                 f"height matrix must be {len(pts)}x{len(pts)}, got {m.shape}"
             )
         if validate:
-            _require_ultrametric(m, pts)
+            ok, triple = validate_ultrametric(m, points=pts)
+            if not ok:
+                raise ValidationError(
+                    "strong triangle inequality fails at "
+                    f"({triple[0]!r}, {triple[1]!r}, {triple[2]!r})"
+                )
         m = np.maximum(m / 2.0 + m.T / 2.0, 0.0)  # halved first: no overflow
         np.fill_diagonal(m, 0.0)
         m.setflags(write=False)
@@ -154,7 +155,7 @@ class PseudoUltrametric:
     def from_dict(cls, data: dict) -> "PseudoUltrametric":
         if not isinstance(data, dict) or "points" not in data or "matrix" not in data:
             raise ValidationError("ultrametric document needs 'points' and 'matrix'")
-        return cls(data["points"], data["matrix"])
+        return cls(_json_list(data["points"], "points"), data["matrix"])
 
 
 @dataclass(frozen=True)
@@ -430,44 +431,61 @@ def fkw_fit(space: MetricSpace) -> FkwFit:
     )
 
 
+def _finite_real(h) -> bool:
+    """A finite real number and not a bool; nor an int too large for a float."""
+    return (isinstance(h, numbers.Real) and not isinstance(h, bool)
+            and abs(h) <= sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class Dendrogram:
     """Merge tree of an ultrametric.
 
-    ``merges`` lists (height, left, right) with non-decreasing heights; each
-    side is a leaf id (str) or the index of an earlier merge (int). Tied
-    heights are stored as successive binary merges, smallest leaf id first,
-    so there are always ``len(leaves) - 1`` merges. The merges are the
-    single linkage over a spanning tree of the heights (see
-    :func:`to_dendrogram`), and :meth:`to_ultrametric` replays them back
-    into the height matrix.
+    ``merges`` lists (height, left, right); each side is a leaf id (str) or
+    the index of an earlier merge (int). Tied heights are stored as
+    successive binary merges, smallest leaf id first, so there are always
+    ``len(leaves) - 1`` merges. The merges are the single linkage over a
+    spanning tree of the heights (see :func:`to_dendrogram`), and
+    :meth:`to_ultrametric` replays them back into the height matrix.
+
+    The constructor checks what makes that replay an ultrametric, which is
+    therefore not checked again: the merges form one binary tree over the
+    leaves, each after its children; every height is a finite real number
+    (not a bool) and none is below -TOL; and none is refused by
+    ``prev > h + TOL``, the triple scan's expression
+    (:func:`validate_ultrametric`), for ``prev`` the largest height before
+    it. A child's height is at most that ``prev``, so two leaves' first
+    shared merge passes the scan against every merge above it.
     """
 
     leaves: tuple[str, ...]
     merges: tuple[tuple[float, int | str, int | str], ...]
 
     def __post_init__(self):
-        if not self.leaves:
+        leaves = set(self.leaves)
+        if not leaves:
             raise ValidationError("dendrogram needs at least one leaf")
-        if len(set(self.leaves)) != len(self.leaves):
+        if len(leaves) != len(self.leaves):
             raise ValidationError("duplicate leaf identifier")
         if len(self.merges) != len(self.leaves) - 1:
             raise ValidationError(
                 f"expected {len(self.leaves) - 1} merges, got {len(self.merges)}"
             )
         used: set[int | str] = set()
-        prev = None
+        prev = -math.inf
         for idx, (h, a, b) in enumerate(self.merges):
-            if not isinstance(h, numbers.Real) or not math.isfinite(h):
+            if not _finite_real(h):
                 raise ValidationError(f"merge {idx} height must be a finite number, got {h!r}")
-            if prev is not None and h < prev - TOL:
+            if h < -TOL:
+                raise ValidationError(f"merge {idx} height {h!r} is negative")
+            if prev > h + TOL:
                 raise ValidationError(f"merge heights decrease at index {idx}")
-            prev = max(h, prev) if prev is not None else h
+            prev = max(h, prev)
             for ref in (a, b):
                 if isinstance(ref, str):
-                    if ref not in self.leaves:
+                    if ref not in leaves:
                         raise ValidationError(f"unknown leaf {ref!r} in merge {idx}")
-                elif isinstance(ref, (int, np.integer)):
+                elif isinstance(ref, (int, np.integer)) and not isinstance(ref, bool):
                     if not 0 <= ref < idx:
                         raise ValidationError(f"merge {idx} references invalid index {ref}")
                 else:
@@ -475,16 +493,15 @@ class Dendrogram:
                 if ref in used:
                     raise ValidationError(f"merge {idx} reuses node {ref!r}")
                 used.add(ref)
-        if self.merges:
-            expect = set(self.leaves) | set(range(len(self.merges) - 1))
-            if used != expect:
-                missing = sorted(str(x) for x in expect - used)
-                raise ValidationError(f"merge tree not spanning; unused: {missing}")
+        # The n - 1 merges hold 2n - 2 distinct references, each to one of the
+        # n leaves or the n - 2 merges before the last: every node but the
+        # root is used exactly once, so the merges span the leaves.
 
     def to_ultrametric(self) -> PseudoUltrametric:
-        """Replay the merges; the height of two leaves' first shared merge
-        becomes their ultrametric value."""
-        return PseudoUltrametric(self.leaves, _heights(self.leaves, self.merges))
+        """Replay the merges, unchecked (see the class docstring); the height
+        of two leaves' first shared merge becomes their ultrametric value."""
+        return PseudoUltrametric(self.leaves, _heights(self.leaves, self.merges),
+                                 validate=False)
 
     def to_dict(self) -> dict:
         return {
@@ -497,17 +514,13 @@ class Dendrogram:
         if not isinstance(data, dict) or "leaves" not in data or "merges" not in data:
             raise ValidationError("dendrogram document needs 'leaves' and 'merges'")
         merges = []
-        for idx, entry in enumerate(data["merges"]):
-            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-                raise ValidationError(f"malformed merge entry {entry!r}")
-            h, a, b = entry
-            try:
-                merges.append((float(h), a, b))
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"merge {idx} height must be a finite number, got {h!r}"
-                ) from None
-        return cls(tuple(str(p) for p in data["leaves"]), tuple(merges))
+        for idx, entry in enumerate(_json_list(data["merges"], "merges")):
+            h, a, b = _json_list(entry, f"merge {idx}", 3)
+            if _finite_real(h):
+                h = float(h)
+            merges.append((h, a, b))
+        leaves = _json_list(data["leaves"], "leaves")
+        return cls(tuple(str(p) for p in leaves), tuple(merges))
 
 
 def to_dendrogram(ultrametric: PseudoUltrametric) -> Dendrogram:
@@ -518,18 +531,9 @@ def to_dendrogram(ultrametric: PseudoUltrametric) -> Dendrogram:
     path between them has no edge above h. Merge events are emitted in
     ascending height; a multiway event becomes successive binary merges
     joining its groups smallest leaf id first.
-
-    The same tree certifies the input: when the heights replayed from the
-    merges bound ``mu`` within ``TOL`` (see :func:`validate_ultrametric`),
-    every triple passes. Only when they do not does the full triple scan
-    run, and it raises :class:`ValidationError` on a genuine violation.
     """
     pts = ultrametric.points
-    mu = ultrametric.mu  # symmetric, so its tree is the tree of min(mu, mu.T)
-    merges = _merges(pts, _spanning_tree(pts, mu))
-    if not _certifies(mu, _heights(pts, merges), TOL):
-        _require_ultrametric(mu, pts)
-    return Dendrogram(pts, merges)
+    return Dendrogram(pts, _merges(pts, _spanning_tree(pts, ultrametric.mu)))
 
 
 def cut_at_height(ultrametric: PseudoUltrametric, r: float) -> list[list[str]]:

@@ -392,6 +392,54 @@ def test_witness_pad_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+_PAIR = {"points": ["a", "b"], "coords": [[0.0], [1.0]]}
+_MERGES = [[1.0, "a", "b"], [2.0, 0, "c"]]
+MALFORMED = {
+    # JSON lists given as strings or numbers
+    "fit-points-string": ("fit", {"space": {"points": "ab", "matrix": [[0, 1], [1, 0]]}}),
+    "fit-points-number": ("fit", {"space": {"points": 3, "matrix": [[0]]}}),
+    "cluster-level-string": ("cluster", {"sampling": {"ambient": _PAIR, "levels": ["ab"]}}),
+    "cluster-levels-number": ("cluster", {"sampling": {"ambient": _PAIR, "levels": 5}}),
+    "cluster-level-number": ("cluster", {"sampling": {"ambient": _PAIR, "levels": [5]}}),
+    "cut-leaves-string": ("cut", {"dendrogram": {"leaves": "ab", "merges": [[1, "a", "b"]]}}),
+    "cut-leaves-number": ("cut", {"dendrogram": {"leaves": 5, "merges": []}}),
+    "cut-merges-number": ("cut", {"dendrogram": {"leaves": ["a"], "merges": 5}}),
+    "reduce-vertices-string": ("reduce", {"graph": {"vertices": "abc", "edges": []}}),
+    "reduce-vertices-number": ("reduce", {"graph": {"vertices": 5}}),
+    "reduce-edges-number": ("reduce", {"graph": {"vertices": ["a", "b"], "edges": 3}}),
+    # numbers and arity
+    "fit-coords-string": ("fit", {"space": {"points": ["a", "b"], "coords": "xy"}}),
+    "fit-coords-ragged": ("fit", {"space": {"points": ["a", "b"], "coords": [[0, 0], [1]]}}),
+    "fit-matrix-ragged": ("fit", {"space": {"points": ["a", "b"], "matrix": [[0, 1], [1]]}}),
+    "fit-matrix-text": ("fit", {"space": {"points": ["a", "b"],
+                                          "matrix": [[0, "x"], ["x", 0]]}}),
+    "reduce-edge-short": ("reduce", {"graph": {"vertices": ["a", "b"], "edges": [["a"]]}}),
+    "reduce-dimacs-count": ("reduce", "p edge x 3\n"),
+    # merge lists: booleans, a negative height, a dip of just over TOL
+    "cut-bool-reference": ("cut", {"dendrogram": {
+        "leaves": ["a", "b", "c"], "merges": [[1.0, "a", "b"], [2.0, False, "c"]]}}),
+    "cut-bool-height": ("cut", {"dendrogram": {
+        "leaves": ["a", "b", "c"], "merges": [_MERGES[0], [True, 0, "c"]]}}),
+    "cut-negative-height": ("cut", {"dendrogram": {
+        "leaves": ["a", "b"], "merges": [[-2e-9, "a", "b"]]}}),
+    "cut-nested-dip": ("cut", {"dendrogram": {"leaves": ["a", "b", "c"], "merges": [
+        [3.1357857823937707e-09, "a", "b"], [2.1357857823937705e-09, 0, "c"]]}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_documents_exit_one_naming_the_file(tmp_path, capsys, case):
+    command, doc = MALFORMED[case]
+    src = tmp_path / f"{case}.json"
+    src.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    out = ["-o", str(tmp_path / ("out" if command == "cluster" else "out.json"))]
+    extra = ["-r", "1"] if command == "cut" else []
+    assert main([command, str(src), *extra, *out]) == 1
+    captured = capsys.readouterr()
+    assert src.name in captured.err and not captured.out
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "out").exists()
+
+
 def test_malformed_witness_is_input_error(tmp_path, capsys):
     graph = tmp_path / "k3.col"
     graph.write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
@@ -542,14 +590,25 @@ def _bench_tracing():
     return module
 
 
-def test_bench_tracer_spans_the_cli_commands(tmp_path, capsys):
-    """The traced benchmark wraps each SPANS function by module attribute and
-    counts bytes only inside the ``cmd_*`` spans."""
+def test_bench_hooks_are_still_bound():
+    """Every name the benchmark traces or patches resolves: each SPANS entry,
+    and the ``cut_at_height`` that its corruption checks replace in
+    ``thclust`` and in ``thclust.cli``."""
     tracing = _bench_tracing()
     for _, module, path in tracing.SPANS:
         importlib.import_module(module)
         owner, attr = tracing._resolve(module, path)
         assert callable(getattr(owner, attr)), path
+    cli = importlib.import_module("thclust.cli")
+    ultrametric = importlib.import_module("thclust.ultrametric")
+    assert cli.cut_at_height is ultrametric.cut_at_height
+    assert importlib.import_module("thclust").cut_at_height is ultrametric.cut_at_height
+
+
+def test_bench_tracer_spans_the_cli_commands(tmp_path, capsys):
+    """The traced benchmark wraps each SPANS function by module attribute and
+    counts bytes only inside the ``cmd_*`` spans."""
+    tracing = _bench_tracing()
     src = line_file(tmp_path)
     dend = tmp_path / "d.json"
     tracer = tracing.Tracer()

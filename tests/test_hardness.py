@@ -64,6 +64,9 @@ def test_from_dimacs_parses_and_names_bad_lines():
         Graph.from_dimacs("p edge 2 1\ne 1 5\n")
     with pytest.raises(ValidationError, match="line 1"):
         Graph.from_dimacs("garbage here\n")
+    for count in ("x", "-3", "3.0", "\u00b3"):
+        with pytest.raises(ValidationError, match="bad problem line at line 2"):
+            Graph.from_dimacs(f"c count\np edge {count} 0\n")
 
 
 # ---------------------------------------------------------------- reduction
@@ -139,6 +142,12 @@ def test_witness_serialization_round_trip():
     assert np.array_equal(back.u_v.mu, wit.u_v.mu)
     assert back.corr.pairs == wit.corr.pairs
     assert verify_witness(reduce_from_graph(g), back, 1.0, 0.0)
+    doc = wit.to_dict()
+    for pairs, message in ((5, "correspondence must be a list"),
+                           ([["1", "r"], ["2"]], "correspondence entry must have 2 items"),
+                           (["ab"], "correspondence entry must be a list")):
+        with pytest.raises(ValidationError, match=message):
+            Witness.from_dict({**doc, "correspondence": pairs})
 
 
 def test_verify_rejects_foreign_vertices():

@@ -15,6 +15,7 @@ from helpers import (
     outcome,
     reference_check_contiguity,
     reference_distortion,
+    reference_heights,
     reference_space_outcome,
     reference_validate_ultrametric,
     threshold_components,
@@ -22,9 +23,12 @@ from helpers import (
 from thclust import (
     TOL,
     Correspondence,
+    Dendrogram,
     Labeling,
     MetricSpace,
+    PseudoUltrametric,
     TemporalSampling,
+    ValidationError,
     build_flow_instance,
     check_contiguity,
     cut_at_height,
@@ -40,6 +44,7 @@ from thclust import (
     to_dendrogram,
     validate_ultrametric,
 )
+from thclust.ultrametric import _heights
 
 PROPERTY = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
@@ -117,6 +122,59 @@ def test_dendrogram_round_trips(space):
         heights = [h for h, _, _ in dend.merges]
         assert len(heights) == len(space) - 1 and heights == sorted(heights)
         assert np.array_equal(dend.to_ultrametric().mu, u.mu)
+
+
+# Hypothesis draws round floats, on which both decrease tests agree; seeded
+# uniform ones in [0, 1e-8] split them about half the time.
+_TREE_STARTS = (0.0, 1.0, 1e3, *np.random.default_rng(0).uniform(0.0, 1e-8, 29).tolist())
+
+
+@st.composite
+def merge_trees(draw, max_leaves=7):
+    """Random binary merge trees with heights on the boundaries the
+    constructor decides. The first height is drawn from ``_TREE_STARTS``;
+    each later one is within an ulp of the running maximum less TOL (a dip)
+    or of -TOL, or a rise of 0, TOL/2 or 1 above the maximum. New
+    merges go to the front of the pool that merges draw from, which the
+    draws favour, so most dips are nested."""
+    n = draw(st.integers(1, max_leaves))
+    leaves = tuple(_ids(n))
+    nodes: list = list(leaves)
+    top = draw(st.sampled_from(_TREE_STARTS))
+    merges = []
+    for idx in range(n - 1):
+        a = nodes.pop(draw(st.integers(0, len(nodes) - 1)))
+        b = nodes.pop(draw(st.integers(0, len(nodes) - 1)))
+        kind = draw(st.sampled_from(["dip", "rise", "floor"])) if idx else "start"
+        if kind == "start":
+            h = top
+        elif kind == "rise":
+            h = top + draw(st.sampled_from([0.0, TOL / 2.0, 1.0]))
+        else:
+            h = top - TOL if kind == "dip" else -TOL
+            ulps = draw(st.sampled_from([0, -1, 1]))
+            if ulps:
+                h = float(np.nextafter(h, ulps * np.inf))
+        merges.append((h, a, b))
+        nodes.insert(0, idx)
+        top = max(top, h)
+    return leaves, tuple(merges)
+
+
+@PROPERTY
+@given(merge_trees())
+def test_accepted_dendrograms_replay_to_ultrametrics(tree):
+    """Whatever the constructor accepts replays to an ultrametric the triple
+    scan passes, and to the heights a validated matrix would hold."""
+    leaves, merges = tree
+    try:
+        dendrogram = Dendrogram(leaves, merges)
+    except ValidationError as exc:
+        assert "decrease" in str(exc) or "negative" in str(exc)
+        return
+    assert validate_ultrametric(_heights(leaves, merges)) == (True, None)
+    want = PseudoUltrametric(leaves, reference_heights(leaves, merges))
+    assert np.array_equal(dendrogram.to_ultrametric().mu, want.mu)
 
 
 @PROPERTY

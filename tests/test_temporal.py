@@ -321,6 +321,21 @@ def test_evaluate_general_rejects_wrong_points():
         evaluate_general(forged)
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([("a", "a"), ("b", "b"), ("z", "b")], "unknown first-side point 'z'"),
+    ([("a", "a"), ("b", "b"), ("b", "z")], "unknown second-side point 'z'"),
+    ([("a", "a"), ("a", "b")], "misses first-side point 'b'"),
+])
+def test_evaluate_general_names_a_bad_correspondence(pairs, message):
+    """The correspondence is checked against both levels before anything
+    reads its pairs from the ambient space."""
+    ambient = tiny_ambient()
+    sol = solve_local(make_sampling(ambient, [["a", "b"], ["a", "b"]]))
+    forged = dataclasses.replace(sol, correspondences=(Correspondence.from_pairs(pairs),))
+    with pytest.raises(ValidationError, match=message):
+        evaluate_general(forged)
+
+
 def test_local_solution_round_trip():
     rng = np.random.default_rng(27)
     sol = solve_local(random_sampling(rng, min_levels=2), scheme="subdominant")
@@ -341,6 +356,18 @@ def test_solution_document_rejects_nonfinite_metric(name, token):
     doc[name] = token
     with pytest.raises(ValidationError, match=f"stored {name} must be a finite number"):
         LocalSolution.from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("ultrametrics", 5, "ultrametrics must be a list"),
+    ("correspondences", "ab", "correspondences must be a list"),
+    ("correspondences", [5], "correspondence must be a list"),
+    ("correspondences", [[["a", "b", "c"]]], "correspondence entry must have 2 items"),
+])
+def test_solution_document_refuses_non_lists(key, value, message):
+    doc = solve_local(random_sampling(np.random.default_rng(28), min_levels=2)).to_dict()
+    with pytest.raises(ValidationError, match=message):
+        LocalSolution.from_dict({**doc, key: value})
 
 
 def test_evaluate_general_refuses_a_nan_metric():

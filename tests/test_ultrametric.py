@@ -447,8 +447,8 @@ def test_dendrogram_structural_validation():
         Dendrogram(("a", "b", "c"), ((1.0, "a", "b"),))  # too few merges
     with pytest.raises(ValidationError):
         Dendrogram(("a", "b", "c"), ((2.0, "a", "b"), (1.0, 0, "c")))  # heights fall
-    with pytest.raises(ValidationError):
-        Dendrogram(("a", "b"), ((1.0, "a", "z"),))  # unknown leaf
+    with pytest.raises(ValidationError, match="unknown leaf 'z'"):
+        Dendrogram(("a", "b"), ((1.0, "a", "z"),))
     with pytest.raises(ValidationError):
         Dendrogram(("a", "b", "c"), ((1.0, "a", "b"), (2.0, "a", "c")))  # leaf reused
     with pytest.raises(ValidationError):
@@ -456,9 +456,26 @@ def test_dendrogram_structural_validation():
     for h in (float("nan"), float("inf"), "1.0", None):
         with pytest.raises(ValidationError, match=r"merge 1 height must be a finite number"):
             Dendrogram(("a", "b", "c"), ((1.0, "a", "b"), (h, 0, "c")))
-    for h in ("x", None, [1]):
+    for h in ("x", None, [1], "1.0", True, 10**400):
         with pytest.raises(ValidationError, match=r"merge 0 height must be a finite number"):
             Dendrogram.from_dict({"leaves": ["a", "b"], "merges": [[h, "a", "b"]]})
+    with pytest.raises(ValidationError, match=r"merge 1 height must be a finite number"):
+        Dendrogram(("a", "b", "c"), ((1.0, "a", "b"), (True, 0, "c")))
+    for ref in (False, np.False_):  # JSON false is not merge 0
+        with pytest.raises(ValidationError, match=r"merge 1 has malformed reference"):
+            Dendrogram.from_dict({"leaves": ["a", "b", "c"],
+                                  "merges": [[1.0, "a", "b"], [2.0, ref, "c"]]})
+    with pytest.raises(ValidationError, match=r"merge 0 height -2e-09 is negative"):
+        Dendrogram(("a", "b"), ((-2 * TOL, "a", "b"),))
+    # a dip of TOL plus a little, which the replay's triple scan refuses
+    dip = ((3.1357857823937707e-09, "a", "b"), (2.1357857823937705e-09, 0, "c"))
+    with pytest.raises(ValidationError, match=r"merge heights decrease at index 1"):
+        Dendrogram(("a", "b", "c"), dip)
+    for doc, what in (({"leaves": "ab", "merges": [[1.0, "a", "b"]]}, "leaves"),
+                      ({"leaves": ["a", "b"], "merges": 5}, "merges"),
+                      ({"leaves": ["a", "b"], "merges": [[1.0, "a"]]}, "merge 0")):
+        with pytest.raises(ValidationError, match=what):
+            Dendrogram.from_dict(doc)
 
 
 # ---------------------------------------------------------------- cuts
@@ -613,12 +630,11 @@ def test_dendrogram_matches_reference():
         fits += [_noisy(u, rng) for u in fits]
         for u in fits:
             assert to_dendrogram(u).merges == reference_to_dendrogram(u).merges
-        # unchecked heights: the source distances, and a fit with an infinite pair
-        unchecked = [space.dist, fits[0].mu.copy()]
-        unchecked[1][0, -1] = unchecked[1][-1, 0] = np.inf
-        for mu in unchecked:
-            u = PseudoUltrametric(space.points, mu, validate=False)
-            assert outcome(to_dendrogram, u) == outcome(reference_to_dendrogram, u)
+        # heights with an infinite pair are refused where they enter
+        mu = fits[0].mu.copy()
+        mu[0, -1] = mu[-1, 0] = np.inf
+        with pytest.raises(ValidationError, match="must be finite"):
+            PseudoUltrametric(space.points, mu)
 
 
 def _validation_inputs():
