@@ -7,6 +7,11 @@ actor of random type or delete one of the participants, so the population
 varies over time. Snapshots become levels of a TemporalSampling over the
 plane.
 
+The population lives in arrays kept in ident order (idents, integer
+serials, kinds, positions, velocities). :func:`run_detailed` advances them
+with one array tick and copies positions only at snapshots; :func:`step` is
+the adapter that takes and returns a list of :class:`Actor` objects.
+
 All rule constants are invented, tunable defaults; the governing equations
 are qualitative. Randomness draws from two split streams (initial state
 versus interactions) so force evaluation consumes no randomness and replays
@@ -104,38 +109,67 @@ def _serial(ident: str) -> int:
     return int(ident[1:]) if ident[1:].isdigit() else -1
 
 
-def step(state: list[Actor], cfg: SimConfig, rng: np.random.Generator) -> list[Actor]:
-    """Advance one tick: forces, clamp, move, reflect, then interactions.
-
-    Interactions are resolved on post-move positions, pair by pair in ident
-    order; an actor deleted earlier in the tick takes part in nothing else.
-    Only the interaction stage draws from ``rng``.
-    """
-    actors = sorted(state, key=lambda a: a.ident)
+def _arrays(actors: list[Actor]):
+    """``(idents, serials, kinds, pos, vel)`` of ``actors`` in ident order."""
+    actors = sorted(actors, key=lambda a: a.ident)
     n = len(actors)
-    pos = np.array([a.position for a in actors], dtype=float)
-    vel = np.array([a.velocity for a in actors], dtype=float)
-    kinds = np.array([a.kind for a in actors])
-    force = np.zeros_like(pos)
+    idents = [a.ident for a in actors]
+    return (
+        idents,
+        np.array([_serial(ident) for ident in idents], dtype=np.int64),
+        np.array([a.kind for a in actors], dtype=np.int64),
+        np.array([a.position for a in actors], dtype=float).reshape(n, 2),
+        np.array([a.velocity for a in actors], dtype=float).reshape(n, 2),
+    )
 
-    diff = pos[None, :, :] - pos[:, None, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
+
+def _gaps(pos: np.ndarray):
+    """Offsets ``pos[j] - pos[i]`` per axis and their lengths, with an
+    infinite diagonal. ``dx * dx + dy * dy`` has the bits of summing the
+    squares over the last axis of one (n, n, 2) offset array."""
+    x, y = pos[:, 0], pos[:, 1]
+    dx = x[None, :] - x[:, None]
+    dy = y[None, :] - y[:, None]
+    dist = np.sqrt(dx * dx + dy * dy)
     np.fill_diagonal(dist, np.inf)
-    same = kinds[:, None] == kinds[None, :]
+    return dx, dy, dist
+
+
+def _tick(idents, serials, kinds, pos, vel, cfg: SimConfig, rng: np.random.Generator):
+    """Advance arrays kept in ident order by one tick; returns the next
+    ``(idents, serials, kinds, pos, vel)``, again in ident order.
+
+    Forces, clamp, move and reflect act on all actors at once. The clump
+    and avoid sums visit only the pairs within their radius, each row in
+    ascending column order: a dense row sum adds the same terms in the same
+    order plus signed zeros, so the bits agree. Interactions are resolved on
+    post-move positions, pair by pair in ident order; an actor deleted
+    earlier in the tick takes part in nothing else. Newcomers take serials
+    after the largest one alive at the start of the tick. Only the
+    interaction stage draws from ``rng``. The inputs are never written.
+    """
+    n = len(idents)
+    force = np.zeros_like(pos)
+    dx, dy, dist = _gaps(pos)
 
     if cfg.clump_weight:
-        mask = same & (dist <= cfg.clump_radius)
-        counts = mask.sum(axis=1)
+        same = kinds[:, None] == kinds[None, :]
+        rows, cols = np.nonzero(same & (dist <= cfg.clump_radius))
+        counts = np.bincount(rows, minlength=n)
         has = counts > 0
         if has.any():
-            centroid = (mask[:, :, None] * pos[None, :, :]).sum(axis=1)
+            centroid = np.zeros_like(pos)
+            np.add.at(centroid, rows, pos[cols])
             centroid[has] /= counts[has, None]
             force[has] += cfg.clump_weight * (centroid[has] - pos[has])
     if cfg.avoid_weight:
-        mask = dist <= cfg.avoid_radius
-        if mask.any():
-            push = -diff / np.maximum(dist, 1e-9)[:, :, None] ** 2
-            force += cfg.avoid_weight * (mask[:, :, None] * push).sum(axis=1)
+        rows, cols = np.nonzero(dist <= cfg.avoid_radius)
+        if len(rows):
+            offset = np.stack((dx[rows, cols], dy[rows, cols]), axis=1)
+            push = -offset / np.maximum(dist[rows, cols], 1e-9)[:, None] ** 2
+            total = np.zeros_like(pos)
+            np.add.at(total, rows, push)
+            force += cfg.avoid_weight * total
     if cfg.school_weight:
         for kind in range(TYPE_COUNT):
             members = kinds == kind
@@ -166,36 +200,51 @@ def step(state: list[Actor], cfg: SimConfig, rng: np.random.Generator) -> list[A
     pos = np.clip(pos, 0.0, cfg.arena_side)
 
     dead: set[int] = set()
-    spawned: list[Actor] = []
-    next_serial = max((_serial(a.ident) for a in actors), default=-1) + 1
-    gap = pos[None, :, :] - pos[:, None, :]
-    near = np.sqrt((gap**2).sum(axis=-1))
-    np.fill_diagonal(near, np.inf)
-    for i, j in np.argwhere(np.triu(near <= cfg.interact_radius, 1)):
-        i, j = int(i), int(j)
+    parents: list[tuple[int, int]] = []
+    born_kinds: list[int] = []
+    _, _, near = _gaps(pos)
+    for i, j in np.argwhere(np.triu(near <= cfg.interact_radius, 1)).tolist():
         if i in dead or j in dead:
             continue
         if rng.random() >= cfg.interact_prob:
             continue
         if kinds[i] == kinds[j]:
             if rng.random() < cfg.spawn_prob:
-                spawned.append(Actor(
-                    ident=f"a{next_serial:05d}",
-                    kind=int(rng.integers(TYPE_COUNT)),
-                    position=(pos[i] + pos[j]) / 2.0,
-                    velocity=(vel[i] + vel[j]) / 2.0,
-                ))
-                next_serial += 1
+                parents.append((i, j))
+                born_kinds.append(int(rng.integers(TYPE_COUNT)))
         else:
             if rng.random() < cfg.delete_prob:
                 dead.add(j)  # idents are sorted, so j is the later one
 
-    survivors = [
-        Actor(ident=actors[i].ident, kind=int(kinds[i]),
-              position=pos[i].copy(), velocity=vel[i].copy())
-        for i in range(n) if i not in dead
+    if parents:
+        first, second = np.array(parents).T
+        born = np.arange(len(parents)) + (int(serials.max(initial=-1)) + 1)
+        idents = idents + [f"a{serial:05d}" for serial in born.tolist()]
+        serials = np.concatenate([serials, born])
+        kinds = np.concatenate([kinds, born_kinds])
+        pos = np.concatenate([pos, (pos[first] + pos[second]) / 2.0])
+        vel = np.concatenate([vel, (vel[first] + vel[second]) / 2.0])
+    if dead or parents:
+        order = [k for k in range(len(idents)) if k not in dead]
+        if parents:  # past a99999 a newcomer's ident sorts before older ones
+            order.sort(key=idents.__getitem__)
+        idents = [idents[k] for k in order]
+        serials, kinds, pos, vel = serials[order], kinds[order], pos[order], vel[order]
+    return idents, serials, kinds, pos, vel
+
+
+def step(state: list[Actor], cfg: SimConfig, rng: np.random.Generator) -> list[Actor]:
+    """Advance a list of actors by one tick: the ``Actor`` adapter over the
+    array tick that :func:`run_detailed` runs.
+
+    The actors are sorted by ident, advanced as arrays and wrapped again,
+    in ident order. Only the interaction stage draws from ``rng``.
+    """
+    idents, _, kinds, pos, vel = _tick(*_arrays(state), cfg, rng)
+    return [
+        Actor(ident=ident, kind=kind, position=p, velocity=v)
+        for ident, kind, p, v in zip(idents, kinds.tolist(), pos, vel)
     ]
-    return sorted(survivors + spawned, key=lambda a: a.ident)
 
 
 def initial_state(cfg: SimConfig, rng: np.random.Generator) -> list[Actor]:
@@ -223,35 +272,30 @@ def run_detailed(cfg: SimConfig, on_tick=None):
     step when given.
     """
     init_seq, interact_seq = np.random.SeedSequence(cfg.seed).spawn(2)
-    state = initial_state(cfg, np.random.default_rng(init_seq))
+    state = _arrays(initial_state(cfg, np.random.default_rng(init_seq)))
     interact_rng = np.random.default_rng(interact_seq)
 
-    snapshots: list[list[Actor]] = [list(state)]
+    snapshots = [(state[0], state[2], state[3].copy())]
     for tick in range(1, cfg.total_ticks + 1):
-        state = step(state, cfg, interact_rng)
+        state = _tick(*state, cfg, interact_rng)
+        idents, _, kinds, pos, _ = state
         if on_tick is not None:
-            on_tick(tick, len(state))
+            on_tick(tick, len(idents))
         if tick % cfg.snapshot_interval == 0:
-            if not state:
+            if not idents:
                 raise RuntimeError(f"population died out by tick {tick}")
-            snapshots.append(list(state))
+            snapshots.append((idents, kinds, pos.copy()))
 
     point_ids: list[str] = []
-    coords: list[np.ndarray] = []
     levels: list[list[str]] = []
     kind_maps: list[dict[str, int]] = []
-    for lvl, snap in enumerate(snapshots):
-        level_ids = []
-        kind_map = {}
-        for actor in snap:
-            pid = f"t{lvl:03d}_{actor.ident}"
-            point_ids.append(pid)
-            coords.append(actor.position.copy())
-            level_ids.append(pid)
-            kind_map[pid] = actor.kind
+    for lvl, (idents, kinds, _) in enumerate(snapshots):
+        level_ids = [f"t{lvl:03d}_{ident}" for ident in idents]
+        point_ids.extend(level_ids)
         levels.append(level_ids)
-        kind_maps.append(kind_map)
-    ambient = MetricSpace(point_ids, coords=np.array(coords), pseudo=True)
+        kind_maps.append(dict(zip(level_ids, kinds.tolist())))
+    coords = np.concatenate([pos for _, _, pos in snapshots])
+    ambient = MetricSpace(point_ids, coords=coords, pseudo=True)
     return TemporalSampling(ambient, levels), kind_maps
 
 

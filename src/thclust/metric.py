@@ -7,6 +7,7 @@ tolerance ``TOL``.
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,9 +23,26 @@ class ValidationError(ValueError):
     """An input violates a structural invariant (shape, symmetry, metric axioms)."""
 
 
+def _scalar_types(value) -> set[type]:
+    """Types of the scalars in a nested list; an ndarray counts by its dtype
+    alone, so a numeric one costs no per-element scan."""
+    if isinstance(value, np.ndarray):
+        return _scalar_types(value.tolist()) if value.dtype == object else {value.dtype.type}
+    if not isinstance(value, (list, tuple)):
+        return {type(value)}
+    types = set(map(type, value))
+    if any(issubclass(t, (list, tuple, np.ndarray)) for t in types):
+        return set().union(*map(_scalar_types, value))
+    return types
+
+
 def _float_array(value, what: str) -> np.ndarray:
     """``value`` as a float array; a ValidationError naming ``what`` unless
-    numpy reads it as numbers in a grid."""
+    it is a grid of real numbers. Strings and booleans are refused, not
+    converted: JSON ``"1"`` and ``true`` are no distances."""
+    for t in _scalar_types(value):
+        if issubclass(t, (bool, np.bool_)) or not issubclass(t, numbers.Real):
+            raise ValidationError(f"{what} must hold numbers only, got {t.__name__}")
     try:
         return np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -269,11 +287,14 @@ class MetricSpace:
             raise ValidationError("metric space document must be an object")
         if "points" not in data:
             raise ValidationError("metric space document is missing 'points'")
+        pseudo = data.get("pseudo", False)
+        if not isinstance(pseudo, bool):
+            raise ValidationError(f"'pseudo' must be true or false, got {pseudo!r}")
         return cls(
             _json_list(data["points"], "points"),
             dist=data.get("matrix"),
             coords=data.get("coords"),
-            pseudo=bool(data.get("pseudo", False)),
+            pseudo=pseudo,
         )
 
 

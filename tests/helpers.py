@@ -31,6 +31,7 @@ from thclust import (
     Witness,
     instability_family,
 )
+from thclust.flocking import TYPE_COUNT, Actor, SimConfig, _serial, initial_state
 from thclust.labeling import SINK, SOURCE, ContiguityViolation, IntegralFlow
 from thclust.temporal import require_correspondence
 
@@ -811,6 +812,151 @@ def reference_min_feasible_flow(network):
     if value > n:
         raise RuntimeError(f"minimum flow value {value} exceeds point count {n}")
     return result
+
+
+# ---------------------------------------------------------------- flocking
+
+
+def reference_step(state: list[Actor], cfg: SimConfig, rng: np.random.Generator) -> list[Actor]:
+    """The actor-list step that the array tick replaced, kept as its oracle.
+
+    Advance one tick: forces, clamp, move, reflect, then interactions.
+
+    Interactions are resolved on post-move positions, pair by pair in ident
+    order; an actor deleted earlier in the tick takes part in nothing else.
+    Only the interaction stage draws from ``rng``.
+    """
+    actors = sorted(state, key=lambda a: a.ident)
+    n = len(actors)
+    pos = np.array([a.position for a in actors], dtype=float)
+    vel = np.array([a.velocity for a in actors], dtype=float)
+    kinds = np.array([a.kind for a in actors])
+    force = np.zeros_like(pos)
+
+    diff = pos[None, :, :] - pos[:, None, :]
+    dist = np.sqrt((diff**2).sum(axis=-1))
+    np.fill_diagonal(dist, np.inf)
+    same = kinds[:, None] == kinds[None, :]
+
+    if cfg.clump_weight:
+        mask = same & (dist <= cfg.clump_radius)
+        counts = mask.sum(axis=1)
+        has = counts > 0
+        if has.any():
+            centroid = (mask[:, :, None] * pos[None, :, :]).sum(axis=1)
+            centroid[has] /= counts[has, None]
+            force[has] += cfg.clump_weight * (centroid[has] - pos[has])
+    if cfg.avoid_weight:
+        mask = dist <= cfg.avoid_radius
+        if mask.any():
+            push = -diff / np.maximum(dist, 1e-9)[:, :, None] ** 2
+            force += cfg.avoid_weight * (mask[:, :, None] * push).sum(axis=1)
+    if cfg.school_weight:
+        for kind in range(TYPE_COUNT):
+            members = kinds == kind
+            if members.any():
+                mean_vel = vel[members].mean(axis=0)
+                force[members] += cfg.school_weight * (mean_vel - vel[members])
+    margin = 0.05 * cfg.arena_side
+    low = pos < margin
+    force += np.where(low, cfg.wall_force * (margin - pos) / margin, 0.0)
+    high = pos > cfg.arena_side - margin
+    force -= np.where(
+        high, cfg.wall_force * (pos - (cfg.arena_side - margin)) / margin, 0.0
+    )
+
+    vel = vel + force * cfg.dt
+    speed = np.sqrt((vel**2).sum(axis=1))
+    over = speed > cfg.max_speed
+    if over.any():
+        vel[over] *= (cfg.max_speed / speed[over])[:, None]
+    pos = pos + vel * cfg.dt
+    for _ in range(2):  # one bounce is enough at sane speeds; twice for safety
+        under = pos < 0
+        pos[under] = -pos[under]
+        vel[under] = np.abs(vel[under])
+        above = pos > cfg.arena_side
+        pos[above] = 2 * cfg.arena_side - pos[above]
+        vel[above] = -np.abs(vel[above])
+    pos = np.clip(pos, 0.0, cfg.arena_side)
+
+    dead: set[int] = set()
+    spawned: list[Actor] = []
+    next_serial = max((_serial(a.ident) for a in actors), default=-1) + 1
+    gap = pos[None, :, :] - pos[:, None, :]
+    near = np.sqrt((gap**2).sum(axis=-1))
+    np.fill_diagonal(near, np.inf)
+    for i, j in np.argwhere(np.triu(near <= cfg.interact_radius, 1)):
+        i, j = int(i), int(j)
+        if i in dead or j in dead:
+            continue
+        if rng.random() >= cfg.interact_prob:
+            continue
+        if kinds[i] == kinds[j]:
+            if rng.random() < cfg.spawn_prob:
+                spawned.append(Actor(
+                    ident=f"a{next_serial:05d}",
+                    kind=int(rng.integers(TYPE_COUNT)),
+                    position=(pos[i] + pos[j]) / 2.0,
+                    velocity=(vel[i] + vel[j]) / 2.0,
+                ))
+                next_serial += 1
+        else:
+            if rng.random() < cfg.delete_prob:
+                dead.add(j)  # idents are sorted, so j is the later one
+
+    survivors = [
+        Actor(ident=actors[i].ident, kind=int(kinds[i]),
+              position=pos[i].copy(), velocity=vel[i].copy())
+        for i in range(n) if i not in dead
+    ]
+    return sorted(survivors + spawned, key=lambda a: a.ident)
+
+
+def reference_run_detailed(cfg: SimConfig, on_tick=None):
+    """The actor-list run over :func:`reference_step`, kept as an oracle.
+
+    Simulate and snapshot into a TemporalSampling.
+
+    Levels are taken at tick 0 and every ``snapshot_interval`` ticks after.
+    Point ids are level-tagged actor ids so the ambient plane can hold every
+    snapshot at once; coincident positions across snapshots are legal, so
+    the ambient space allows zero distances. Returns the sampling together
+    with the per-level actor kind maps (useful for plotting, never fed back
+    into the pipeline). ``on_tick(tick, population)`` is invoked after every
+    step when given.
+    """
+    init_seq, interact_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+    state = initial_state(cfg, np.random.default_rng(init_seq))
+    interact_rng = np.random.default_rng(interact_seq)
+
+    snapshots: list[list[Actor]] = [list(state)]
+    for tick in range(1, cfg.total_ticks + 1):
+        state = reference_step(state, cfg, interact_rng)
+        if on_tick is not None:
+            on_tick(tick, len(state))
+        if tick % cfg.snapshot_interval == 0:
+            if not state:
+                raise RuntimeError(f"population died out by tick {tick}")
+            snapshots.append(list(state))
+
+    point_ids: list[str] = []
+    coords: list[np.ndarray] = []
+    levels: list[list[str]] = []
+    kind_maps: list[dict[str, int]] = []
+    for lvl, snap in enumerate(snapshots):
+        level_ids = []
+        kind_map = {}
+        for actor in snap:
+            pid = f"t{lvl:03d}_{actor.ident}"
+            point_ids.append(pid)
+            coords.append(actor.position.copy())
+            level_ids.append(pid)
+            kind_map[pid] = actor.kind
+        levels.append(level_ids)
+        kind_maps.append(kind_map)
+    ambient = MetricSpace(point_ids, coords=np.array(coords), pseudo=True)
+    return TemporalSampling(ambient, levels), kind_maps
 
 
 # ---------------------------------------------------------------- graphs

@@ -413,6 +413,18 @@ MALFORMED = {
     "fit-matrix-ragged": ("fit", {"space": {"points": ["a", "b"], "matrix": [[0, 1], [1]]}}),
     "fit-matrix-text": ("fit", {"space": {"points": ["a", "b"],
                                           "matrix": [[0, "x"], ["x", 0]]}}),
+    "fit-matrix-numeric-text": ("fit", {"space": {"points": ["a", "b"],
+                                                  "matrix": [[0, "1"], [True, 0]]}}),
+    "fit-matrix-bool": ("fit", {"space": {"points": ["a", "b"],
+                                          "matrix": [[0, True], [True, 0]]}}),
+    "fit-coords-numeric-text": ("fit", {"space": {"points": ["a", "b"],
+                                                  "coords": [["0"], ["1"]]}}),
+    "fit-coords-bool": ("fit", {"space": {"points": ["a", "b"], "coords": [[False], [True]]}}),
+    # "pseudo" is a JSON boolean; the string "false" does not switch it on
+    "fit-pseudo-string": ("fit", {"space": {"points": ["a", "b"], "matrix": [[0, 0], [0, 0]],
+                                            "pseudo": "false"}}),
+    "fit-pseudo-number": ("fit", {"space": {"points": ["a", "b"], "matrix": [[0, 0], [0, 0]],
+                                            "pseudo": 1}}),
     "reduce-edge-short": ("reduce", {"graph": {"vertices": ["a", "b"], "edges": [["a"]]}}),
     "reduce-dimacs-count": ("reduce", "p edge x 3\n"),
     # merge lists: booleans, a negative height, a dip of just over TOL
@@ -448,6 +460,23 @@ def test_malformed_witness_is_input_error(tmp_path, capsys):
     broken = write_json(tmp_path / "broken.json", {"format_version": "1", "nonsense": 1})
     assert main(["verify", str(inst), str(broken), "--chi", "1", "--rho", "0"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("entry", ["1", True])
+def test_witness_matrix_with_text_or_boolean_is_input_error(tmp_path, capsys, entry):
+    graph = tmp_path / "k3.col"
+    graph.write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    inst, wit = tmp_path / "inst.json", tmp_path / "wit.json"
+    coloring = write_json(tmp_path / "col.json", {"coloring": {"1": "r", "2": "g", "3": "b"}})
+    assert main(["reduce", str(graph), "-o", str(inst)]) == 0
+    assert main(["witness", str(graph), coloring, "-o", str(wit)]) == 0
+    assert main(["verify", str(inst), str(wit), "--chi", "1", "--rho", "0"]) == 0
+    doc = read_json(wit)
+    doc["u_v"]["matrix"][0][1] = entry
+    wit.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(wit), "--chi", "1", "--rho", "0"]) == 1
+    assert "wit.json" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- simulate

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from helpers import reference_run_detailed, reference_step
 from thclust import Actor, SimConfig, ValidationError, initial_state, run, run_detailed, step
 
 
@@ -256,3 +259,121 @@ def test_on_tick_callback_sees_every_tick():
     run_detailed(cfg, on_tick=lambda tick, population: seen.append((tick, population)))
     assert [t for t, _ in seen] == list(range(1, 8))
     assert all(p >= 1 for _, p in seen)
+
+
+# ---------------------------------------------------------------- against the actor-list oracle
+
+
+def step_record(actors):
+    return [(a.ident, a.kind, a.position.tobytes(), a.velocity.tobytes()) for a in actors]
+
+
+def both_steps(state, cfg, seed=0):
+    """``step`` and ``reference_step`` on copies of one state and one stream:
+    the records of both outputs and the next draw of each stream."""
+    records = []
+    for fn in (step, reference_step):
+        rng = np.random.default_rng(seed)
+        copies = [actor(a.ident, a.kind, a.position, a.velocity) for a in state]
+        records.append((step_record(fn(copies, cfg, rng)), rng.random()))
+    return records
+
+
+def busy_config(**overrides):
+    """Every force on and every close pair interacting."""
+    base = dict(interact_prob=1.0, interact_radius=5.0, clump_radius=10.0, avoid_radius=3.0)
+    base.update(overrides)
+    return SimConfig(**base)
+
+
+def test_step_sorts_unsorted_input_like_the_oracle():
+    state = [
+        actor("a00007", 1, (50.0, 50.0), (1.0, -0.5)),
+        actor("a00002", 1, (51.0, 50.5), (0.0, 0.3)),
+        actor("a00011", 2, (49.0, 51.0), (-1.0, 0.0)),
+        actor("a00000", 2, (52.5, 48.0), (0.5, 0.5)),
+        actor("a00005", 0, (99.5, 0.5), (3.0, -3.0)),
+    ]
+    for spawn_prob, seed in itertools.product((0.0, 0.5, 1.0), range(4)):
+        new, old = both_steps(state, busy_config(spawn_prob=spawn_prob), seed)
+        assert new == old
+    new, _ = both_steps(state, busy_config(spawn_prob=1.0, delete_prob=0.0))
+    assert [ident for ident, *_ in new[0]] == sorted(ident for ident, *_ in new[0])
+    assert "a00012" in [ident for ident, *_ in new[0]]
+
+
+def test_step_matches_the_oracle_with_a_non_digit_ident():
+    state = [
+        actor("zeta", 3, (40.0, 40.0), (0.2, 0.1)),
+        actor("a00001", 3, (40.5, 40.0), (0.0, 0.0)),
+        actor("boid", 1, (41.0, 39.5), (0.0, -0.4)),
+    ]
+    for seed in range(6):
+        new, old = both_steps(state, busy_config(spawn_prob=1.0, delete_prob=0.5), seed)
+        assert new == old
+
+
+def test_step_past_a99999_sorts_the_newcomer_first():
+    # string order, not serial order: "a100000" < "a99998"
+    state = [
+        actor("a99999", 0, (30.0, 30.0), (0.0, 0.0)),
+        actor("a99998", 0, (30.5, 30.0), (0.0, 0.0)),
+    ]
+    new, old = both_steps(state, busy_config(spawn_prob=1.0, delete_prob=0.0))
+    assert new == old
+    assert [ident for ident, *_ in new[0]] == ["a100000", "a99998", "a99999"]
+
+
+DIFFERENTIAL_CONFIGS = {
+    "100-actors-seed-0": dict(actor_count=100, seed=0),
+    "100-actors-seed-1": dict(actor_count=100, seed=1),
+    "spawn-heavy": dict(actor_count=20, interact_prob=1.0, spawn_prob=1.0,
+                        interact_radius=5.0, total_ticks=6, snapshot_interval=2, seed=2),
+    "delete-heavy": dict(actor_count=60, interact_prob=1.0, spawn_prob=0.0, delete_prob=1.0,
+                         interact_radius=5.0, total_ticks=60, snapshot_interval=10, seed=5),
+    "all-weights-0": dict(actor_count=25, clump_weight=0.0, avoid_weight=0.0,
+                          school_weight=0.0, total_ticks=50, snapshot_interval=10, seed=6),
+    "one-actor": dict(actor_count=1, total_ticks=50, seed=7),
+    "zero-ticks": dict(actor_count=10, total_ticks=0, seed=8),
+    "every-tick": dict(actor_count=12, total_ticks=30, snapshot_interval=1, seed=9),
+    # moves of up to 0.8 in an arena of side 0.5: some need the second bounce
+    "tiny-arena": dict(actor_count=20, arena_side=0.5, clump_radius=0.3, avoid_radius=0.1,
+                       interact_radius=0.02, max_speed=8.0, total_ticks=100,
+                       snapshot_interval=20, seed=10),
+}
+
+
+def run_record(run_fn, cfg):
+    ticks = []
+    samp, kind_maps = run_fn(cfg, on_tick=lambda tick, pop: ticks.append((tick, pop)))
+    return {
+        "points": samp.ambient.points,
+        "levels": samp.levels,
+        "kinds": kind_maps,
+        "ticks": ticks,
+        "coords": samp.ambient.coords.tobytes(),
+    }
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_CONFIGS))
+def test_run_detailed_matches_the_actor_list_oracle(name):
+    cfg = SimConfig(**DIFFERENTIAL_CONFIGS[name])
+    new = run_record(run_detailed, cfg)
+    old = run_record(reference_run_detailed, cfg)
+    for key in old:
+        assert new[key] == old[key], key
+    sizes = [len(level) for level in new["levels"]]
+    if name == "spawn-heavy":
+        assert sizes[-1] > 2 * sizes[0]
+    if name == "delete-heavy":
+        assert sizes[-1] < sizes[0]
+
+
+def test_forty_actor_run_keeps_its_bits():
+    """Digests recorded with the actor-list step: they pin the snapshots
+    independently of the oracle."""
+    samp, _ = run_detailed(SimConfig(actor_count=40, seed=0))
+    coords = hashlib.sha256(samp.ambient.coords.tobytes()).hexdigest()
+    levels = hashlib.sha256(json.dumps(samp.levels).encode()).hexdigest()
+    assert coords == "da647c810fb0ea02e6f28ce8af399af49b78aeba64de2e082bb829937cbe268c"
+    assert levels == "5b94067e8e1301c160f061e0a20f24a503981c77429e6f33eb9f07ca6ed1096b"

@@ -22,6 +22,7 @@ from thclust import (
     perturb,
     shortest_path_closure,
 )
+from thclust.metric import _scalar_types
 
 
 def test_line_space_distances_match_coordinates():
@@ -108,6 +109,44 @@ def test_serialization_round_trip_matrix_and_coords():
         assert back == space
     pseudo = MetricSpace(["a", "b"], dist=np.zeros((2, 2)), pseudo=True)
     assert MetricSpace.from_dict(pseudo.to_dict()) == pseudo
+
+
+def test_pseudo_must_be_a_json_boolean():
+    doc = {"points": ["a", "b"], "matrix": [[0, 0], [0, 0]]}
+    with pytest.raises(ValidationError, match="zero distance"):
+        MetricSpace.from_dict(doc)
+    assert MetricSpace.from_dict({**doc, "pseudo": True}).pseudo
+    for value in ("false", "true", 1, None):
+        with pytest.raises(ValidationError, match="'pseudo' must be true or false"):
+            MetricSpace.from_dict({**doc, "pseudo": value})
+
+
+@pytest.mark.parametrize("key, rows", [
+    ("matrix", [[0, "1"], [True, 0]]),
+    ("matrix", [[0, 1.0], [True, 0]]),
+    ("matrix", [[0, "1"], ["1", 0]]),
+    ("coords", [["0"], [1.0]]),
+    ("coords", [[0.0], [True]]),
+])
+def test_numeric_arrays_refuse_text_and_booleans(key, rows):
+    with pytest.raises(ValidationError, match="must hold numbers only"):
+        MetricSpace.from_dict({"points": ["a", "b"], key: rows})
+    with pytest.raises(ValidationError, match="must hold numbers only"):
+        MetricSpace(["a", "b"], **{"dist" if key == "matrix" else key: rows})
+
+
+def test_numeric_ndarrays_are_judged_by_dtype():
+    """An int or float ndarray passes on its dtype, with no per-element scan."""
+    ints = np.array([[0, 2], [2, 0]])
+    space = MetricSpace(["a", "b"], dist=ints)
+    assert space.dist.dtype == np.float64 and space.distance("a", "b") == 2.0
+    coords = np.arange(6, dtype=np.float32).reshape(3, 2)
+    assert MetricSpace(list("abc"), coords=coords).coords.dtype == np.float64
+    for refused in (np.array([["0", "1"], ["1", "0"]]), np.eye(2, dtype=bool)):
+        with pytest.raises(ValidationError, match="must hold numbers only"):
+            MetricSpace(["a", "b"], dist=refused)
+    # a scan of the elements would see Python floats, not the dtype's type
+    assert _scalar_types(np.zeros((300, 300))) == {np.float64}
 
 
 def test_closure_matches_simple_path_oracle():

@@ -370,6 +370,15 @@ def test_solution_document_refuses_non_lists(key, value, message):
         LocalSolution.from_dict({**doc, key: value})
 
 
+@pytest.mark.parametrize("entry", ["0.5", False])
+def test_solution_document_refuses_text_and_booleans_in_ultrametrics(entry):
+    doc = solve_local(random_sampling(np.random.default_rng(28), min_levels=2)).to_dict()
+    matrix = next(u["matrix"] for u in doc["ultrametrics"] if len(u["points"]) > 1)
+    matrix[0][1] = matrix[1][0] = entry
+    with pytest.raises(ValidationError, match="height matrix must hold numbers only"):
+        LocalSolution.from_dict(doc)
+
+
 def test_evaluate_general_refuses_a_nan_metric():
     sol = solve_local(random_sampling(np.random.default_rng(29), min_levels=2))
     for name in ("chi", "delta", "rho"):
