@@ -1,10 +1,11 @@
 """Command-line surface for the fitting, clustering, and labeling pipeline.
 
-Artifacts are JSON files tagged with a format_version. Each ``cmd_*``
-returns its metrics and outputs, and :func:`main` prints them as one JSON
-run report with the command, its config and the timing, so files stay
-byte-identical across reruns with the same inputs. Exit codes: 0 success,
-1 input error, 2 certification failure.
+Artifacts are JSON files tagged with format_version "2"; inputs may also
+carry "1", whose ``solution.json`` stored height matrices, not dendrograms.
+Each ``cmd_*`` returns its metrics and outputs, and :func:`main` prints them
+as one JSON run report with the command, its config and the timing, so files
+stay byte-identical across reruns with the same inputs. Exit codes: 0
+success, 1 input error, 2 certification failure.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .hardness import (
 )
 from .labeling import Labeling, check_contiguity, solve_labeled
 from .metric import MetricSpace, TemporalSampling, ValidationError, linf_distance
+from .metric import _json_list, _json_object, _json_str
 from .temporal import (
     SCHEMES,
     CertificationError,
@@ -45,7 +47,7 @@ from .ultrametric import (
     to_dendrogram,
 )
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 PALETTE = (
     "#4c72b0", "#dd8452", "#55a868", "#c44e52", "#8172b3",
@@ -84,16 +86,14 @@ def _write_json(path: Path, payload: dict) -> str:
 
 
 def _load(path: str, key: str | None, parse, text: str | None = None):
-    """Parse one JSON artifact: the body under ``key`` when present, else the
-    whole document. A wrong format_version, and any :class:`ValidationError`
-    that ``parse`` raises, become input errors naming the file."""
+    """Parse one JSON artifact of format 1 or 2: the body under ``key`` when
+    present, else the document without its format_version. Other versions,
+    and any :class:`ValidationError`, become input errors naming the file."""
     doc = _parse_json(_read_text(path) if text is None else text, path)
-    if not isinstance(doc, dict):
-        raise CliError(f"{path}: top level must be a JSON object")
-    version = doc.get("format_version")
-    if version is not None and version != FORMAT_VERSION:
-        raise CliError(f"{path}: unsupported format_version {version!r}")
     try:
+        version = _json_object(doc, "top level").pop("format_version", None)
+        if version not in (None, "1", FORMAT_VERSION):
+            raise CliError(f"{path}: unsupported format_version {version!r}")
         return parse(doc.get(key, doc))
     except ValidationError as exc:
         raise CliError(f"{path}: {exc}") from exc
@@ -130,7 +130,7 @@ def cmd_fit(args: argparse.Namespace) -> dict:
     if args.method == "fkw":
         fit = fkw_fit(space)
         fitted = fit.ultrametric
-        extras = {"shift": fit.shift, "clamped_pairs": len(fit.clamped_pairs)}
+        extras = {"shift": fit.shift, "clamped_pairs": fit.clamped_pairs}
     else:
         fitted, extras = _fit(args.method, space), {}
     written = _write_json(_output(args, args.input, ".dendrogram.json"), {
@@ -221,7 +221,8 @@ def cmd_cluster(args: argparse.Namespace) -> dict:
         solution, labelings, k = labeled.local, labeled.labelings, labeled.k
     else:
         solution = solve_local(sampling, scheme=args.method)
-    outputs = [_write_json(outdir / "solution.json", solution.to_dict())]
+    document = solution.to_dict()
+    outputs = [_write_json(outdir / "solution.json", document)]
     if args.labels:
         outputs.append(_write_json(outdir / "labels.json", {
             "k": k,
@@ -230,11 +231,11 @@ def cmd_cluster(args: argparse.Namespace) -> dict:
 
     levels = []
     panels = []
-    for i, fitted in enumerate(solution.ultrametrics):
-        dendrogram = to_dendrogram(fitted)
+    for i, (fitted, entry) in enumerate(zip(solution.ultrametrics, document["ultrametrics"])):
+        dendrogram = Dendrogram.from_dict(entry)
         heights = sorted({h for h, _, _ in dendrogram.merges})
         levels.append({
-            "dendrogram": dendrogram.to_dict(),
+            "dendrogram": entry,
             "cuts": [{"r": h, "blocks": cut_at_height(fitted, h)} for h in heights],
         })
         order, segments = _dendrogram_layout(dendrogram)
@@ -267,9 +268,7 @@ def cmd_cluster(args: argparse.Namespace) -> dict:
     report = {"metrics": metrics, "outputs": outputs}
     if labelings:
         metrics["k"] = k
-        loaded = _load(str(outdir / "labels.json"), None, lambda doc: [
-            Labeling.from_list(entries, k=doc["k"]) for entries in doc["labelings"]
-        ])
+        loaded = _load(str(outdir / "labels.json"), None, _labelings_from_dict)
         radius = args.delta if args.delta is not None else certification.delta
         for i in range(len(loaded) - 1):
             ok, violation = check_contiguity(
@@ -283,6 +282,13 @@ def cmd_cluster(args: argparse.Namespace) -> dict:
                 )
         report["contiguity"] = {"delta": radius, "adjacent_pairs_checked": len(loaded) - 1}
     return report
+
+
+def _labelings_from_dict(doc) -> list[Labeling]:
+    """The labelings of a ``labels.json`` body."""
+    _json_object(doc, "labels document", ("k", "labelings"))
+    return [Labeling.from_list(entries, doc["k"])
+            for entries in _json_list(doc["labelings"], "labelings")]
 
 
 # ---------------------------------------------------------------- cut
@@ -314,10 +320,8 @@ def cmd_witness(args: argparse.Namespace) -> dict:
     graph = _load_graph(args.graph)
 
     def witness(coloring) -> Witness:
-        if not isinstance(coloring, dict):
-            raise ValidationError("coloring must map vertices to colors")
-        coloring = {str(k): str(v) for k, v in coloring.items()
-                    if k != "format_version"}
+        coloring = {vertex: _json_str(color, f"color of {vertex!r}")
+                    for vertex, color in _json_object(coloring, "coloring").items()}
         if args.pad:
             coloring = pad_to_three_colors(graph, coloring)
         return witness_from_coloring(graph, coloring)
@@ -343,10 +347,9 @@ def cmd_verify(args: argparse.Namespace) -> dict:
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
     def config(doc: dict) -> SimConfig:
-        body = {k: v for k, v in doc.items() if k != "format_version"}
         if args.seed is not None:
-            body["seed"] = args.seed
-        return SimConfig.from_dict(body)
+            doc = {**doc, "seed": args.seed}
+        return SimConfig.from_dict(doc)
 
     cfg = _load(args.config, None, config) if args.config else config({})
     trace: list[dict] = []

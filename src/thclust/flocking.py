@@ -20,13 +20,12 @@ identically.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .metric import MetricSpace, TemporalSampling, ValidationError
+from .metric import _json_int, _json_number, _json_object
 
 TYPE_COUNT = 4
 
@@ -63,13 +62,8 @@ class SimConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValidationError(f"{f.name} must be a number, got {value!r}")
-            if f.type == "int" and not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ValidationError(f"{f.name} must be finite, got {value!r}")
+            read = _json_int if f.type == "int" else _json_number
+            read(getattr(self, f.name), f.name)
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
         if self.actor_count < 1:
@@ -96,8 +90,7 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
-        if not isinstance(data, dict):
-            raise ValidationError("config document must be an object")
+        _json_object(data, "config document")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

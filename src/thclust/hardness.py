@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import MetricSpace, ValidationError, _json_list, _json_pairs, linf_distance
+from .metric import _json_object
 from .temporal import Correspondence, distortion
 from .ultrametric import PseudoUltrametric
 
@@ -63,8 +64,7 @@ class Graph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Graph":
-        if not isinstance(data, dict) or "vertices" not in data:
-            raise ValidationError("graph document needs 'vertices'")
+        _json_object(data, "graph document", ("vertices",))
         return cls.build(_json_list(data["vertices"], "vertices"),
                          _json_pairs(data.get("edges", []), "edges"))
 
@@ -108,8 +108,7 @@ class ThcInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ThcInstance":
-        if not isinstance(data, dict) or "level1" not in data or "level2" not in data:
-            raise ValidationError("instance document needs 'level1' and 'level2'")
+        _json_object(data, "instance document", ("level1", "level2"))
         return cls(
             level1=MetricSpace.from_dict(data["level1"]),
             level2=MetricSpace.from_dict(data["level2"]),
@@ -133,9 +132,7 @@ class Witness:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Witness":
-        needed = ("u_p", "u_v", "correspondence")
-        if not isinstance(data, dict) or any(k not in data for k in needed):
-            raise ValidationError(f"witness document needs {list(needed)}")
+        _json_object(data, "witness document", ("u_p", "u_v", "correspondence"))
         return cls(
             u_p=PseudoUltrametric.from_dict(data["u_p"]),
             u_v=PseudoUltrametric.from_dict(data["u_v"]),

@@ -11,10 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .metric import TOL, MetricSpace, TemporalSampling, ValidationError
+from .metric import _json_int, _json_list, _json_object, _json_str
 from .temporal import (
     Correspondence,
     LocalSolution,
@@ -79,11 +81,16 @@ def build_flow_instance(sampling: TemporalSampling,
 
 @dataclass(frozen=True)
 class IntegralFlow:
-    """Integer flow on a :class:`FlowNetwork` satisfying all lower bounds."""
+    """Integer flow on a :class:`FlowNetwork` satisfying all lower bounds,
+    checked once, when made; ``flow`` is a read-only copy of the input."""
 
     network: FlowNetwork
-    flow: dict[tuple[tuple, tuple], int] = field(repr=False)
+    flow: MappingProxyType[tuple[tuple, tuple], int] = field(repr=False)
     value: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "flow", MappingProxyType(dict(self.flow)))
+        self.validate()
 
     def validate(self) -> None:
         known = set(self.network.edges)
@@ -287,7 +294,6 @@ def min_feasible_flow(network: FlowNetwork) -> IntegralFlow:
         flow[(a, b)] = graph.res[graph.arc(inner(b), outer(a))]
     value = circulating - returned
     result = IntegralFlow(network=network, flow=flow, value=value)
-    result.validate()
     if value > n:
         raise RuntimeError(f"minimum flow value {value} exceeds point count {n}")
     return result
@@ -300,7 +306,6 @@ def decompose_paths(flow: IntegralFlow) -> list[tuple[str, ...]]:
     edge, which makes the decomposition, and hence the labels, reproducible.
     Paths are returned as per-level point ids.
     """
-    flow.validate()
     remaining = {edge: amount for edge, amount in flow.flow.items() if amount > 0}
     outgoing: dict[tuple, list[tuple]] = {}
     for a, b in sorted(remaining):
@@ -361,9 +366,12 @@ class Labeling:
     @classmethod
     def from_list(cls, entries, k: int) -> "Labeling":
         labels = {}
-        for entry in entries:
-            labels[str(entry["point"])] = frozenset(int(x) for x in entry["labels"])
-        return cls(labels=labels, k=k)
+        for entry in _json_list(entries, "labeling"):
+            _json_object(entry, "labeling entry", ("point", "labels"))
+            labels[_json_str(entry["point"], "point")] = frozenset(
+                _json_int(x, "label") for x in _json_list(entry["labels"], "labels")
+            )
+        return cls(labels=labels, k=_json_int(k, "k"))
 
 
 def paths_to_labelings(paths) -> tuple[Labeling, ...]:

@@ -8,6 +8,7 @@ tolerance ``TOL``.
 from __future__ import annotations
 
 import numbers
+import sys
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,6 +63,43 @@ def _json_list(value, what: str, size: int | None = None):
 def _json_pairs(value, what: str) -> list:
     """A JSON array of two-item arrays, such as edges or correspondence pairs."""
     return [_json_list(pair, f"{what} entry", 2) for pair in _json_list(value, what)]
+
+
+def _json_object(value, what: str, required=()) -> dict:
+    """``value`` if it is a JSON object holding every key in ``required``."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be an object, got {type(value).__name__}")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ValidationError(f"{what} is missing {missing}")
+    return value
+
+
+def _json_number(value, what: str) -> float:
+    """``value`` as a float if it is a finite real number: never text, a
+    bool, null, or an int too large for a float."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _json_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _json_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def shortest_path_closure(weights: np.ndarray) -> np.ndarray:
@@ -283,18 +321,12 @@ class MetricSpace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricSpace":
-        if not isinstance(data, dict):
-            raise ValidationError("metric space document must be an object")
-        if "points" not in data:
-            raise ValidationError("metric space document is missing 'points'")
-        pseudo = data.get("pseudo", False)
-        if not isinstance(pseudo, bool):
-            raise ValidationError(f"'pseudo' must be true or false, got {pseudo!r}")
+        _json_object(data, "metric space document", ("points",))
         return cls(
             _json_list(data["points"], "points"),
             dist=data.get("matrix"),
             coords=data.get("coords"),
-            pseudo=pseudo,
+            pseudo=_json_bool(data.get("pseudo", False), "'pseudo'"),
         )
 
 
@@ -419,8 +451,7 @@ class TemporalSampling:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TemporalSampling":
-        if not isinstance(data, dict) or "ambient" not in data or "levels" not in data:
-            raise ValidationError("sampling document needs 'ambient' and 'levels'")
+        _json_object(data, "sampling document", ("ambient", "levels"))
         levels = _json_list(data["levels"], "levels")
         return cls(MetricSpace.from_dict(data["ambient"]),
                    [_json_list(level, f"level {i}") for i, level in enumerate(levels)])

@@ -8,7 +8,6 @@ and rho (worst merge distortion across a correspondence).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,9 @@ from .metric import (
     hausdorff_distance,
     linf_distance,
 )
+from .metric import _json_bool, _json_number, _json_object, _json_str
 from .ultrametric import PseudoUltrametric, fkw_fit, subdominant_ultrametric
+from .ultrametric import Dendrogram, to_dendrogram
 
 SCHEMES = ("fkw", "subdominant")
 
@@ -138,7 +139,9 @@ class LocalSolution:
     """Per-level ultrametrics plus adjacent correspondences and their metrics.
 
     ``delta_vacuous`` marks the single-level case, where no adjacent pair
-    exists and delta is reported as 0 by convention.
+    exists and delta is reported as 0 by convention. A document stores each
+    level as its dendrogram, whose constructor is the only check on reading;
+    format 1 stored a height matrix, which is read as well.
     """
 
     sampling: TemporalSampling
@@ -154,7 +157,7 @@ class LocalSolution:
         return {
             "sampling": self.sampling.to_dict(),
             "scheme": self.scheme,
-            "ultrametrics": [u.to_dict() for u in self.ultrametrics],
+            "ultrametrics": [to_dendrogram(u).to_dict() for u in self.ultrametrics],
             "correspondences": [c.to_list() for c in self.correspondences],
             "chi": self.chi,
             "delta": self.delta,
@@ -164,35 +167,24 @@ class LocalSolution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LocalSolution":
-        needed = {"sampling", "scheme", "ultrametrics", "correspondences",
-                  "chi", "delta", "rho"}
-        if not isinstance(data, dict) or not needed <= set(data):
-            missing = sorted(needed - set(data)) if isinstance(data, dict) else []
-            raise ValidationError(f"solution document is missing {missing}")
-        metrics = {}
-        for name in ("chi", "delta", "rho"):
-            try:
-                value = float(data[name])
-            except (TypeError, ValueError):
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValidationError(
-                    f"stored {name} must be a finite number, got {data[name]!r}"
-                )
-            metrics[name] = value
+        metrics = ("chi", "delta", "rho")
+        _json_object(data, "solution document",
+                     ("sampling", "scheme", "ultrametrics", "correspondences", *metrics))
         return cls(
             sampling=TemporalSampling.from_dict(data["sampling"]),
-            scheme=str(data["scheme"]),
+            scheme=_json_str(data["scheme"], "scheme"),
             ultrametrics=tuple(
-                PseudoUltrametric.from_dict(u)
+                Dendrogram.from_dict(u).to_ultrametric()
+                if "merges" in _json_object(u, "level document")
+                else PseudoUltrametric.from_dict(u)
                 for u in _json_list(data["ultrametrics"], "ultrametrics")
             ),
             correspondences=tuple(
                 Correspondence.from_pairs(_json_pairs(c, "correspondence"))
                 for c in _json_list(data["correspondences"], "correspondences")
             ),
-            **metrics,
-            delta_vacuous=bool(data.get("delta_vacuous", False)),
+            **{name: _json_number(data[name], f"stored {name}") for name in metrics},
+            delta_vacuous=_json_bool(data.get("delta_vacuous", False), "'delta_vacuous'"),
         )
 
 

@@ -11,14 +11,12 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .metric import TOL, MetricSpace, ValidationError, shortest_path_closure
-from .metric import _as_point_tuple, _float_array, _json_list
+from .metric import _as_point_tuple, _float_array, _json_list, _json_number, _json_object
 
 log = logging.getLogger(__name__)
 
@@ -153,8 +151,7 @@ class PseudoUltrametric:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PseudoUltrametric":
-        if not isinstance(data, dict) or "points" not in data or "matrix" not in data:
-            raise ValidationError("ultrametric document needs 'points' and 'matrix'")
+        _json_object(data, "ultrametric document", ("points", "matrix"))
         return cls(_json_list(data["points"], "points"), data["matrix"])
 
 
@@ -350,7 +347,8 @@ def subdominant_ultrametric(space: MetricSpace) -> PseudoUltrametric:
 
 @dataclass(frozen=True)
 class FkwFit:
-    """Everything produced by the exact nearest-ultrametric procedure."""
+    """Everything produced by the exact nearest-ultrametric procedure;
+    ``clamped_pairs`` counts the pairs whose height was clamped at zero."""
 
     ultrametric: PseudoUltrametric
     subdominant: PseudoUltrametric
@@ -358,7 +356,7 @@ class FkwFit:
     shift: float
     mst: MstEdgeList
     priorities: tuple[float, ...] = field(repr=False)
-    clamped_pairs: tuple[tuple[str, str], ...] = field(repr=False)
+    clamped_pairs: int
 
 
 def fkw_fit(space: MetricSpace) -> FkwFit:
@@ -427,14 +425,8 @@ def fkw_fit(space: MetricSpace) -> FkwFit:
         shift=shift,
         mst=tree,
         priorities=tuple(priorities),
-        clamped_pairs=tuple((pts[i], pts[j]) for i, j in clamped),
+        clamped_pairs=len(clamped),
     )
-
-
-def _finite_real(h) -> bool:
-    """A finite real number and not a bool; nor an int too large for a float."""
-    return (isinstance(h, numbers.Real) and not isinstance(h, bool)
-            and abs(h) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -474,8 +466,7 @@ class Dendrogram:
         used: set[int | str] = set()
         prev = -math.inf
         for idx, (h, a, b) in enumerate(self.merges):
-            if not _finite_real(h):
-                raise ValidationError(f"merge {idx} height must be a finite number, got {h!r}")
+            _json_number(h, f"merge {idx} height")
             if h < -TOL:
                 raise ValidationError(f"merge {idx} height {h!r} is negative")
             if prev > h + TOL:
@@ -511,14 +502,11 @@ class Dendrogram:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Dendrogram":
-        if not isinstance(data, dict) or "leaves" not in data or "merges" not in data:
-            raise ValidationError("dendrogram document needs 'leaves' and 'merges'")
+        _json_object(data, "dendrogram document", ("leaves", "merges"))
         merges = []
         for idx, entry in enumerate(_json_list(data["merges"], "merges")):
             h, a, b = _json_list(entry, f"merge {idx}", 3)
-            if _finite_real(h):
-                h = float(h)
-            merges.append((h, a, b))
+            merges.append((_json_number(h, f"merge {idx} height"), a, b))
         leaves = _json_list(data["leaves"], "leaves")
         return cls(tuple(str(p) for p in leaves), tuple(merges))
 

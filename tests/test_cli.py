@@ -10,6 +10,7 @@ import pytest
 from helpers import cloud_space, line_space, reference_dendrogram_layout
 from thclust import (
     Dendrogram,
+    LocalSolution,
     MetricSpace,
     SimConfig,
     TemporalSampling,
@@ -19,7 +20,14 @@ from thclust import (
     subdominant_ultrametric,
     to_dendrogram,
 )
-from thclust.cli import _dendrogram_layout, _render_svg, main
+from thclust.cli import (
+    CliError,
+    _dendrogram_layout,
+    _labelings_from_dict,
+    _load,
+    _render_svg,
+    main,
+)
 
 
 def write_json(path, payload):
@@ -55,7 +63,7 @@ def test_fit_fkw_reports_half_error(tmp_path, capsys):
     assert abs(report["metrics"]["shift"] - 0.5) < 1e-9
     assert report["metrics"]["clamped_pairs"] == 0
     artifact = read_json(out)
-    assert artifact["format_version"] == "1"
+    assert artifact["format_version"] == "2"
     assert artifact["method"] == "fkw"
     assert sorted(artifact["dendrogram"]["leaves"]) == ["a", "b", "c"]
 
@@ -149,7 +157,7 @@ def test_cut_at_infinity_writes_one_sorted_block(tmp_path, capsys):
     assert main(["cut", str(dend), "-r", "inf", "-o", str(out)]) == 0
     assert out.read_text() == (
         '{\n  "blocks": [\n    [\n      "b",\n      "p1",\n      "p10",\n      "p2"\n'
-        '    ]\n  ],\n  "format_version": "1",\n  "r": "inf"\n}\n'
+        '    ]\n  ],\n  "format_version": "2",\n  "r": "inf"\n}\n'
     )
     capsys.readouterr()
 
@@ -224,12 +232,29 @@ def test_cluster_labels_report_matches_recomputation(tmp_path, capsys):
     solution = read_json(outdir / "solution.json")
     labels = read_json(outdir / "labels.json")
     plots = read_json(outdir / "plots.json")
-    assert solution["format_version"] == "1"
+    assert solution["format_version"] == "2"
     assert labels["k"] == 2
     assert len(labels["labelings"]) == 3
     assert len(plots["levels"]) == 3
     for level in plots["levels"]:
         assert {"dendrogram", "cuts"} <= set(level)
+
+
+def test_format_1_solution_loads_and_certifies():
+    """A solution.json written by format 1, with dense height matrices
+    (``thclust cluster`` on a 6-actor flock), loads through the one reader
+    and certifies to its stored metrics; format 2 then stores the same
+    levels."""
+    path = Path(__file__).parent / "data" / "solution_v1.json"
+    doc = read_json(path)
+    assert doc["format_version"] == "1"
+    assert all("matrix" in level for level in doc["ultrametrics"])
+    solution = _load(str(path), None, LocalSolution.from_dict)
+    cert = evaluate_general(solution)
+    assert (cert.chi, cert.delta, cert.rho) == (doc["chi"], doc["delta"], doc["rho"])
+    again = LocalSolution.from_dict(solution.to_dict())
+    for a, b in zip(again.ultrametrics, solution.ultrametrics):
+        assert np.array_equal(a.mu, b.mu)
 
 
 def test_cluster_is_idempotent(tmp_path, capsys):
@@ -386,7 +411,7 @@ def test_witness_pad_flag(tmp_path, capsys):
     assert main(["witness", str(graph), coloring, "--pad", "-o", str(wit)]) == 0
     capsys.readouterr()
     padded = read_json(wit)
-    assert padded["format_version"] == "1"
+    assert padded["format_version"] == "2"
     # without --pad the two-color assignment is rejected
     assert main(["witness", str(graph), coloring, "-o", str(wit)]) == 1
     capsys.readouterr()
@@ -462,6 +487,42 @@ def test_malformed_witness_is_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("coloring, message", [
+    (["r", "g", "b"], "coloring must be an object"),
+    ({"1": "r", "2": "g", "3": 3}, "color of '3' must be a string"),
+])
+def test_malformed_coloring_is_input_error(tmp_path, capsys, coloring, message):
+    graph = tmp_path / "k3.col"
+    graph.write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    src = write_json(tmp_path / "col.json", {"coloring": coloring})
+    assert main(["witness", str(graph), src, "-o", str(tmp_path / "wit.json")]) == 1
+    err = capsys.readouterr().err
+    assert "col.json" in err and message in err
+    assert not (tmp_path / "wit.json").exists()
+
+
+_B = {"point": "b", "labels": [2]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    # labels are integers: 1.7, "1" and true are not label 1
+    ({"k": 2, "labelings": [[{"point": "a", "labels": [1.7]}, _B]]}, "label must be an integer"),
+    ({"k": 2, "labelings": [[{"point": "a", "labels": ["1"]}, _B]]}, "label must be an integer"),
+    ({"k": 2, "labelings": [[{"point": "a", "labels": [True]}, _B]]}, "label must be an integer"),
+    ({"k": 2, "labelings": [[{"point": 5, "labels": [1]}, _B]]}, "point must be a string"),
+    ({"k": 2, "labelings": [[{"point": "a"}, _B]]}, "labeling entry is missing ['labels']"),
+    ({"k": 2, "labelings": [["a", _B]]}, "labeling entry must be an object"),
+    ({"k": 2, "labelings": [{"point": "a"}]}, "labeling must be a list"),
+    ({"k": "2", "labelings": [[{"point": "a", "labels": [1]}, _B]]}, "k must be an integer"),
+    ({"labelings": []}, "labels document is missing ['k']"),
+])
+def test_labels_document_refuses_what_it_would_coerce(tmp_path, doc, message):
+    src = write_json(tmp_path / "labels.json", {"format_version": "2", **doc})
+    with pytest.raises(CliError) as caught:
+        _load(src, None, _labelings_from_dict)
+    assert str(caught.value).startswith(f"{src}: {message}")
+
+
 @pytest.mark.parametrize("entry", ["1", True])
 def test_witness_matrix_with_text_or_boolean_is_input_error(tmp_path, capsys, entry):
     graph = tmp_path / "k3.col"
@@ -498,7 +559,7 @@ def test_simulate_deterministic_and_traced(tmp_path, capsys):
     assert [entry["tick"] for entry in lines] == list(range(1, 41))
     assert all(entry["population"] >= 1 for entry in lines)
     doc = read_json(out1)
-    assert doc["format_version"] == "1"
+    assert doc["format_version"] == "2"
     assert doc["metadata"]["config"]["seed"] == 5
     assert len(doc["sampling"]["levels"]) == 3
 
@@ -607,7 +668,7 @@ def test_every_report_has_one_shape(tmp_path, capsys):
     assert set(cluster) == set(fit) | {"contiguity"}
     assert cluster["command"] == "cluster"
     for name in cluster["outputs"]:
-        assert read_json(Path(name))["format_version"] == "1"
+        assert read_json(Path(name))["format_version"] == "2"
 
 
 def _bench_tracing():

@@ -23,6 +23,7 @@ from thclust import (
     Correspondence,
     LocalSolution,
     PseudoUltrametric,
+    SimConfig,
     TemporalSampling,
     ValidationError,
     build_hausdorff_correspondence,
@@ -30,6 +31,7 @@ from thclust import (
     evaluate_general,
     hausdorff_distance,
     locality,
+    run,
     solve_local,
     subdominant_ultrametric,
 )
@@ -349,8 +351,22 @@ def test_local_solution_round_trip():
     evaluate_general(back)
 
 
+@pytest.mark.parametrize("scheme", ["fkw", "subdominant"])
+def test_solution_document_stores_dendrograms_that_reload_bit_identical(scheme):
+    sol = solve_local(run(SimConfig(actor_count=40, seed=4)), scheme=scheme)
+    doc = sol.to_dict()
+    assert all(set(level) == {"leaves", "merges"} for level in doc["ultrametrics"])
+    back = LocalSolution.from_dict(doc)
+    assert len(back.ultrametrics) == len(sol.ultrametrics) > 1
+    for a, b in zip(back.ultrametrics, sol.ultrametrics):
+        assert a.points == b.points
+        assert np.array_equal(a.mu, b.mu)
+    cert = evaluate_general(back)
+    assert (cert.chi, cert.delta, cert.rho) == (sol.chi, sol.delta, sol.rho)
+
+
 @pytest.mark.parametrize("name", ["chi", "delta", "rho"])
-@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "x"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "x", "1.5", True, None])
 def test_solution_document_rejects_nonfinite_metric(name, token):
     doc = solve_local(random_sampling(np.random.default_rng(28), min_levels=2)).to_dict()
     doc[name] = token
@@ -363,6 +379,11 @@ def test_solution_document_rejects_nonfinite_metric(name, token):
     ("correspondences", "ab", "correspondences must be a list"),
     ("correspondences", [5], "correspondence must be a list"),
     ("correspondences", [[["a", "b", "c"]]], "correspondence entry must have 2 items"),
+    ("ultrametrics", [5], "level document must be an object"),
+    ("scheme", 1, "scheme must be a string"),
+    # the string "false" is no JSON false
+    ("delta_vacuous", "false", "'delta_vacuous' must be true or false"),
+    ("delta_vacuous", 0, "'delta_vacuous' must be true or false"),
 ])
 def test_solution_document_refuses_non_lists(key, value, message):
     doc = solve_local(random_sampling(np.random.default_rng(28), min_levels=2)).to_dict()
@@ -372,10 +393,19 @@ def test_solution_document_refuses_non_lists(key, value, message):
 
 @pytest.mark.parametrize("entry", ["0.5", False])
 def test_solution_document_refuses_text_and_booleans_in_ultrametrics(entry):
-    doc = solve_local(random_sampling(np.random.default_rng(28), min_levels=2)).to_dict()
+    sol = solve_local(random_sampling(np.random.default_rng(28), min_levels=2))
+    doc = {**sol.to_dict(), "ultrametrics": [u.to_dict() for u in sol.ultrametrics]}  # format 1
     matrix = next(u["matrix"] for u in doc["ultrametrics"] if len(u["points"]) > 1)
     matrix[0][1] = matrix[1][0] = entry
     with pytest.raises(ValidationError, match="height matrix must hold numbers only"):
+        LocalSolution.from_dict(doc)
+
+
+@pytest.mark.parametrize("entry", ["0.5", False])
+def test_solution_document_refuses_text_and_booleans_in_merge_heights(entry):
+    doc = solve_local(random_sampling(np.random.default_rng(28), min_levels=2)).to_dict()
+    next(u for u in doc["ultrametrics"] if u["merges"])["merges"][0][0] = entry
+    with pytest.raises(ValidationError, match="merge 0 height must be a finite number"):
         LocalSolution.from_dict(doc)
 
 
