@@ -393,9 +393,9 @@ def cmd_figure4(args: argparse.Namespace) -> dict:
     for scheme in SCHEMES:
         fit_a, fit_b = _fit(scheme, m), _fit(scheme, m_prime)
         comparison[scheme] = {
-            "mu_uv": fit_a.value("u", "v"),
-            "mu_uv_perturbed": fit_b.value("u", "v"),
-            "gap_uv": abs(fit_a.value("u", "v") - fit_b.value("u", "v")),
+            "mu_uv": fit_a.distance("u", "v"),
+            "mu_uv_perturbed": fit_b.distance("u", "v"),
+            "gap_uv": abs(fit_a.distance("u", "v") - fit_b.distance("u", "v")),
             "linf_between_fits": linf_distance(fit_a, fit_b),
         }
     return {

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import MetricSpace, ValidationError, _json_list, _json_pairs, linf_distance
-from .metric import _json_object
+from .metric import _as_point_tuple, _json_object, _json_str
 from .temporal import Correspondence, distortion
 from .ultrametric import PseudoUltrametric
 
@@ -34,11 +34,7 @@ class Graph:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        if not self.vertices:
-            raise ValidationError("graph needs at least one vertex")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValidationError("duplicate vertex identifier")
-        known = set(self.vertices)
+        known = set(_as_point_tuple(self.vertices, "vertices"))
         for u, v in self.edges:
             if u == v:
                 raise ValidationError(f"self-loop at {u!r}")
@@ -47,8 +43,9 @@ class Graph:
 
     @classmethod
     def build(cls, vertices, edges) -> "Graph":
-        vs = tuple(sorted(str(v) for v in vertices))
-        canon = {tuple(sorted((str(u), str(v)))) for u, v in edges}
+        vs = tuple(sorted(_as_point_tuple(vertices, "vertices")))
+        canon = {tuple(sorted((_json_str(u, "edge end"), _json_str(v, "edge end"))))
+                 for u, v in edges}
         return cls(vertices=vs, edges=tuple(sorted(canon)))
 
     def adjacent(self, u: str, v: str) -> bool:

@@ -29,7 +29,7 @@ SINK = ("sink",)
 
 
 def point_node(level: int, point: str) -> tuple:
-    return ("point", int(level), str(point))
+    return ("point", level, point)
 
 
 @dataclass(frozen=True)
@@ -368,9 +368,13 @@ class Labeling:
         labels = {}
         for entry in _json_list(entries, "labeling"):
             _json_object(entry, "labeling entry", ("point", "labels"))
-            labels[_json_str(entry["point"], "point")] = frozenset(
-                _json_int(x, "label") for x in _json_list(entry["labels"], "labels")
-            )
+            point = _json_str(entry["point"], "point")
+            if point in labels:
+                raise ValidationError(f"point {point!r} has two labeling entries")
+            group = [_json_int(x, "label") for x in _json_list(entry["labels"], "labels")]
+            if len(set(group)) != len(group):
+                raise ValidationError(f"point {point!r} lists a label twice")
+            labels[point] = frozenset(group)
         return cls(labels=labels, k=_json_int(k, "k"))
 
 

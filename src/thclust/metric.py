@@ -118,15 +118,23 @@ def shortest_path_closure(weights: np.ndarray) -> np.ndarray:
     return w
 
 
-def _as_point_tuple(points: Iterable[str]) -> tuple[str, ...]:
-    pts = tuple(str(p) for p in points)
+def _as_point_tuple(points: Iterable[str], what: str) -> tuple[str, ...]:
+    """``points`` as a non-empty tuple of unique string ids, the one reader
+    of a point set. Nothing is converted: JSON ``1`` is no id ``"1"``, and
+    a bare string is one id, not a sequence of them."""
+    if isinstance(points, str):
+        raise ValidationError(f"{what} must be a list of ids, not a string")
+    pts = tuple(points)
+    for p in pts:
+        if not isinstance(p, str):
+            raise ValidationError(f"{what} must hold string ids, got {p!r}")
     if not pts:
-        raise ValidationError("at least one point is required")
+        raise ValidationError(f"{what} must not be empty")
     if len(set(pts)) != len(pts):
         seen: set[str] = set()
         for p in pts:
             if p in seen:
-                raise ValidationError(f"duplicate point identifier {p!r}")
+                raise ValidationError(f"duplicate id {p!r} in {what}")
             seen.add(p)
     return pts
 
@@ -137,7 +145,7 @@ class MetricSpace:
     Parameters
     ----------
     points : sequence of str
-        Unique point identifiers.
+        Unique point ids, strings only (see :func:`_as_point_tuple`).
     dist : array-like, optional
         Symmetric nonnegative matrix with zero diagonal. Derived from
         ``coords`` when omitted.
@@ -149,7 +157,7 @@ class MetricSpace:
     """
 
     def __init__(self, points, dist=None, coords=None, pseudo=False, validate=True):
-        self.points = _as_point_tuple(points)
+        self.points = _as_point_tuple(points, "points")
         n = len(self.points)
         self._index = {p: i for i, p in enumerate(self.points)}
         self.pseudo = bool(pseudo)
@@ -303,7 +311,7 @@ class MetricSpace:
 
     def restrict(self, points: Sequence[str]) -> "MetricSpace":
         """Sub-space on ``points`` (in the given order) with inherited distances."""
-        pts = _as_point_tuple(points)
+        pts = _as_point_tuple(points, "points")
         idx = [self.index_of(p) for p in pts]
         sub = self.dist[np.ix_(idx, idx)]
         coords = None if self.coords is None else self.coords[idx]
@@ -343,49 +351,35 @@ def perturb(space: MetricSpace, eps: float, seed: int) -> MetricSpace:
     """
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
-    if eps == 0:
-        return MetricSpace(
-            space.points, dist=space.dist, coords=space.coords,
-            pseudo=space.pseudo, validate=False,
-        )
-    n = len(space.points)
-    rng = np.random.default_rng(seed)
-    off = rng.uniform(-eps, eps, size=(n, n))
-    off = np.triu(off, 1)
-    off = off + off.T
-    scale = 1.0
-    for _ in range(80):
-        cand = np.maximum(space.dist + scale * off, 0.0)
-        np.fill_diagonal(cand, 0.0)
-        repaired = shortest_path_closure(cand)
-        if np.abs(repaired - space.dist).max() <= eps:
-            mask = ~np.eye(n, dtype=bool)
-            pseudo = space.pseudo or bool(n > 1 and repaired[mask].min() <= TOL)
-            return MetricSpace(space.points, dist=repaired, pseudo=pseudo, validate=False)
-        scale *= 0.5
+    if eps > 0:
+        n = len(space.points)
+        rng = np.random.default_rng(seed)
+        off = rng.uniform(-eps, eps, size=(n, n))
+        off = np.triu(off, 1)
+        off = off + off.T
+        scale = 1.0
+        for _ in range(80):
+            cand = np.maximum(space.dist + scale * off, 0.0)
+            np.fill_diagonal(cand, 0.0)
+            repaired = shortest_path_closure(cand)
+            if np.abs(repaired - space.dist).max() <= eps:
+                mask = ~np.eye(n, dtype=bool)
+                pseudo = space.pseudo or bool(n > 1 and repaired[mask].min() <= TOL)
+                return MetricSpace(space.points, dist=repaired, pseudo=pseudo, validate=False)
+            scale *= 0.5
     return MetricSpace(
         space.points, dist=space.dist, coords=space.coords,
         pseudo=space.pseudo, validate=False,
     )
 
 
-def _points_and_matrix(obj) -> tuple[tuple[str, ...], np.ndarray]:
-    mat = getattr(obj, "dist", None)
-    if mat is None:
-        mat = getattr(obj, "mu", None)
-    if mat is None:
-        raise TypeError(f"object {obj!r} exposes neither distances nor ultrametric values")
-    return obj.points, mat
-
-
-def linf_distance(a, b) -> float:
-    """Max-norm distance between two matrices over the identical point set.
-
-    Accepts metric spaces and ultrametric fits interchangeably; point order
-    may differ, the matrices are aligned by id.
+def linf_distance(a: MetricSpace, b: MetricSpace) -> float:
+    """Max-norm distance between two spaces over the identical point set,
+    such as a level and its ultrametric fit; point order may differ, the
+    matrices are aligned by id.
     """
-    pa, ma = _points_and_matrix(a)
-    pb, mb = _points_and_matrix(b)
+    pa, ma = a.points, a.dist
+    pb, mb = b.points, b.dist
     ib = {p: i for i, p in enumerate(pb)}
     for p in pa:
         if p not in ib:
@@ -423,11 +417,7 @@ class TemporalSampling:
         self.ambient = ambient
         lvls = []
         for i, level in enumerate(levels):
-            pts = tuple(str(p) for p in level)
-            if not pts:
-                raise ValidationError(f"level {i} is empty")
-            if len(set(pts)) != len(pts):
-                raise ValidationError(f"level {i} repeats a point")
+            pts = _as_point_tuple(level, f"level {i}")
             for p in pts:
                 ambient.index_of(p)
             lvls.append(pts)

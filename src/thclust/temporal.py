@@ -45,7 +45,8 @@ class Correspondence:
 
     @classmethod
     def from_pairs(cls, pairs) -> "Correspondence":
-        canon = sorted({(str(u), str(v)) for u, v in pairs})
+        what = "correspondence point"
+        canon = sorted({(_json_str(u, what), _json_str(v, what)) for u, v in pairs})
         return cls(pairs=tuple(canon))
 
     def left(self) -> set[str]:

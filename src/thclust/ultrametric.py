@@ -90,9 +90,9 @@ def _certifies(m: np.ndarray, heights: np.ndarray, tol: float) -> bool:
     )
 
 
-class PseudoUltrametric:
-    """Merge heights over a point set: symmetric, nonnegative, zero diagonal,
-    and satisfying the strong triangle inequality. Zero height between
+class PseudoUltrametric(MetricSpace):
+    """Merge heights over a point set: a pseudometric space whose distances,
+    ``mu``, also satisfy the strong triangle inequality. Zero height between
     distinct points is allowed.
 
     Heights from outside enter with ``validate=True``, which proves all of
@@ -103,44 +103,20 @@ class PseudoUltrametric:
     """
 
     def __init__(self, points, mu, validate=True):
-        pts = _as_point_tuple(points)
-        m = _float_array(mu, "height matrix")
-        if m.shape != (len(pts), len(pts)):
-            raise ValidationError(
-                f"height matrix must be {len(pts)}x{len(pts)}, got {m.shape}"
-            )
         if validate:
-            ok, triple = validate_ultrametric(m, points=pts)
+            pts = _as_point_tuple(points, "points")
+            ok, triple = validate_ultrametric(_float_array(mu, "height matrix"), points=pts)
             if not ok:
                 raise ValidationError(
                     "strong triangle inequality fails at "
                     f"({triple[0]!r}, {triple[1]!r}, {triple[2]!r})"
                 )
-        m = np.maximum(m / 2.0 + m.T / 2.0, 0.0)  # halved first: no overflow
-        np.fill_diagonal(m, 0.0)
-        m.setflags(write=False)
-        self.points = pts
-        self.mu = m
-        self._index = {p: i for i, p in enumerate(pts)}
+        super().__init__(points, dist=mu, pseudo=True, validate=False)
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PseudoUltrametric):
-            return NotImplemented
-        return self.points == other.points and np.array_equal(self.mu, other.mu)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def index_of(self, point: str) -> int:
-        try:
-            return self._index[point]
-        except KeyError:
-            raise ValidationError(f"unknown point {point!r}") from None
-
-    def value(self, u: str, v: str) -> float:
-        return float(self.mu[self.index_of(u), self.index_of(v)])
+    @property
+    def mu(self) -> np.ndarray:
+        """The heights, which are this space's distances."""
+        return self.dist
 
     def to_dict(self) -> dict:
         return {
@@ -454,11 +430,7 @@ class Dendrogram:
     merges: tuple[tuple[float, int | str, int | str], ...]
 
     def __post_init__(self):
-        leaves = set(self.leaves)
-        if not leaves:
-            raise ValidationError("dendrogram needs at least one leaf")
-        if len(leaves) != len(self.leaves):
-            raise ValidationError("duplicate leaf identifier")
+        leaves = set(_as_point_tuple(self.leaves, "leaves"))
         if len(self.merges) != len(self.leaves) - 1:
             raise ValidationError(
                 f"expected {len(self.leaves) - 1} merges, got {len(self.merges)}"
@@ -507,8 +479,7 @@ class Dendrogram:
         for idx, entry in enumerate(_json_list(data["merges"], "merges")):
             h, a, b = _json_list(entry, f"merge {idx}", 3)
             merges.append((_json_number(h, f"merge {idx} height"), a, b))
-        leaves = _json_list(data["leaves"], "leaves")
-        return cls(tuple(str(p) for p in leaves), tuple(merges))
+        return cls(tuple(_json_list(data["leaves"], "leaves")), tuple(merges))
 
 
 def to_dendrogram(ultrametric: PseudoUltrametric) -> Dendrogram:

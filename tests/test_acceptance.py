@@ -53,8 +53,8 @@ def test_criterion_1_pendant_pair_golden_values():
     """Cut-weight fit on the pendant-pair family: exact heights on both inputs."""
     t0 = perf_counter()
     base, moved = instability_family(12, 0.1)
-    mu = fkw_fit(base).ultrametric.value("u", "v")
-    mu_moved = fkw_fit(moved).ultrametric.value("u", "v")
+    mu = fkw_fit(base).ultrametric.distance("u", "v")
+    mu_moved = fkw_fit(moved).ultrametric.distance("u", "v")
     assert abs(mu - 2.0) <= TOL
     assert abs(mu_moved - 5.05) <= TOL
     took = elapsed_under(t0, 1.0)

@@ -432,6 +432,11 @@ MALFORMED = {
     "reduce-vertices-string": ("reduce", {"graph": {"vertices": "abc", "edges": []}}),
     "reduce-vertices-number": ("reduce", {"graph": {"vertices": 5}}),
     "reduce-edges-number": ("reduce", {"graph": {"vertices": ["a", "b"], "edges": 3}}),
+    # point ids are JSON strings: numbers are refused, not read as "1"
+    "fit-points-numbers": ("fit", {"space": {"points": [1, 2.5], "matrix": [[0, 1], [1, 0]]}}),
+    "cut-leaf-number": ("cut", {"dendrogram": {"leaves": [1, "b"], "merges": [[1.0, "1", "b"]]}}),
+    "reduce-vertices-numbers": ("reduce", {"graph": {"vertices": [1, 2, 3]}}),
+    "reduce-edge-end-number": ("reduce", {"graph": {"vertices": ["1", "2"], "edges": [[1, "2"]]}}),
     # numbers and arity
     "fit-coords-string": ("fit", {"space": {"points": ["a", "b"], "coords": "xy"}}),
     "fit-coords-ragged": ("fit", {"space": {"points": ["a", "b"], "coords": [[0, 0], [1]]}}),
@@ -515,6 +520,10 @@ _B = {"point": "b", "labels": [2]}
     ({"k": 2, "labelings": [{"point": "a"}]}, "labeling must be a list"),
     ({"k": "2", "labelings": [[{"point": "a", "labels": [1]}, _B]]}, "k must be an integer"),
     ({"labelings": []}, "labels document is missing ['k']"),
+    # one entry per point, each label once: a repeat is no second holder
+    ({"k": 1, "labelings": [[{"point": "a", "labels": [1]}, {"point": "a", "labels": [1]}]]},
+     "point 'a' has two labeling entries"),
+    ({"k": 1, "labelings": [[{"point": "a", "labels": [1, 1]}]]}, "point 'a' lists a label twice"),
 ])
 def test_labels_document_refuses_what_it_would_coerce(tmp_path, doc, message):
     src = write_json(tmp_path / "labels.json", {"format_version": "2", **doc})
@@ -538,6 +547,23 @@ def test_witness_matrix_with_text_or_boolean_is_input_error(tmp_path, capsys, en
     capsys.readouterr()
     assert main(["verify", str(inst), str(wit), "--chi", "1", "--rho", "0"]) == 1
     assert "wit.json" in capsys.readouterr().err
+
+
+def test_witness_pair_with_a_number_id_is_input_error(tmp_path, capsys):
+    graph = tmp_path / "k3.col"
+    graph.write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    inst, wit = tmp_path / "inst.json", tmp_path / "wit.json"
+    coloring = write_json(tmp_path / "col.json", {"coloring": {"1": "r", "2": "g", "3": "b"}})
+    assert main(["reduce", str(graph), "-o", str(inst)]) == 0
+    assert main(["witness", str(graph), coloring, "-o", str(wit)]) == 0
+    doc = read_json(wit)
+    doc["correspondence"] = [[c, 1 if v == "1" else v] for c, v in doc["correspondence"]]
+    wit.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(wit), "--chi", "1", "--rho", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "wit.json" in captured.err and "must be a string" in captured.err
+    assert not captured.out
 
 
 # ---------------------------------------------------------------- simulate

@@ -230,6 +230,19 @@ def test_sampling_validation():
         TemporalSampling(ambient, [["a", "a"]])
     with pytest.raises(ValidationError):
         TemporalSampling(ambient, [["a"], ["z"]])
+    with pytest.raises(ValidationError, match="level 0 must be a list of ids"):
+        TemporalSampling(ambient, "ab")
+
+
+@pytest.mark.parametrize("points", [[1, 2], ["a", 2.5], "ab", []])
+def test_point_sets_hold_string_ids_only(points):
+    """Point ids are strings and nothing is converted: a number is not its
+    text, and a bare string is not a list of one-letter ids."""
+    with pytest.raises(ValidationError, match="points"):
+        MetricSpace(points, dist=np.zeros((2, 2)), pseudo=True)
+    ambient = line_space([0.0, 1.0], ids=["a", "b"])
+    with pytest.raises(ValidationError, match="level 0"):
+        TemporalSampling(ambient, [points])
 
 
 def test_sampling_accessors_and_round_trip():

@@ -112,10 +112,10 @@ def test_validate_falls_back_to_the_triple_scan():
         == (True, None)
     assert validate_ultrametric(rejected) == reference_validate_ultrametric(rejected) \
         == (False, (0, 1, 3))
-    u = PseudoUltrametric("abcd", accepted)
+    u = PseudoUltrametric(tuple("abcd"), accepted)
     assert to_dendrogram(u).merges == reference_to_dendrogram(u).merges
     with pytest.raises(ValidationError, match=r"fails at \('a', 'b', 'd'\)"):
-        PseudoUltrametric("abcd", rejected)
+        PseudoUltrametric(tuple("abcd"), rejected)
 
 
 def test_validate_reads_both_triangles():
@@ -143,14 +143,23 @@ def test_pseudo_ultrametric_constructor_validates():
     with pytest.raises(ValidationError):
         PseudoUltrametric(space.points, space.dist)
     u = PseudoUltrametric(FIG_POINTS, FIG_MU)
-    assert u.value("b", "c") == 1.0
+    assert u.distance("b", "c") == 1.0
     back = PseudoUltrametric.from_dict(u.to_dict())
     assert np.array_equal(back.mu, u.mu)
 
 
+def test_fit_is_a_metric_space_aligned_by_id():
+    space = dense_space(np.random.default_rng(12), 6)
+    fit = fkw_fit(space).ultrametric
+    assert isinstance(fit, MetricSpace) and fit.mu is fit.dist
+    order = list(reversed(space.points))
+    assert linf_distance(fit, space.restrict(order)) == linf_distance(fit, space) > 0.0
+    assert linf_distance(fit, PseudoUltrametric(order, fit.mu[::-1, ::-1])) == 0.0
+
+
 def test_heights_near_float_max_stay_finite():
     u = PseudoUltrametric(["a", "b"], [[0.0, 1.7e308], [1.7e308, 0.0]])
-    assert u.value("a", "b") == 1.7e308
+    assert u.distance("a", "b") == 1.7e308
 
 
 # ---------------------------------------------------------------- spanning tree
@@ -331,8 +340,8 @@ def test_fkw_clamps_negative_heights(caplog):
         fit = fkw_fit(space)
     assert fit.clamped_pairs == 2
     assert any("clamp" in rec.message for rec in caplog.records)
-    assert fit.ultrametric.value("p0", "p1") == 0.0
-    assert fit.ultrametric.value("p3", "p4") == 0.0
+    assert fit.ultrametric.distance("p0", "p1") == 0.0
+    assert fit.ultrametric.distance("p3", "p4") == 0.0
     ok, _ = validate_ultrametric(fit.ultrametric.mu)
     assert ok
     # clamping does not cost optimality
@@ -380,10 +389,10 @@ def test_figure_family_frozen_values():
     assert abs(m_prime.dist.max() - 9.1) < 1e-9
     fit = fkw_fit(m)
     fit_prime = fkw_fit(m_prime)
-    assert abs(fit.ultrametric.value("u", "v") - 2.0) < 1e-9
-    assert abs(fit_prime.ultrametric.value("u", "v") - 5.05) < 1e-9
-    assert fit.subdominant.value("u", "v") == 1.0
-    assert fit_prime.subdominant.value("u", "v") == 1.0
+    assert abs(fit.ultrametric.distance("u", "v") - 2.0) < 1e-9
+    assert abs(fit_prime.ultrametric.distance("u", "v") - 5.05) < 1e-9
+    assert fit.subdominant.distance("u", "v") == 1.0
+    assert fit_prime.subdominant.distance("u", "v") == 1.0
     assert linf_distance(fit.subdominant, fit_prime.subdominant) <= 0.1 + 1e-9
 
 
@@ -391,8 +400,8 @@ def test_figure_family_gap_scales_with_size():
     for n, want_gap in ((10, 2.05), (20, 7.05), (40, 17.05)):
         m, m_prime = instability_family(n, 0.1)
         gap = abs(
-            fkw_fit(m).ultrametric.value("u", "v")
-            - fkw_fit(m_prime).ultrametric.value("u", "v")
+            fkw_fit(m).ultrametric.distance("u", "v")
+            - fkw_fit(m_prime).ultrametric.distance("u", "v")
         )
         assert abs(gap - want_gap) < 1e-9
         assert gap >= m.dist.max() / 4.0
@@ -441,6 +450,12 @@ def test_dendrogram_serialization_round_trip():
     back = Dendrogram.from_dict(dend.to_dict())
     assert back.leaves == dend.leaves
     assert back.merges == dend.merges
+
+
+@pytest.mark.parametrize("leaves", ["ab", ("a", 2), ()])
+def test_dendrogram_leaves_are_string_ids(leaves):
+    with pytest.raises(ValidationError, match="leaves"):
+        Dendrogram(leaves, ((1.0, "a", "b"),))
 
 
 def test_dendrogram_structural_validation():
@@ -615,7 +630,7 @@ def test_cut_matches_reference():
             heights = {h for h, _, _ in to_dendrogram(u).merges}
             for r in (0.0, *sorted(heights), np.inf):
                 assert cut_at_height(u, r) == reference_cut_at_height(u, r)
-    chain = PseudoUltrametric("abcd", _four_point(1.5 * TOL))
+    chain = PseudoUltrametric(tuple("abcd"), _four_point(1.5 * TOL))
     for r in 1.0 + np.arange(-4, 5) * (TOL / 4.0):
         assert cut_at_height(chain, r) == reference_cut_at_height(chain, r)
     assert cut_at_height(chain, 1.0 - 0.5 * TOL) == [["a", "b", "c", "d"]]
