@@ -67,7 +67,8 @@ class Graph:
 
     @classmethod
     def from_dimacs(cls, text: str) -> "Graph":
-        """Parse 'p edge N M' / 'e u v' lines; vertices are 1..N as strings."""
+        """Parse 'p edge N M' / 'e u v' lines; vertices are 1..N as strings,
+        and there must be exactly M edge lines."""
         vertices: list[str] = []
         edges = []
         declared = None
@@ -77,10 +78,10 @@ class Graph:
                 continue
             parts = line.split()
             if parts[0] == "p":
-                count = parts[2] if len(parts) >= 3 and declared is None else ""
-                if not (count.isascii() and count.isdigit()):
+                counts = parts[2:] if len(parts) == 4 and declared is None else [""]
+                if not all(c.isascii() and c.isdigit() for c in counts):
                     raise ValidationError(f"bad problem line at line {lineno}")
-                declared = int(count)
+                declared, edge_count = map(int, counts)
                 vertices = [str(i) for i in range(1, declared + 1)]
             elif parts[0] == "e":
                 if len(parts) != 3:
@@ -90,6 +91,9 @@ class Graph:
                 raise ValidationError(f"unrecognized line {lineno}: {raw!r}")
         if declared is None:
             raise ValidationError("missing problem line")
+        if len(edges) != edge_count:
+            raise ValidationError(f"problem line declares {edge_count} edges, "
+                                  f"found {len(edges)}")
         return cls.build(vertices, edges)
 
 

@@ -10,50 +10,41 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
 from .metric import TOL, MetricSpace, TemporalSampling, ValidationError
 from .metric import _json_int, _json_list, _json_object, _json_str
-from .temporal import (
-    Correspondence,
-    LocalSolution,
-    require_correspondence,
-    solve_local,
-)
-
-SOURCE = ("source",)
-SINK = ("sink",)
+from .temporal import Correspondence, LocalSolution, require_correspondence, solve_local
 
 
-def point_node(level: int, point: str) -> tuple:
-    return ("point", level, point)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowNetwork:
     """Layered flow instance: source, one node per (level, point), sink.
 
-    Edges run source to level 1, correspondence pairs to the next level,
-    and the last level to the sink. Every point node carries an implicit
-    in-flow lower bound of 1.
+    Point node ``x`` in ``0..size-1`` numbers the points level by level, by
+    sorted id inside a level, and ``ids[x]`` is its point id; the source is
+    ``size`` and the sink ``size + 1``. ``edges`` is a read-only ``(E, 2)``
+    array of (tail, head) rows sorted by tail, then head: the source to
+    level 1, correspondence pairs, and the last level to the sink. Every
+    point node carries an implicit in-flow lower bound of 1.
     """
 
     levels: tuple[tuple[str, ...], ...]
-    edges: tuple[tuple[tuple, tuple], ...]
+    ids: tuple[str, ...]
+    edges: np.ndarray
 
-    @property
-    def point_nodes(self) -> tuple[tuple, ...]:
-        return tuple(
-            point_node(i, p) for i, level in enumerate(self.levels) for p in level
-        )
+    def __post_init__(self):
+        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def size(self) -> int:
         """Total number of point nodes, the n of the value bound."""
-        return sum(len(level) for level in self.levels)
+        return len(self.ids)
 
 
 def build_flow_instance(sampling: TemporalSampling,
@@ -64,96 +55,89 @@ def build_flow_instance(sampling: TemporalSampling,
         raise ValidationError(
             f"expected {sampling.t - 1} correspondences, got {len(corrs)}"
         )
-    edges: list[tuple[tuple, tuple]] = []
-    for p in sampling.levels[0]:
-        edges.append((SOURCE, point_node(0, p)))
+    ids: list[str] = []
+    nodes: list[dict[str, int]] = []
+    for level in sampling.levels:
+        nodes.append({p: len(ids) + x for x, p in enumerate(sorted(level))})
+        ids += sorted(level)
+    source, sink = len(ids), len(ids) + 1
+    edges = [(source, x) for x in nodes[0].values()]
     for i, corr in enumerate(corrs):
         if not isinstance(corr, Correspondence):
             corr = Correspondence.from_pairs(corr)
         require_correspondence(corr, sampling.levels[i], sampling.levels[i + 1])
-        for u, v in corr.pairs:
-            edges.append((point_node(i, u), point_node(i + 1, v)))
-    last = sampling.t - 1
-    for p in sampling.levels[last]:
-        edges.append((point_node(last, p), SINK))
-    return FlowNetwork(levels=sampling.levels, edges=tuple(sorted(edges)))
+        edges += [(nodes[i][u], nodes[i + 1][v]) for u, v in corr.pairs]
+    edges += [(x, sink) for x in nodes[-1].values()]
+    return FlowNetwork(levels=sampling.levels, ids=tuple(ids), edges=sorted(edges))
+
+
+def _is_count(amount) -> bool:
+    return (isinstance(amount, numbers.Integral) and not isinstance(amount, bool)
+            and amount >= 0)
 
 
 @dataclass(frozen=True)
 class IntegralFlow:
     """Integer flow on a :class:`FlowNetwork` satisfying all lower bounds,
-    checked once, when made; ``flow`` is a read-only copy of the input."""
+    checked once, when made. ``flow[e]`` is the flow on ``network.edges[e]``."""
 
     network: FlowNetwork
-    flow: MappingProxyType[tuple[tuple, tuple], int] = field(repr=False)
+    flow: tuple[int, ...] = field(repr=False)
     value: int
 
     def __post_init__(self):
-        object.__setattr__(self, "flow", MappingProxyType(dict(self.flow)))
+        object.__setattr__(self, "flow", tuple(self.flow))
         self.validate()
 
     def validate(self) -> None:
-        known = set(self.network.edges)
-        inflow: dict[tuple, int] = {}
-        outflow: dict[tuple, int] = {}
-        for edge, amount in self.flow.items():
-            if edge not in known:
-                raise ValidationError(f"flow on unknown edge {edge}")
-            if amount < 0 or amount != int(amount):
-                raise ValidationError(f"flow on {edge} must be a nonnegative integer")
-            a, b = edge
-            outflow[a] = outflow.get(a, 0) + amount
-            inflow[b] = inflow.get(b, 0) + amount
-        for node in self.network.point_nodes:
-            got_in = inflow.get(node, 0)
-            if got_in < 1:
-                raise ValidationError(f"in-flow below 1 at {node}")
-            if got_in != outflow.get(node, 0):
-                raise ValidationError(f"flow not conserved at {node}")
-        if self.value != outflow.get(SOURCE, 0) or self.value != inflow.get(SINK, 0):
+        edges, size = self.network.edges, self.network.size
+        if len(self.flow) != len(edges):
+            raise ValidationError(f"flow has {len(self.flow)} amounts for {len(edges)} edges")
+        if not _is_count(self.value):
+            raise ValidationError("flow value must be a nonnegative integer")
+        for e, amount in enumerate(self.flow):
+            # On a layered network no edge carries more than the whole flow.
+            if not _is_count(amount) or amount > self.value:
+                raise ValidationError(f"flow on edge {e} must be an integer in 0..{self.value}")
+        amounts = np.array(self.flow, dtype=float)
+        inflow, outflow = (np.bincount(edges[:, i], amounts, minlength=size + 2) for i in (1, 0))
+        for problem, at in (("in-flow below 1", inflow[:size] < 1),
+                            ("flow not conserved", inflow[:size] != outflow[:size])):
+            if at.any():
+                x = int(np.argmax(at))
+                raise ValidationError(f"{problem} at point {self.network.ids[x]!r} (node {x})")
+        if self.value != outflow[size] or self.value != inflow[size + 1]:
             raise ValidationError("flow value disagrees with terminal throughput")
 
 
 class _MaxFlowGraph:
-    """Edmonds-Karp over integer node ids and flat residual lists.
+    """Edmonds-Karp over integer node ids ``0..count-1`` and flat residual lists.
 
-    ``arcs`` lists ``(u, v, capacity)`` over mutually orderable node keys;
-    ``nodes`` may add keys that no arc touches. A node's id is its key's rank
-    and its arcs are kept sorted by head id. Each ordered pair of nodes owns
-    one residual slot, so repeated arcs add their capacities.
+    Arc ``k`` runs from ``tails[k]`` to ``heads[k]`` with capacity
+    ``caps[k]``; no two arcs join the same pair of nodes, in either
+    direction. Each arc and its reverse own one residual slot each, laid out
+    sorted by (tail, head), so a node's arcs are a run of slots in head
+    order. ``pos[k]`` is arc ``k``'s slot and ``rev[a]`` the reverse of slot
+    ``a``.
     """
 
-    def __init__(self, arcs, nodes=()):
-        nodes = sorted({*nodes, *(node for u, v, _ in arcs for node in (u, v))})
-        self.ids = {node: i for i, node in enumerate(nodes)}
-        slot: dict[tuple[int, int], int] = {}
-        head: list[int] = []
-        res: list[int] = []
-        for u, v, cap in arcs:
-            iu, iv = self.ids[u], self.ids[v]
-            for pair in ((iu, iv), (iv, iu)):
-                if pair not in slot:
-                    slot[pair] = len(head)
-                    head.append(pair[1])
-                    res.append(0)
-            res[slot[(iu, iv)]] += cap
-        rev = [0] * len(head)
-        self.adj: list[list[int]] = [[] for _ in nodes]
-        for (iu, iv), a in sorted(slot.items()):
-            rev[a] = slot[(iv, iu)]
-            self.adj[iu].append(a)
-        self.slot, self.head, self.res, self.rev = slot, head, res, rev
+    def __init__(self, tails, heads, caps, count: int):
+        tails, heads = np.asarray(tails, dtype=np.intp), np.asarray(heads, dtype=np.intp)
+        tail, head = np.concatenate((tails, heads)), np.concatenate((heads, tails))
+        order = np.lexsort((head, tail))
+        pos = np.empty_like(order)
+        pos[order] = np.arange(len(order))
+        m = len(tails)
+        res = np.zeros(2 * m, dtype=np.int64)
+        res[pos[:m]] = caps
+        rev = np.empty_like(pos)
+        rev[pos] = np.roll(pos, m)
+        starts = np.searchsorted(tail[order], np.arange(count + 1)).tolist()
+        self.adj = [range(starts[u], starts[u + 1]) for u in range(count)]
+        self.head, self.res, self.rev = head[order].tolist(), res.tolist(), rev.tolist()
+        self.pos = pos.tolist()
 
-    def arc(self, u, v) -> int:
-        return self.slot[(self.ids[u], self.ids[v])]
-
-    def close(self, node) -> None:
-        """Zero the residual of every arc into and out of ``node``."""
-        for a in self.adj[self.ids[node]]:
-            self.res[a] = self.res[self.rev[a]] = 0
-
-    def max_flow(self, source, sink) -> int:
-        s, t = self.ids[source], self.ids[sink]
+    def max_flow(self, s: int, t: int) -> int:
         head, res, rev = self.head, self.res, self.rev
         into_t = [-1] * len(self.adj)
         for a in self.adj[t]:
@@ -238,60 +222,44 @@ def min_feasible_flow(network: FlowNetwork) -> IntegralFlow:
     instance is always feasible (route one unit through every point of the
     widest level); anything else indicates a broken network and raises.
 
-    Both max-flows are Edmonds-Karp over integer node ids. A node's id is the
-    rank of its tuple among all node tuples, the feasibility terminals
-    included, so scanning arcs by head id is scanning them in tuple order
-    and the augmenting paths, and thus the flow, are fully determined. The
-    breadth-first search stops at the first node it discovers that has
-    residual capacity into the target. A search that ran on would pop nodes
-    in discovery order and enter the target from the first of them with such
-    an arc, so it would find that same path. No neighbour of either phase's
-    source has an arc to its target, so both phases read the source's arcs
-    lazily (see :meth:`_MaxFlowGraph._shortest_path`).
+    Both max-flows are Edmonds-Karp on the split network, whose node ids
+    fix the augmenting paths and so the flow: the feasibility sink is 0 and
+    the feasibility source 1, point node ``x`` enters at ``2 + x`` and
+    leaves at ``2 + n + x``, the sink is ``2n + 2`` and the source
+    ``2n + 3``. The breadth-first search scans arcs in head order and stops
+    at the first node it discovers with residual capacity into the target:
+    a search that ran on would pop nodes in discovery order and enter the
+    target from the first of them with such an arc, the same path. No
+    neighbour of either phase's source has an arc to its target, so both
+    phases read the source's arcs lazily (see ``_MaxFlowGraph._shortest_path``).
     """
     n = network.size
     cap = n  # no minimal flow needs more than one unit per point
-
-    def inner(node: tuple) -> tuple:
-        return node if node in (SOURCE, SINK) else ("in",) + node
-
-    def outer(node: tuple) -> tuple:
-        return node if node in (SOURCE, SINK) else ("out",) + node
-
-    arcs = [(outer(a), inner(b), cap) for a, b in network.edges]
-    # Node split carries the lower bound: cap - 1 here, 1 restored later.
-    arcs += [(inner(node), outer(node), cap - 1) for node in network.point_nodes]
-    excess: dict[tuple, int] = {}
-    for node in network.point_nodes:
-        excess[inner(node)] = excess.get(inner(node), 0) - 1
-        excess[outer(node)] = excess.get(outer(node), 0) + 1
-    arcs.append((SINK, SOURCE, cap))
-
-    super_source = ("feasibility-source",)
-    super_sink = ("feasibility-sink",)
-    need = 0
-    for node, amount in sorted(excess.items()):
-        if amount > 0:
-            arcs.append((super_source, node, amount))
-            need += amount
-        elif amount < 0:
-            arcs.append((node, super_sink, -amount))
-    graph = _MaxFlowGraph(arcs, nodes=(super_source, super_sink))
-    pushed = graph.max_flow(super_source, super_sink)
-    if pushed != need:
+    sink, source = 2 * n + 2, 2 * n + 3
+    ins, outs, ones = np.arange(2, n + 2), np.arange(n + 2, 2 * n + 2), np.ones(n, np.intp)
+    tails, heads = network.edges[:, 0], network.edges[:, 1]
+    # Arcs: each network edge, from its tail's out half to its head's in half
+    # (source and sink are not split); node splits carrying the lower bound,
+    # cap - 1 here and 1 restored later; sink to source; excess +1 at each
+    # out half (from the feasibility source) and -1 at each in half.
+    graph = _MaxFlowGraph(
+        np.concatenate((np.append(outs, [source, sink])[tails], ins, [sink], ones, ins)),
+        np.concatenate((np.append(ins, [source, sink])[heads], outs, [source], outs, 0 * ones)),
+        np.concatenate((np.full(len(tails), cap), np.full(n, cap - 1), [cap], ones, ones)),
+        2 * n + 4)
+    if graph.max_flow(1, 0) != n:
         raise RuntimeError("layered instance unexpectedly infeasible")
     # Freeze the artificial plumbing, then push back value.
-    graph.close(super_source)
-    graph.close(super_sink)
-    back = graph.arc(SOURCE, SINK)  # residual of the sink->source arc
-    circulating = graph.res[back]
-    graph.res[back] = graph.res[graph.rev[back]] = 0
-    returned = graph.max_flow(SINK, SOURCE)
+    res, rev = graph.res, graph.rev
+    for a in itertools.chain(graph.adj[0], graph.adj[1]):
+        res[a] = res[rev[a]] = 0
+    back = rev[graph.pos[len(tails) + n]]  # residual of the sink->source arc
+    circulating = res[back]
+    res[back] = res[rev[back]] = 0
+    returned = graph.max_flow(sink, source)
 
-    flow: dict[tuple[tuple, tuple], int] = {}
-    for a, b in network.edges:
-        # residual backward cap equals the flow
-        flow[(a, b)] = graph.res[graph.arc(inner(b), outer(a))]
+    # residual backward cap equals the flow
+    flow = [res[rev[a]] for a in graph.pos[:len(tails)]]
     value = circulating - returned
     result = IntegralFlow(network=network, flow=flow, value=value)
     if value > n:
@@ -302,32 +270,31 @@ def min_feasible_flow(network: FlowNetwork) -> IntegralFlow:
 def decompose_paths(flow: IntegralFlow) -> list[tuple[str, ...]]:
     """Split a feasible flow into unit source-to-sink paths.
 
-    Extraction is greedy along the lexicographically smallest positive-flow
-    edge, which makes the decomposition, and hence the labels, reproducible.
-    Paths are returned as per-level point ids.
+    Extraction is greedy along the positive-flow edge with the smallest
+    head, which makes the decomposition, and hence the labels, reproducible.
+    An edge's remaining flow only goes down, so each node keeps a cursor
+    past its spent edges. Paths are returned as per-level point ids.
     """
-    remaining = {edge: amount for edge, amount in flow.flow.items() if amount > 0}
-    outgoing: dict[tuple, list[tuple]] = {}
-    for a, b in sorted(remaining):
-        outgoing.setdefault(a, []).append(b)
+    network = flow.network
+    source, sink = network.size, network.size + 1
+    heads = network.edges[:, 1].tolist()
+    starts = np.searchsorted(network.edges[:, 0], np.arange(sink + 1)).tolist()
+    cursor, stop = starts[:-1], starts[1:]
+    remaining = list(flow.flow)
     paths = []
     for _ in range(flow.value):
-        node = SOURCE
-        trail: list[str] = []
-        while node != SINK:
-            nxt = None
-            for b in outgoing.get(node, ()):
-                if remaining.get((node, b), 0) > 0:
-                    nxt = b
-                    break
-            if nxt is None:
-                raise RuntimeError(f"flow decomposition stuck at {node}")
-            remaining[(node, nxt)] -= 1
-            if nxt != SINK:
-                trail.append(nxt[2])
-            node = nxt
-        paths.append(tuple(trail))
-    if any(amount != 0 for amount in remaining.values()):
+        trail = [source]
+        while (node := trail[-1]) != sink:
+            e = cursor[node]
+            while e < stop[node] and remaining[e] == 0:
+                e += 1
+            if e == stop[node]:
+                raise RuntimeError(f"flow decomposition stuck at node {node}")
+            cursor[node] = e
+            remaining[e] -= 1
+            trail.append(heads[e])
+        paths.append(tuple(network.ids[x] for x in trail[1:-1]))
+    if any(remaining):
         raise RuntimeError("flow decomposition left residual flow")
     return paths
 

@@ -32,7 +32,7 @@ from thclust import (
     instability_family,
 )
 from thclust.flocking import TYPE_COUNT, Actor, SimConfig, _serial, initial_state
-from thclust.labeling import SINK, SOURCE, ContiguityViolation, IntegralFlow
+from thclust.labeling import ContiguityViolation, IntegralFlow
 from thclust.temporal import require_correspondence
 
 log = logging.getLogger(__name__)
@@ -656,8 +656,37 @@ def reference_check_contiguity(l1: Labeling, l2: Labeling, delta: float,
 # ---------------------------------------------------------------- flow oracle
 
 
+SOURCE, SINK = ("source",), ("sink",)
+
+
+def point_node(level, point):
+    return ("point", level, point)
+
+
+def reference_flow_edges(sampling, correspondences):
+    """The tuple-keyed edge list that ``build_flow_instance`` built before
+    flow nodes were numbered, in sorted order."""
+    edges = [(SOURCE, point_node(0, p)) for p in sampling.levels[0]]
+    for i, corr in enumerate(correspondences):
+        edges += [(point_node(i, u), point_node(i + 1, v)) for u, v in corr.pairs]
+    last = sampling.t - 1
+    edges += [(point_node(last, p), SINK) for p in sampling.levels[last]]
+    return tuple(sorted(edges))
+
+
+def tuple_nodes(network):
+    """The tuple key of each node of a ``FlowNetwork``, indexed by node id."""
+    return [point_node(i, p) for i, level in enumerate(network.levels)
+            for p in sorted(level)] + [SOURCE, SINK]
+
+
+def tuple_edges(network):
+    nodes = tuple_nodes(network)
+    return tuple((nodes[a], nodes[b]) for a, b in network.edges.tolist())
+
+
 def _enumerate_paths(network):
-    edge_set = set(network.edges)
+    edge_set = set(tuple_edges(network))
     node_levels = [
         [("point", i, p) for p in level] for i, level in enumerate(network.levels)
     ]
@@ -760,6 +789,8 @@ def reference_min_feasible_flow(network):
     n = network.size
     cap = n  # no minimal flow needs more than one unit per point
     graph = _DictMaxFlowGraph()
+    edges = tuple_edges(network)
+    point_nodes = tuple_nodes(network)[:n]
 
     def inner(node: tuple) -> tuple:
         return node if node in (SOURCE, SINK) else ("in",) + node
@@ -767,13 +798,13 @@ def reference_min_feasible_flow(network):
     def outer(node: tuple) -> tuple:
         return node if node in (SOURCE, SINK) else ("out",) + node
 
-    for a, b in network.edges:
+    for a, b in edges:
         graph.add_edge(outer(a), inner(b), cap)
     # Node split carries the lower bound: cap - 1 here, 1 restored later.
-    for node in network.point_nodes:
+    for node in point_nodes:
         graph.add_edge(inner(node), outer(node), cap - 1)
     excess: dict[tuple, int] = {}
-    for node in network.point_nodes:
+    for node in point_nodes:
         excess[inner(node)] = excess.get(inner(node), 0) - 1
         excess[outer(node)] = excess.get(outer(node), 0) + 1
     graph.add_edge(SINK, SOURCE, cap)
@@ -802,16 +833,48 @@ def reference_min_feasible_flow(network):
     graph.cap[SOURCE][SINK] = 0
     returned = graph.max_flow(SINK, SOURCE)
 
-    flow: dict[tuple[tuple, tuple], int] = {}
-    for a, b in network.edges:
-        u, v = outer(a), inner(b)
-        flow[(a, b)] = graph.cap[v][u]  # residual backward cap equals the flow
+    # residual backward cap equals the flow
+    flow = [graph.cap[inner(b)][outer(a)] for a, b in edges]
     value = circulating - returned
     result = IntegralFlow(network=network, flow=flow, value=value)
-    result.validate()
     if value > n:
         raise RuntimeError(f"minimum flow value {value} exceeds point count {n}")
     return result
+
+
+def reference_decompose_paths(flow):
+    """Unit paths of a flow, found on tuple keys: the ``decompose_paths``
+    that each step rescanned a node's edges from the first.
+
+    Extraction is greedy along the lexicographically smallest positive-flow
+    edge, which makes the decomposition, and hence the labels, reproducible.
+    Paths are returned as per-level point ids.
+    """
+    edges = tuple_edges(flow.network)
+    remaining = {edge: amount for edge, amount in zip(edges, flow.flow) if amount > 0}
+    outgoing: dict[tuple, list[tuple]] = {}
+    for a, b in sorted(remaining):
+        outgoing.setdefault(a, []).append(b)
+    paths = []
+    for _ in range(flow.value):
+        node = SOURCE
+        trail: list[str] = []
+        while node != SINK:
+            nxt = None
+            for b in outgoing.get(node, ()):
+                if remaining.get((node, b), 0) > 0:
+                    nxt = b
+                    break
+            if nxt is None:
+                raise RuntimeError(f"flow decomposition stuck at {node}")
+            remaining[(node, nxt)] -= 1
+            if nxt != SINK:
+                trail.append(nxt[2])
+            node = nxt
+        paths.append(tuple(trail))
+    if any(amount != 0 for amount in remaining.values()):
+        raise RuntimeError("flow decomposition left residual flow")
+    return paths
 
 
 # ---------------------------------------------------------------- flocking

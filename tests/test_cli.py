@@ -457,6 +457,8 @@ MALFORMED = {
                                             "pseudo": 1}}),
     "reduce-edge-short": ("reduce", {"graph": {"vertices": ["a", "b"], "edges": [["a"]]}}),
     "reduce-dimacs-count": ("reduce", "p edge x 3\n"),
+    "reduce-dimacs-short": ("reduce", "p edge 3 5\ne 1 2\n"),
+    "reduce-dimacs-no-edge-count": ("reduce", "p edge 3\ne 1 2\n"),
     # merge lists: booleans, a negative height, a dip of just over TOL
     "cut-bool-reference": ("cut", {"dendrogram": {
         "leaves": ["a", "b", "c"], "merges": [[1.0, "a", "b"], [2.0, False, "c"]]}}),
@@ -719,6 +721,25 @@ def test_bench_hooks_are_still_bound():
     ultrametric = importlib.import_module("thclust.ultrametric")
     assert cli.cut_at_height is ultrametric.cut_at_height
     assert importlib.import_module("thclust").cut_at_height is ultrametric.cut_at_height
+
+
+def test_bench_flow_counters_read_the_flow_network():
+    """The traced benchmark's flow counters, computed by its unchanged hooks
+    from what ``build_flow_instance`` and ``min_feasible_flow`` return."""
+    tracing = _bench_tracing()
+    samp = run(SimConfig(actor_count=12, seed=0))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        sol = solve_labeled(samp)
+    finally:
+        tracer.uninstall()
+    network = sol.flow.network
+    assert tracer.calls["labeling.min_feasible_flow"] == 1
+    assert tracer.counts["labeling.flow_edges"] == len(network.edges) > 0
+    assert tracer.counts["labeling.flow_nodes"] == network.size + 2
+    assert tracer.counts["_flow_value"] / tracer.counts["_flow_points"] > 0
+    assert tracer.metrics(1)["labeling.labels_per_point"] == sol.k / samp.size
 
 
 def test_bench_tracer_spans_the_cli_commands(tmp_path, capsys):

@@ -67,6 +67,14 @@ def test_from_dimacs_parses_and_names_bad_lines():
     for count in ("x", "-3", "3.0", "\u00b3"):
         with pytest.raises(ValidationError, match="bad problem line at line 2"):
             Graph.from_dimacs(f"c count\np edge {count} 0\n")
+        with pytest.raises(ValidationError, match="bad problem line at line 2"):
+            Graph.from_dimacs(f"c count\np edge 2 {count}\n")
+    for line in ("p edge 2", "p edge 2 1 1"):
+        with pytest.raises(ValidationError, match="bad problem line at line 1"):
+            Graph.from_dimacs(f"{line}\ne 1 2\n")
+    for declared, lines in ((5, "e 1 2\n"), (0, "e 1 2\n"), (1, "e 1 2\ne 2 3\n")):
+        with pytest.raises(ValidationError, match=f"declares {declared} edges"):
+            Graph.from_dimacs(f"p edge 3 {declared}\n{lines}")
 
 
 # ---------------------------------------------------------------- reduction

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import math
 
 import numpy as np
@@ -10,10 +13,14 @@ from helpers import (
     line_space,
     random_sampling,
     reference_check_contiguity,
+    reference_decompose_paths,
+    reference_flow_edges,
     reference_min_feasible_flow,
+    tuple_edges,
 )
 from thclust import (
     TOL,
+    Correspondence,
     IntegralFlow,
     Labeling,
     SimConfig,
@@ -28,7 +35,7 @@ from thclust import (
     solve_labeled,
     solve_local,
 )
-from thclust.labeling import SINK, SOURCE, FlowNetwork, _MaxFlowGraph, point_node
+from thclust.labeling import _MaxFlowGraph
 
 
 def tiny_ambient():
@@ -47,19 +54,23 @@ def solved_network(levels, scheme="subdominant"):
 def test_network_single_level_shape():
     net = solved_network([["a", "b"]])
     assert net.levels == (("a", "b"),)
-    assert net.point_nodes == (("point", 0, "a"), ("point", 0, "b"))
-    ends = {e for e in net.edges}
-    assert ((("source",), ("point", 0, "a"))) in ends
-    assert ((("point", 0, "b"), ("sink",))) in ends
+    assert net.ids == ("a", "b") and net.size == 2
+    # points 0 and 1, then source 2 and sink 3; rows sorted by tail, head
+    assert net.edges.tolist() == [[0, 3], [1, 3], [2, 0], [2, 1]]
+    assert not net.edges.flags.writeable
 
 
 def test_network_edges_follow_correspondences():
     net = solved_network([["a", "b"], ["a"]])
-    inner = [e for e in net.edges if e[0][0] == "point" and e[1][0] == "point"]
-    assert inner == [
-        (("point", 0, "a"), ("point", 1, "a")),
-        (("point", 0, "b"), ("point", 1, "a")),
-    ]
+    assert net.ids == ("a", "b", "a")
+    inner = [e for e in net.edges.tolist() if max(e) < net.size]
+    assert inner == [[0, 2], [1, 2]]
+
+
+def test_network_numbers_points_by_sorted_id_within_a_level():
+    net = solved_network([["b", "a"], ["c", "a"]])
+    assert net.levels == (("b", "a"), ("c", "a"))
+    assert net.ids == ("a", "b", "a", "c")
 
 
 def test_build_rejects_wrong_correspondence_count():
@@ -70,8 +81,6 @@ def test_build_rejects_wrong_correspondence_count():
 
 
 def test_build_rejects_noncovering_correspondence():
-    from thclust import Correspondence
-
     samp = TemporalSampling(tiny_ambient(), [["a", "b"], ["a"]])
     broken = (Correspondence.from_pairs([("a", "a")]),)
     with pytest.raises(ValidationError):
@@ -128,13 +137,21 @@ def test_flow_value_never_exceeds_point_count():
 def test_flow_validate_catches_tampering():
     net = solved_network([["a", "b"], ["a"], ["a", "b"]])
     flow = min_feasible_flow(net)
-    with pytest.raises(ValidationError):
-        IntegralFlow(net, dict(flow.flow), flow.value + 1).validate()
-    unbalanced = dict(flow.flow)
-    key = next(iter(unbalanced))
-    unbalanced[key] += 1
-    with pytest.raises(ValidationError):
-        IntegralFlow(net, unbalanced, flow.value).validate()
+    assert flow.flow == (1,) * 8 and flow.value == 2
+    with pytest.raises(ValidationError, match="terminal throughput"):
+        IntegralFlow(net, flow.flow, flow.value + 1)
+    with pytest.raises(ValidationError, match="not conserved at point 'a'"):
+        IntegralFlow(net, (2,) + flow.flow[1:], flow.value)
+    with pytest.raises(ValidationError, match="in-flow below 1"):
+        IntegralFlow(net, (0,) * 8, 0)
+    for bad in (math.nan, "1", 1.5, -1, True, 3):
+        with pytest.raises(ValidationError, match="flow on edge 0"):
+            IntegralFlow(net, (bad,) + flow.flow[1:], flow.value)
+    for amounts in (flow.flow[1:], flow.flow + (0,)):
+        with pytest.raises(ValidationError, match="amounts for 8 edges"):
+            IntegralFlow(net, amounts, flow.value)
+    with pytest.raises(ValidationError, match="flow value"):
+        IntegralFlow(net, flow.flow, 2.0)
 
 
 def _neighbours(arcs, x):
@@ -142,18 +159,23 @@ def _neighbours(arcs, x):
 
 
 def test_max_flow_takes_the_reference_paths_on_random_graphs():
-    """Random digraphs, with source neighbours reachable through other
-    nodes: the same value and residuals as the dict solver. A graph where a
-    neighbour of the source has an arc to the sink is refused."""
+    """Random digraphs with at most one arc per pair of nodes, and source
+    neighbours reachable through other nodes: the same value and residuals
+    as the dict solver. A graph where a neighbour of the source has an arc
+    to the sink is refused."""
     rng = np.random.default_rng(607)
     solved = refused = 0
     for _ in range(300):
         n = int(rng.integers(3, 9))
-        nodes = [("n", int(i)) for i in rng.permutation(n)]
-        arcs = [(nodes[i], nodes[j], int(rng.integers(1, 4)))
-                for i in range(n) for j in range(n) if i != j and rng.random() < 0.35]
+        nodes = rng.permutation(n).tolist()
+        arcs = []
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < 0.35:
+                u, v = (nodes[i], nodes[j]) if rng.random() < 0.5 else (nodes[j], nodes[i])
+                arcs.append((u, v, int(rng.integers(1, 4))))
         source, sink = nodes[0], nodes[-1]
-        graph, reference = _MaxFlowGraph(arcs, nodes=nodes), _DictMaxFlowGraph()
+        columns = np.array(arcs, dtype=np.intp).reshape(-1, 3).T
+        graph, reference = _MaxFlowGraph(*columns, n), _DictMaxFlowGraph()
         if _neighbours(arcs, source) & _neighbours(arcs, sink):
             refused += 1
             with pytest.raises(RuntimeError, match="neighbour of the source"):
@@ -163,18 +185,22 @@ def test_max_flow_takes_the_reference_paths_on_random_graphs():
         for u, v, cap in arcs:
             reference.add_edge(u, v, cap)
         assert graph.max_flow(source, sink) == reference.max_flow(source, sink)
-        for u, v, _ in arcs:
-            assert graph.res[graph.arc(u, v)] == reference.cap[u][v]
-            assert graph.res[graph.arc(v, u)] == reference.cap[v][u]
+        for (u, v, _), a in zip(arcs, graph.pos):
+            assert graph.res[a] == reference.cap[u][v]
+            assert graph.res[graph.rev[a]] == reference.cap[v][u]
     assert solved > 50 and refused > 50
 
 
-def assert_same_flow_as_reference(net):
+def assert_same_flow_as_reference(samp, correspondences):
+    """Edges, flow (edge for edge) and paths equal to the tuple-keyed oracles'."""
+    net = build_flow_instance(samp, correspondences)
+    assert tuple_edges(net) == reference_flow_edges(samp, correspondences)
     flow = min_feasible_flow(net)
     reference = reference_min_feasible_flow(net)
     assert flow.value == reference.value
     assert flow.flow == reference.flow
-    assert decompose_paths(flow) == decompose_paths(reference)
+    assert decompose_paths(flow) == reference_decompose_paths(reference)
+    return net
 
 
 def test_min_flow_matches_reference_solver_on_random_samplings():
@@ -183,18 +209,16 @@ def test_min_flow_matches_reference_solver_on_random_samplings():
         samp = random_sampling(rng)
         for scheme in ("fkw", "subdominant"):
             sol = solve_local(samp, scheme=scheme)
-            assert_same_flow_as_reference(build_flow_instance(samp, sol.correspondences))
+            assert_same_flow_as_reference(samp, sol.correspondences)
 
 
 def test_min_flow_matches_reference_solver_when_value_is_pushed_back(monkeypatch):
     """A two-level network on which the feasibility phase routes one unit
     more than the minimum, so the sink-to-source phase has to return it."""
     pairs = [(0, 0), (0, 3), (1, 1), (1, 2), (2, 1), (2, 3), (3, 0), (4, 2), (4, 5), (5, 4)]
-    level = tuple(f"p{i}" for i in range(6))
-    edges = [(SOURCE, point_node(0, p)) for p in level]
-    edges += [(point_node(0, f"p{u}"), point_node(1, f"p{v}")) for u, v in pairs]
-    edges += [(point_node(1, p), SINK) for p in level]
-    net = FlowNetwork(levels=(level, level), edges=tuple(sorted(edges)))
+    level = [f"p{i}" for i in range(6)]
+    samp = TemporalSampling(line_space(range(6)), [level, level])
+    corr = Correspondence.from_pairs([(f"p{u}", f"p{v}") for u, v in pairs])
     pushed = []
     max_flow = _MaxFlowGraph.max_flow
 
@@ -203,15 +227,18 @@ def test_min_flow_matches_reference_solver_when_value_is_pushed_back(monkeypatch
         return pushed[-1]
 
     monkeypatch.setattr(_MaxFlowGraph, "max_flow", recording_max_flow)
-    assert_same_flow_as_reference(net)
+    net = assert_same_flow_as_reference(samp, [corr])
     assert pushed == [12, 1]
+    # the source is 12 and the sink 13
+    edges = [[12, x] for x in range(6)] + [[u, 6 + v] for u, v in pairs]
+    assert net.edges.tolist() == sorted(edges + [[6 + x, 13] for x in range(6)])
     assert reference_min_feasible_flow(net).value == brute_min_flow(net) == 6
 
 
 def test_min_flow_matches_reference_solver_on_flock():
     samp = run(SimConfig(actor_count=30))
     sol = solve_local(samp)
-    assert_same_flow_as_reference(build_flow_instance(samp, sol.correspondences))
+    assert_same_flow_as_reference(samp, sol.correspondences)
 
 
 # ---------------------------------------------------------------- decomposition
@@ -428,3 +455,13 @@ def test_solve_labeled_contiguous_at_reported_delta():
             for l1, l2 in zip(sol.labelings, sol.labelings[1:]):
                 ok, violation = check_contiguity(l1, l2, sol.local.delta, samp.ambient)
                 assert ok, violation
+
+
+def test_forty_actor_labels_keep_their_bits():
+    """The labels of a seeded flock, pinned by digest: the augmenting paths,
+    the decomposition and the numbering of paths must all stay as they are."""
+    sol = solve_labeled(run(SimConfig(actor_count=40, seed=0)))
+    assert sol.k == 44
+    text = json.dumps([lab.to_list() for lab in sol.labelings], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "8a4760a17fc04efaf53aafea556c59bdf7f49af0eecd664ec2e8cd4e8dccfc04"
