@@ -239,10 +239,9 @@ def cmd_cluster(args: argparse.Namespace) -> dict:
             "cuts": [{"r": h, "blocks": cut_at_height(fitted, h)} for h in heights],
         })
         order, segments = _dendrogram_layout(dendrogram)
-        colors = {}
-        if labelings:
-            for point, group in labelings[i].labels.items():
-                colors[point] = PALETTE[(min(group) - 1) % len(PALETTE)]
+        colors = {}  # a point's colour follows its smallest label
+        for j, point in enumerate(labelings[i].holders if labelings else ()):
+            colors.setdefault(point, PALETTE[j % len(PALETTE)])
         panels.append({
             "title": f"level {i} ({len(order)} points)",
             "order": order,

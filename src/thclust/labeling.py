@@ -301,72 +301,65 @@ def decompose_paths(flow: IntegralFlow) -> list[tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class Labeling:
-    """Map from points of one level to label sets partitioning [k]."""
+    """One level's labels 1..k: ``holders[j - 1]`` is the point holding label j.
 
-    labels: dict[str, frozenset[int]] = field(repr=False)
-    k: int
+    Each label has exactly one holder, so the labels partition 1..k over the
+    points named; ``labels`` is the per-point view.
+    """
 
-    def __post_init__(self):
-        seen: set[int] = set()
-        for point, group in self.labels.items():
-            if not group:
-                raise ValidationError(f"point {point!r} has no labels")
-            if seen & group:
-                dup = min(seen & group)
-                raise ValidationError(f"label {dup} assigned to two points")
-            seen |= group
-        if seen != set(range(1, self.k + 1)):
-            raise ValidationError(f"labels do not partition 1..{self.k}")
+    holders: tuple[str, ...] = field(repr=False)
 
-    def label_of(self, point: str) -> frozenset[int]:
-        try:
-            return self.labels[point]
-        except KeyError:
-            raise ValidationError(f"unknown point {point!r}") from None
+    @property
+    def k(self) -> int:
+        return len(self.holders)
+
+    @property
+    def labels(self) -> dict[str, frozenset[int]]:
+        """Each holder's label set, in order of its smallest label."""
+        groups: dict[str, list[int]] = {}
+        for j, point in enumerate(self.holders, start=1):
+            groups.setdefault(point, []).append(j)
+        return {p: frozenset(group) for p, group in groups.items()}
 
     def to_list(self) -> list[dict]:
-        return [
-            {"point": p, "labels": sorted(self.labels[p])}
-            for p in sorted(self.labels)
-        ]
+        return [{"point": p, "labels": sorted(group)} for p, group in sorted(self.labels.items())]
 
     @classmethod
     def from_list(cls, entries, k: int) -> "Labeling":
-        labels = {}
+        points, held = set(), {}
         for entry in _json_list(entries, "labeling"):
             _json_object(entry, "labeling entry", ("point", "labels"))
             point = _json_str(entry["point"], "point")
-            if point in labels:
+            if point in points:
                 raise ValidationError(f"point {point!r} has two labeling entries")
+            points.add(point)
             group = [_json_int(x, "label") for x in _json_list(entry["labels"], "labels")]
             if len(set(group)) != len(group):
                 raise ValidationError(f"point {point!r} lists a label twice")
-            labels[point] = frozenset(group)
-        return cls(labels=labels, k=_json_int(k, "k"))
+            if not group:
+                raise ValidationError(f"point {point!r} has no labels")
+            if taken := held.keys() & group:
+                raise ValidationError(f"label {min(taken)} assigned to two points")
+            held.update(dict.fromkeys(group, point))
+        k = _json_int(k, "k")
+        holders = tuple(held.get(j) for j in range(1, k + 1))
+        if len(held) != k or None in holders:
+            raise ValidationError(f"labels do not partition 1..{k}")
+        return cls(holders)
 
 
 def paths_to_labelings(paths) -> tuple[Labeling, ...]:
     """Turn unit paths into per-level labelings.
 
     Paths are sorted by their visited point ids and numbered 1..k in that
-    order; a point's label set is every path that runs through it.
+    order; at each level, label j's holder is the point that path j visits.
     """
     ordered = sorted(paths)
     if not ordered:
         raise ValidationError("at least one path is required")
-    t = len(ordered[0])
-    if any(len(path) != t for path in ordered):
+    if any(len(path) != len(ordered[0]) for path in ordered):
         raise ValidationError("paths visit differing level counts")
-    k = len(ordered)
-    out = []
-    for level in range(t):
-        assignment: dict[str, set[int]] = {}
-        for j, path in enumerate(ordered, start=1):
-            assignment.setdefault(path[level], set()).add(j)
-        out.append(
-            Labeling(labels={p: frozenset(s) for p, s in assignment.items()}, k=k)
-        )
-    return tuple(out)
+    return tuple(map(Labeling, zip(*ordered)))
 
 
 @dataclass(frozen=True)
@@ -413,12 +406,10 @@ def check_contiguity(l1: Labeling, l2: Labeling, delta: float,
 def _holders(labeling: Labeling, ambient: MetricSpace):
     """The sorted points of a labeling, then for each label 1..k (at position
     label - 1) its holder's rank among them and its holder's ambient index."""
-    points = sorted(labeling.labels)
+    points = sorted(set(labeling.holders))
     index = np.array([ambient.index_of(p) for p in points], dtype=np.intp)
-    labels = [label for p in points for label in labeling.labels[p]]
-    owners = [r for r, p in enumerate(points) for _ in labeling.labels[p]]
-    rank = np.empty(labeling.k, dtype=np.intp)
-    rank[np.array(labels, dtype=np.intp) - 1] = owners
+    where = {p: r for r, p in enumerate(points)}
+    rank = np.array([where[p] for p in labeling.holders], dtype=np.intp)
     return points, rank, index[rank]
 
 
@@ -428,7 +419,6 @@ class LabeledSolution:
 
     local: LocalSolution
     flow: IntegralFlow
-    paths: tuple[tuple[str, ...], ...]
     labelings: tuple[Labeling, ...]
 
     @property
@@ -445,6 +435,5 @@ def solve_labeled(sampling: TemporalSampling, scheme: str = "fkw") -> LabeledSol
     local = solve_local(sampling, scheme=scheme)
     network = build_flow_instance(sampling, local.correspondences)
     flow = min_feasible_flow(network)
-    paths = tuple(decompose_paths(flow))
-    labelings = paths_to_labelings(paths)
-    return LabeledSolution(local=local, flow=flow, paths=paths, labelings=labelings)
+    labelings = paths_to_labelings(decompose_paths(flow))
+    return LabeledSolution(local=local, flow=flow, labelings=labelings)

@@ -349,8 +349,8 @@ def perturb(space: MetricSpace, eps: float, seed: int) -> MetricSpace:
     is deterministic per seed and always terminates because zero offsets
     reproduce the input exactly.
     """
-    if eps < 0:
-        raise ValidationError("eps must be nonnegative")
+    if not 0 <= eps < np.inf:  # NaN fails too
+        raise ValidationError(f"eps must be a finite nonnegative number, got {eps!r}")
     if eps > 0:
         n = len(space.points)
         rng = np.random.default_rng(seed)

@@ -29,6 +29,11 @@ from .ultrametric import Dendrogram, to_dendrogram
 SCHEMES = ("fkw", "subdominant")
 
 
+def _require_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+
+
 class CertificationError(RuntimeError):
     """A recomputed guarantee failed to hold for a solution."""
 
@@ -139,6 +144,7 @@ def distortion(u1: PseudoUltrametric, u2: PseudoUltrametric, corr: Correspondenc
 class LocalSolution:
     """Per-level ultrametrics plus adjacent correspondences and their metrics.
 
+    ``scheme`` is one of :data:`SCHEMES`, checked when made.
     ``delta_vacuous`` marks the single-level case, where no adjacent pair
     exists and delta is reported as 0 by convention. A document stores each
     level as its dendrogram, whose constructor is the only check on reading;
@@ -152,7 +158,13 @@ class LocalSolution:
     chi: float
     delta: float
     rho: float
-    delta_vacuous: bool = False
+
+    def __post_init__(self):
+        _require_scheme(self.scheme)
+
+    @property
+    def delta_vacuous(self) -> bool:
+        return self.sampling.t == 1
 
     def to_dict(self) -> dict:
         return {
@@ -171,7 +183,7 @@ class LocalSolution:
         metrics = ("chi", "delta", "rho")
         _json_object(data, "solution document",
                      ("sampling", "scheme", "ultrametrics", "correspondences", *metrics))
-        return cls(
+        solution = cls(
             sampling=TemporalSampling.from_dict(data["sampling"]),
             scheme=_json_str(data["scheme"], "scheme"),
             ultrametrics=tuple(
@@ -185,17 +197,17 @@ class LocalSolution:
                 for c in _json_list(data["correspondences"], "correspondences")
             ),
             **{name: _json_number(data[name], f"stored {name}") for name in metrics},
-            delta_vacuous=_json_bool(data.get("delta_vacuous", False), "'delta_vacuous'"),
         )
+        vacuous = _json_bool(data.get("delta_vacuous", solution.delta_vacuous), "'delta_vacuous'")
+        if vacuous != solution.delta_vacuous:
+            raise ValidationError(f"'delta_vacuous' {vacuous} disagrees with the level count")
+        return solution
 
 
 def _fit(scheme: str, space: MetricSpace) -> PseudoUltrametric:
     """The one dispatch from a scheme token to its fitter."""
-    if scheme == "fkw":
-        return fkw_fit(space).ultrametric
-    if scheme == "subdominant":
-        return subdominant_ultrametric(space)
-    raise ValidationError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    _require_scheme(scheme)
+    return fkw_fit(space).ultrametric if scheme == "fkw" else subdominant_ultrametric(space)
 
 
 def solve_local(sampling: TemporalSampling, scheme: str = "fkw") -> LocalSolution:
@@ -215,15 +227,8 @@ def solve_local(sampling: TemporalSampling, scheme: str = "fkw") -> LocalSolutio
         for i in range(sampling.t - 1)
     ]
     chi = max(linf_distance(sp, u) for sp, u in zip(spaces, fits))
-    if corrs:
-        delta = max(locality(c, sampling.ambient) for c in corrs)
-        rho = max(
-            distortion(fits[i], fits[i + 1], corrs[i]) for i in range(len(corrs))
-        )
-        vacuous = False
-    else:
-        delta = rho = 0.0
-        vacuous = True
+    delta = max((locality(c, sampling.ambient) for c in corrs), default=0.0)
+    rho = max((distortion(fits[i], fits[i + 1], c) for i, c in enumerate(corrs)), default=0.0)
     return LocalSolution(
         sampling=sampling,
         scheme=scheme,
@@ -232,7 +237,6 @@ def solve_local(sampling: TemporalSampling, scheme: str = "fkw") -> LocalSolutio
         chi=chi,
         delta=delta,
         rho=rho,
-        delta_vacuous=vacuous,
     )
 
 

@@ -621,7 +621,22 @@ def reference_distortion(u1: PseudoUltrametric, u2: PseudoUltrametric,
     return float(np.abs(a - b).max())
 
 
-# ---------------------------------------------------------------- contiguity oracle
+# ---------------------------------------------------------------- labeling oracles
+
+
+def reference_paths_to_labelings(paths) -> list[dict[str, frozenset[int]]]:
+    """The per-point dict builder that ``thclust.labeling.paths_to_labelings``
+    replaced: paths sorted and numbered 1..k, and at each level a point's
+    label set is every path that runs through it."""
+    ordered = sorted(paths)
+    out = []
+    for level in range(len(ordered[0])):
+        assignment: dict[str, set[int]] = {}
+        for j, path in enumerate(ordered, start=1):
+            assignment.setdefault(path[level], set()).add(j)
+        out.append({p: frozenset(s) for p, s in assignment.items()})
+    return out
+
 
 
 def reference_check_contiguity(l1: Labeling, l2: Labeling, delta: float,

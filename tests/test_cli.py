@@ -526,6 +526,13 @@ _B = {"point": "b", "labels": [2]}
     ({"k": 1, "labelings": [[{"point": "a", "labels": [1]}, {"point": "a", "labels": [1]}]]},
      "point 'a' has two labeling entries"),
     ({"k": 1, "labelings": [[{"point": "a", "labels": [1, 1]}]]}, "point 'a' lists a label twice"),
+    # each label 1..k has exactly one holder
+    ({"k": 2, "labelings": [[{"point": "a", "labels": []}, _B]]}, "point 'a' has no labels"),
+    ({"k": 2, "labelings": [[{"point": "a", "labels": [3]}, _B]]}, "labels do not partition 1..2"),
+    ({"k": 2, "labelings": [[{"point": "a", "labels": [0]}, _B]]}, "labels do not partition 1..2"),
+    ({"k": 2, "labelings": [[{"point": "a", "labels": [2]}, _B]]}, "label 2 assigned to two points"),
+    ({"k": 2, "labelings": [[_B]]}, "labels do not partition 1..2"),
+    ({"k": -1, "labelings": [[]]}, "labels do not partition 1..-1"),
 ])
 def test_labels_document_refuses_what_it_would_coerce(tmp_path, doc, message):
     src = write_json(tmp_path / "labels.json", {"format_version": "2", **doc})
@@ -721,6 +728,33 @@ def test_bench_hooks_are_still_bound():
     ultrametric = importlib.import_module("thclust.ultrametric")
     assert cli.cut_at_height is ultrametric.cut_at_height
     assert importlib.import_module("thclust").cut_at_height is ultrametric.cut_at_height
+
+
+def _bench_run(monkeypatch):
+    """``bench/run.py`` as the benchmark loads it, unchanged, with ``bench/``
+    on the path for its own imports."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py pins these when loaded; undone after the test
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("name", ["flock-label", "fit-large", "cli-session"])
+def test_bench_toy_workloads_run_clean(tmp_path, monkeypatch, name, trace):
+    """Each benchmark workload at its toy size, untraced and traced, passes
+    every check the benchmark makes of its outputs."""
+    bench_run = _bench_run(monkeypatch)
+    spec = json.loads((bench_run.ROOT / "BENCHMARK.json").read_text())
+    record = bench_run.measure(name, seed=3, seconds=0.0, trace=trace, size="toy",
+                               workdir=tmp_path / name, reference=None)
+    assert record["failed"] == 0, record["errors"]
+    assert record["attempted"] >= 1
+    assert bench_run.result_line(record, spec)["correct"]
 
 
 def test_bench_flow_counters_read_the_flow_network():

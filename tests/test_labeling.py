@@ -16,6 +16,7 @@ from helpers import (
     reference_decompose_paths,
     reference_flow_edges,
     reference_min_feasible_flow,
+    reference_paths_to_labelings,
     tuple_edges,
 )
 from thclust import (
@@ -273,16 +274,44 @@ def test_decompose_is_deterministic_and_exact():
 def test_paths_to_labelings_known_example():
     labs = paths_to_labelings([("a", "a", "a"), ("b", "a", "b")])
     assert [lab.k for lab in labs] == [2, 2, 2]
-    assert labs[0].label_of("a") == frozenset({1})
-    assert labs[0].label_of("b") == frozenset({2})
-    assert labs[1].label_of("a") == frozenset({1, 2})
+    assert [lab.holders for lab in labs] == [("a", "b"), ("a", "a"), ("a", "b")]
+    assert labs[0].labels == {"a": frozenset({1}), "b": frozenset({2})}
+    assert labs[1].labels == {"a": frozenset({1, 2})}
     assert [p for p, group in labs[2].labels.items() if 2 in group] == ["b"]
 
 
 def test_paths_are_sorted_before_numbering():
     labs = paths_to_labelings([("b", "b"), ("a", "a")])
-    assert labs[0].label_of("a") == frozenset({1})
-    assert labs[0].label_of("b") == frozenset({2})
+    assert labs[0].holders == ("a", "b")
+    assert labs[0].labels == {"a": frozenset({1}), "b": frozenset({2})}
+
+
+def _assert_labelings_match_reference(paths):
+    labs = paths_to_labelings(paths)
+    expected = reference_paths_to_labelings(paths)
+    assert len(labs) == len(expected)
+    for lab, labels in zip(labs, expected):
+        assert lab.labels == labels
+        assert lab.to_list() == [{"point": p, "labels": sorted(labels[p])} for p in sorted(labels)]
+
+
+def test_paths_to_labelings_matches_reference_on_random_paths():
+    """Random path sets over a few ids per level, repeats and shared points
+    included, numbered as the per-point dict builder numbers them."""
+    rng = np.random.default_rng(35)
+    for _ in range(200):
+        t, k = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        ids = [f"p{i}" for i in range(int(rng.integers(1, 6)))]
+        paths = [tuple(ids[i] for i in rng.integers(0, len(ids), size=t)) for _ in range(k)]
+        _assert_labelings_match_reference(paths)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_paths_to_labelings_matches_reference_on_flocks(seed):
+    sol = solve_labeled(run(SimConfig(actor_count=30, seed=seed)))
+    paths = decompose_paths(sol.flow)
+    _assert_labelings_match_reference(paths)
+    assert paths_to_labelings(paths) == sol.labelings
 
 
 def test_labels_partition_each_level():
@@ -298,13 +327,14 @@ def test_labels_partition_each_level():
 
 
 def test_labeling_validation():
-    with pytest.raises(ValidationError):
-        Labeling({"a": frozenset({1}), "b": frozenset({1})}, 1)
-    with pytest.raises(ValidationError):
-        Labeling({"a": frozenset({2})}, 1)
-    lab = Labeling({"a": frozenset({1, 2}), "b": frozenset({3})}, 3)
+    with pytest.raises(ValidationError, match="label 1 assigned to two points"):
+        Labeling.from_list([{"point": "a", "labels": [1]}, {"point": "b", "labels": [1]}], 1)
+    with pytest.raises(ValidationError, match=r"labels do not partition 1\.\.1"):
+        Labeling.from_list([{"point": "a", "labels": [2]}], 1)
+    lab = Labeling(("a", "a", "b"))
+    assert lab.labels == {"a": frozenset({1, 2}), "b": frozenset({3})}
     back = Labeling.from_list(lab.to_list(), 3)
-    assert back.labels == lab.labels
+    assert back == lab
 
 
 # ---------------------------------------------------------------- contiguity
@@ -312,15 +342,15 @@ def test_labeling_validation():
 
 def test_contiguity_identity_levels_at_zero_delta():
     ambient = tiny_ambient()
-    lab = Labeling({"a": frozenset({1}), "b": frozenset({2})}, 2)
+    lab = Labeling(("a", "b"))
     ok, violation = check_contiguity(lab, lab, 0.0, ambient)
     assert ok and violation is None
 
 
 def test_contiguity_rejects_far_label():
     ambient = tiny_ambient()
-    l1 = Labeling({"a": frozenset({1})}, 1)
-    l2 = Labeling({"c": frozenset({1})}, 1)
+    l1 = Labeling(("a",))
+    l2 = Labeling(("c",))
     ok, violation = check_contiguity(l1, l2, 1.0, ambient)
     assert not ok
     assert violation.condition == 1
@@ -332,8 +362,8 @@ def test_contiguity_rejects_far_label():
 
 def test_contiguity_closed_ball_boundary():
     ambient = tiny_ambient()
-    l1 = Labeling({"a": frozenset({1})}, 1)
-    l2 = Labeling({"b": frozenset({1})}, 1)
+    l1 = Labeling(("a",))
+    l2 = Labeling(("b",))
     ok, _ = check_contiguity(l1, l2, 3.0, ambient)  # distance exactly delta
     assert ok
     ok, _ = check_contiguity(l1, l2, 2.9, ambient)
@@ -343,15 +373,12 @@ def test_contiguity_closed_ball_boundary():
 def _random_labeling(rng, points, k):
     """Labels 1..k dealt to a random subset of ``points``, one or more each."""
     if k == 0:
-        return Labeling({}, 0)
+        return Labeling(())
     m = int(rng.integers(1, min(k, len(points)) + 1))
     chosen = rng.choice(len(points), size=m, replace=False)
     owner = np.concatenate([np.arange(m), rng.integers(0, m, size=k - m)])
     rng.shuffle(owner)
-    labels: dict[str, set[int]] = {}
-    for label, o in enumerate(owner, start=1):
-        labels.setdefault(points[chosen[o]], set()).add(label)
-    return Labeling({p: frozenset(g) for p, g in labels.items()}, k)
+    return Labeling(tuple(points[chosen[o]] for o in owner))
 
 
 def _deltas_around(l1, l2, ambient):
@@ -401,7 +428,7 @@ def test_contiguity_matches_reference_on_solver_labelings():
 
 
 def test_contiguity_refuses_nan_delta():
-    lab = Labeling({"a": frozenset({1}), "b": frozenset({2})}, 2)
+    lab = Labeling(("a", "b"))
     with pytest.raises(ValidationError, match="NaN"):
         check_contiguity(lab, lab, math.nan, tiny_ambient())
 
@@ -409,16 +436,16 @@ def test_contiguity_refuses_nan_delta():
 def test_contiguity_names_the_first_unknown_point():
     """Sorted first-level points are resolved before the second level's."""
     ambient = tiny_ambient()
-    l1 = Labeling({"x1": frozenset({2}), "b": frozenset({1})}, 2)
-    l2 = Labeling({"a": frozenset({1}), "x0": frozenset({2})}, 2)
+    l1 = Labeling(("b", "x1"))
+    l2 = Labeling(("a", "x0"))
     with pytest.raises(ValidationError, match="unknown point 'x1'"):
         check_contiguity(l1, l2, 1.0, ambient)
     with pytest.raises(ValidationError, match="unknown point 'x0'"):
         check_contiguity(l2, l1, 1.0, ambient)
-    far = Labeling({"z": frozenset({1}), "y": frozenset({2})}, 2)
+    far = Labeling(("z", "y"))
     with pytest.raises(ValidationError, match="unknown point 'y'"):
         check_contiguity(far, l2, 1.0, ambient)
-    empty = Labeling({}, 0)  # nothing to compare with, still resolved
+    empty = Labeling(())  # nothing to compare with, still resolved
     with pytest.raises(ValidationError, match="unknown point 'x0'"):
         check_contiguity(empty, l2, 100.0, ambient)
 
@@ -431,17 +458,17 @@ def test_solve_labeled_line_example():
     sol = solve_labeled(samp)
     assert sol.k == 2
     assert sol.local.delta == 3.0
-    assert sol.labelings[0].label_of("a") == frozenset({1, 2})
-    assert sol.labelings[1].label_of("a") == frozenset({1})
-    assert sol.labelings[1].label_of("b") == frozenset({2})
+    assert sol.labelings[0].labels["a"] == frozenset({1, 2})
+    assert sol.labelings[1].labels["a"] == frozenset({1})
+    assert sol.labelings[1].labels["b"] == frozenset({2})
 
 
 def test_solve_labeled_single_level_gives_one_label_per_point():
     samp = TemporalSampling(tiny_ambient(), [["a", "b", "c"]])
     sol = solve_labeled(samp)
     assert sol.k == 3
-    assert sol.labelings[0].label_of("a") == frozenset({1})
-    assert sol.labelings[0].label_of("c") == frozenset({3})
+    assert sol.labelings[0].labels["a"] == frozenset({1})
+    assert sol.labelings[0].labels["c"] == frozenset({3})
 
 
 def test_solve_labeled_contiguous_at_reported_delta():

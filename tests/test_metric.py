@@ -189,6 +189,13 @@ def test_perturb_stays_within_eps_and_is_seeded():
         assert again == moved
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf"), -0.1])
+def test_perturb_refuses_eps_outside_the_finite_nonnegatives(eps):
+    space = cloud_space(np.random.default_rng(2), 6)
+    with pytest.raises(ValidationError, match="eps must be a finite nonnegative number"):
+        perturb(space, eps, seed=0)
+
+
 def test_perturb_keeps_pseudo_flag():
     space = MetricSpace(["a", "b", "c"], dist=np.zeros((3, 3)), pseudo=True)
     moved = perturb(space, 0.5, seed=4)

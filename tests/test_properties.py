@@ -247,11 +247,16 @@ def test_adjacent_labelings_are_contiguous_at_the_certified_delta(sampling, sche
 @st.composite
 def labelings(draw, points, max_labels=6):
     """Labels 1..k, each given to one drawn point; k may be 0."""
-    holders = draw(st.lists(st.sampled_from(points), max_size=max_labels))
-    labels: dict[str, set[int]] = {}
-    for label, point in enumerate(holders, start=1):
-        labels.setdefault(point, set()).add(label)
-    return Labeling({p: frozenset(g) for p, g in labels.items()}, len(holders))
+    return Labeling(tuple(draw(st.lists(st.sampled_from(points), max_size=max_labels))))
+
+
+@PROPERTY
+@given(st.lists(st.text(max_size=3), min_size=1, max_size=6, unique=True), st.data())
+def test_labels_documents_round_trip(points, data):
+    """Any holder tuple, each label on one of a few ids (the empty id and
+    repeats included), reads back from its labels document unchanged."""
+    lab = data.draw(labelings(points, max_labels=10))
+    assert Labeling.from_list(lab.to_list(), lab.k) == lab
 
 
 @PROPERTY

@@ -409,6 +409,35 @@ def test_solution_document_refuses_text_and_booleans_in_merge_heights(entry):
         LocalSolution.from_dict(doc)
 
 
+def test_local_solution_refuses_an_unknown_scheme():
+    """An unknown scheme has no bound to certify under, so no solution holds
+    one, however it is made."""
+    sol = solve_local(run(SimConfig(actor_count=10, seed=0)))
+    with pytest.raises(ValidationError, match="unknown scheme 'bogus'; expected one of"):
+        LocalSolution.from_dict({**sol.to_dict(), "scheme": "bogus"})
+    with pytest.raises(ValidationError, match="unknown scheme 'ward'; expected one of"):
+        dataclasses.replace(sol, scheme="ward")
+
+
+def test_delta_vacuous_follows_the_level_count():
+    """Derived from the level count: a stored value must agree with it, and a
+    missing one is read from it."""
+    many = solve_local(run(SimConfig(actor_count=10, seed=0)))
+    one = solve_local(make_sampling(tiny_ambient(), [["a", "b"]]))
+    assert many.sampling.t == 13 and not many.delta_vacuous
+    assert one.to_dict()["delta_vacuous"] is True
+    with pytest.raises(ValidationError, match="'delta_vacuous' True disagrees"):
+        LocalSolution.from_dict({**many.to_dict(), "delta_vacuous": True})
+    with pytest.raises(ValidationError, match="'delta_vacuous' False disagrees"):
+        LocalSolution.from_dict({**one.to_dict(), "delta_vacuous": False})
+    for sol in (many, one):
+        doc = sol.to_dict()
+        del doc["delta_vacuous"]
+        back = LocalSolution.from_dict(doc)
+        assert back.delta_vacuous is sol.delta_vacuous
+        evaluate_general(back)
+
+
 def test_evaluate_general_refuses_a_nan_metric():
     sol = solve_local(random_sampling(np.random.default_rng(29), min_levels=2))
     for name in ("chi", "delta", "rho"):
