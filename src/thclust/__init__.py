@@ -67,6 +67,6 @@ from .hardness import (
     verify_witness,
     witness_from_coloring,
 )
-from .flocking import Actor, SimConfig, initial_state, run, run_detailed, step
+from .flocking import SimConfig, initial_state, run, run_detailed, step
 
 __version__ = "0.1.0"

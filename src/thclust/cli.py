@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -78,6 +79,14 @@ def _parse_json(text: str, path: str):
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
+def _inf_as_text(value):
+    """``value``, or the string "inf" or "-inf" in place of an infinite
+    float: strict JSON has no infinity."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> str:
     path.parent.mkdir(parents=True, exist_ok=True)
     doc = {"format_version": FORMAT_VERSION, **payload}
@@ -105,12 +114,8 @@ def _output(args: argparse.Namespace, source: str, suffix: str) -> Path:
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "command"):
-            continue
-        out[key] = value if not isinstance(value, Path) else str(value)
-    return out
+    return {key: _inf_as_text(value) for key, value in vars(args).items()
+            if key not in ("func", "command")}
 
 
 def _load_graph(path: str) -> Graph:
@@ -279,7 +284,8 @@ def cmd_cluster(args: argparse.Namespace) -> dict:
                     f"{radius:g}: label {violation.label} near point "
                     f"{violation.point!r} (condition {violation.condition})"
                 )
-        report["contiguity"] = {"delta": radius, "adjacent_pairs_checked": len(loaded) - 1}
+        report["contiguity"] = {"delta": _inf_as_text(radius),
+                                "adjacent_pairs_checked": len(loaded) - 1}
     return report
 
 
@@ -297,7 +303,7 @@ def cmd_cut(args: argparse.Namespace) -> dict:
         Dendrogram.from_dict(body).to_ultrametric(), args.r
     ))
     written = _write_json(_output(args, args.input, ".cut.json"), {
-        "r": "inf" if args.r == float("inf") else args.r,
+        "r": _inf_as_text(args.r),
         "blocks": blocks,
     })
     return {"metrics": {"blocks": len(blocks)}, "outputs": [written]}
@@ -485,9 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command and print its report: the command's metrics and
-    outputs (and contiguity, for ``cluster --labels``) with the command
-    name, the resolved config and the elapsed time."""
+    """Run one command and print its report as strict JSON: the command's
+    metrics and outputs (and contiguity, for ``cluster --labels``) with the
+    command name, the resolved config and the elapsed time."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -511,7 +517,7 @@ def main(argv=None) -> int:
         "config": _resolved_config(args),
         **result,
         "elapsed_s": round(time.perf_counter() - started, 6),
-    }, indent=2, sort_keys=True))
+    }, indent=2, sort_keys=True, allow_nan=False))
     return code
 
 

@@ -7,10 +7,10 @@ actor of random type or delete one of the participants, so the population
 varies over time. Snapshots become levels of a TemporalSampling over the
 plane.
 
-The population lives in arrays kept in ident order (idents, integer
-serials, kinds, positions, velocities). :func:`run_detailed` advances them
-with one array tick and copies positions only at snapshots; :func:`step` is
-the adapter that takes and returns a list of :class:`Actor` objects.
+The population is one state of arrays kept in ident order: ``(idents,
+serials, kinds, pos, vel)``. :func:`initial_state` draws it,
+:func:`step` advances it by one tick, and :func:`run_detailed` calls
+:func:`step` once per tick and copies positions only at snapshots.
 
 All rule constants are invented, tunable defaults; the governing equations
 are qualitative. Randomness draws from two split streams (initial state
@@ -20,22 +20,14 @@ identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .metric import MetricSpace, TemporalSampling, ValidationError
-from .metric import _json_int, _json_number, _json_object
+from .metric import _json_int, _json_list, _json_number, _json_object
 
 TYPE_COUNT = 4
-
-
-@dataclass(eq=False)
-class Actor:
-    ident: str
-    kind: int
-    position: np.ndarray
-    velocity: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -91,29 +83,10 @@ class SimConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
         _json_object(data, "config document")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValidationError(f"unknown config keys: {unknown}")
         return cls(**data)
-
-
-def _serial(ident: str) -> int:
-    return int(ident[1:]) if ident[1:].isdigit() else -1
-
-
-def _arrays(actors: list[Actor]):
-    """``(idents, serials, kinds, pos, vel)`` of ``actors`` in ident order."""
-    actors = sorted(actors, key=lambda a: a.ident)
-    n = len(actors)
-    idents = [a.ident for a in actors]
-    return (
-        idents,
-        np.array([_serial(ident) for ident in idents], dtype=np.int64),
-        np.array([a.kind for a in actors], dtype=np.int64),
-        np.array([a.position for a in actors], dtype=float).reshape(n, 2),
-        np.array([a.velocity for a in actors], dtype=float).reshape(n, 2),
-    )
 
 
 def _gaps(pos: np.ndarray):
@@ -128,9 +101,9 @@ def _gaps(pos: np.ndarray):
     return dx, dy, dist
 
 
-def _tick(idents, serials, kinds, pos, vel, cfg: SimConfig, rng: np.random.Generator):
-    """Advance arrays kept in ident order by one tick; returns the next
-    ``(idents, serials, kinds, pos, vel)``, again in ident order.
+def step(state, cfg: SimConfig, rng: np.random.Generator):
+    """Advance the state ``(idents, serials, kinds, pos, vel)``, kept in
+    ident order, by one tick; returns the next state, again in ident order.
 
     Forces, clamp, move and reflect act on all actors at once. The clump
     and avoid sums visit only the pairs within their radius, each row in
@@ -139,9 +112,17 @@ def _tick(idents, serials, kinds, pos, vel, cfg: SimConfig, rng: np.random.Gener
     post-move positions, pair by pair in ident order; an actor deleted
     earlier in the tick takes part in nothing else. Newcomers take serials
     after the largest one alive at the start of the tick. Only the
-    interaction stage draws from ``rng``. The inputs are never written.
+    interaction stage draws from ``rng``. The inputs are never written; a
+    malformed state raises :class:`ValidationError`.
     """
+    idents, serials, kinds, pos, vel = _json_list(state, "state", 5)
     n = len(idents)
+    if any(a >= b for a, b in zip(idents, idents[1:])):
+        raise ValidationError("state idents must be unique and in sorted order")
+    for name, array, shape in (("serials", serials, (n,)), ("kinds", kinds, (n,)),
+                               ("pos", pos, (n, 2)), ("vel", vel, (n, 2))):
+        if not isinstance(array, np.ndarray) or array.shape != shape:
+            raise ValidationError(f"state {name} must be an array of shape {shape}")
     force = np.zeros_like(pos)
     dx, dy, dist = _gaps(pos)
 
@@ -212,7 +193,7 @@ def _tick(idents, serials, kinds, pos, vel, cfg: SimConfig, rng: np.random.Gener
     if parents:
         first, second = np.array(parents).T
         born = np.arange(len(parents)) + (int(serials.max(initial=-1)) + 1)
-        idents = idents + [f"a{serial:05d}" for serial in born.tolist()]
+        idents = [*idents, *(f"a{serial:05d}" for serial in born.tolist())]
         serials = np.concatenate([serials, born])
         kinds = np.concatenate([kinds, born_kinds])
         pos = np.concatenate([pos, (pos[first] + pos[second]) / 2.0])
@@ -226,31 +207,14 @@ def _tick(idents, serials, kinds, pos, vel, cfg: SimConfig, rng: np.random.Gener
     return idents, serials, kinds, pos, vel
 
 
-def step(state: list[Actor], cfg: SimConfig, rng: np.random.Generator) -> list[Actor]:
-    """Advance a list of actors by one tick: the ``Actor`` adapter over the
-    array tick that :func:`run_detailed` runs.
-
-    The actors are sorted by ident, advanced as arrays and wrapped again,
-    in ident order. Only the interaction stage draws from ``rng``.
-    """
-    idents, _, kinds, pos, vel = _tick(*_arrays(state), cfg, rng)
-    return [
-        Actor(ident=ident, kind=kind, position=p, velocity=v)
-        for ident, kind, p, v in zip(idents, kinds.tolist(), pos, vel)
-    ]
-
-
-def initial_state(cfg: SimConfig, rng: np.random.Generator) -> list[Actor]:
-    """Uniform positions, mild random velocities, uniform random types."""
+def initial_state(cfg: SimConfig, rng: np.random.Generator):
+    """Uniform positions, mild random velocities, uniform random types, as the
+    state that :func:`step` advances: idents ``a00000`` on, serials 0..n-1."""
     n = cfg.actor_count
-    positions = rng.uniform(0.0, cfg.arena_side, size=(n, 2))
-    velocities = rng.uniform(-cfg.max_speed / 2.0, cfg.max_speed / 2.0, size=(n, 2))
+    pos = rng.uniform(0.0, cfg.arena_side, size=(n, 2))
+    vel = rng.uniform(-cfg.max_speed / 2.0, cfg.max_speed / 2.0, size=(n, 2))
     kinds = rng.integers(TYPE_COUNT, size=n)
-    return [
-        Actor(ident=f"a{i:05d}", kind=int(kinds[i]),
-              position=positions[i], velocity=velocities[i])
-        for i in range(n)
-    ]
+    return [f"a{i:05d}" for i in range(n)], np.arange(n, dtype=np.int64), kinds, pos, vel
 
 
 def run_detailed(cfg: SimConfig, on_tick=None):
@@ -265,29 +229,28 @@ def run_detailed(cfg: SimConfig, on_tick=None):
     step when given.
     """
     init_seq, interact_seq = np.random.SeedSequence(cfg.seed).spawn(2)
-    state = _arrays(initial_state(cfg, np.random.default_rng(init_seq)))
+    state = initial_state(cfg, np.random.default_rng(init_seq))
     interact_rng = np.random.default_rng(interact_seq)
 
-    snapshots = [(state[0], state[2], state[3].copy())]
+    snapshots = [state]  # step never writes a state, so none is copied
     for tick in range(1, cfg.total_ticks + 1):
-        state = _tick(*state, cfg, interact_rng)
-        idents, _, kinds, pos, _ = state
+        state = step(state, cfg, interact_rng)
         if on_tick is not None:
-            on_tick(tick, len(idents))
+            on_tick(tick, len(state[0]))
         if tick % cfg.snapshot_interval == 0:
-            if not idents:
+            if not state[0]:
                 raise RuntimeError(f"population died out by tick {tick}")
-            snapshots.append((idents, kinds, pos.copy()))
+            snapshots.append(state)
 
     point_ids: list[str] = []
     levels: list[list[str]] = []
     kind_maps: list[dict[str, int]] = []
-    for lvl, (idents, kinds, _) in enumerate(snapshots):
+    for lvl, (idents, _, kinds, _, _) in enumerate(snapshots):
         level_ids = [f"t{lvl:03d}_{ident}" for ident in idents]
         point_ids.extend(level_ids)
         levels.append(level_ids)
         kind_maps.append(dict(zip(level_ids, kinds.tolist())))
-    coords = np.concatenate([pos for _, _, pos in snapshots])
+    coords = np.concatenate([pos for _, _, _, pos, _ in snapshots])
     ambient = MetricSpace(point_ids, coords=coords, pseudo=True)
     return TemporalSampling(ambient, levels), kind_maps
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import MetricSpace, ValidationError, _json_list, _json_pairs, linf_distance
+from .metric import MetricSpace, ValidationError, _json_list, linf_distance
 from .metric import _as_point_tuple, _json_object, _json_str
 from .temporal import Correspondence, distortion
 from .ultrametric import PseudoUltrametric
@@ -26,6 +26,12 @@ class WitnessError(ValidationError):
     """A coloring or witness fails the structural preconditions."""
 
 
+def _edge(edge) -> tuple[str, str]:
+    """An edge as its two string ends."""
+    u, v = _json_list(edge, "edges entry", 2)
+    return _json_str(u, "edge end"), _json_str(v, "edge end")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with canonical vertex and edge ordering."""
@@ -35,7 +41,7 @@ class Graph:
 
     def __post_init__(self):
         known = set(_as_point_tuple(self.vertices, "vertices"))
-        for u, v in self.edges:
+        for u, v in map(_edge, _json_list(self.edges, "edges")):
             if u == v:
                 raise ValidationError(f"self-loop at {u!r}")
             if u not in known or v not in known:
@@ -44,8 +50,7 @@ class Graph:
     @classmethod
     def build(cls, vertices, edges) -> "Graph":
         vs = tuple(sorted(_as_point_tuple(vertices, "vertices")))
-        canon = {tuple(sorted((_json_str(u, "edge end"), _json_str(v, "edge end"))))
-                 for u, v in edges}
+        canon = {tuple(sorted(_edge(edge))) for edge in edges}
         return cls(vertices=vs, edges=tuple(sorted(canon)))
 
     def adjacent(self, u: str, v: str) -> bool:
@@ -63,7 +68,7 @@ class Graph:
     def from_dict(cls, data: dict) -> "Graph":
         _json_object(data, "graph document", ("vertices",))
         return cls.build(_json_list(data["vertices"], "vertices"),
-                         _json_pairs(data.get("edges", []), "edges"))
+                         _json_list(data.get("edges", []), "edges"))
 
     @classmethod
     def from_dimacs(cls, text: str) -> "Graph":
@@ -137,9 +142,7 @@ class Witness:
         return cls(
             u_p=PseudoUltrametric.from_dict(data["u_p"]),
             u_v=PseudoUltrametric.from_dict(data["u_v"]),
-            corr=Correspondence.from_pairs(
-                _json_pairs(data["correspondence"], "correspondence")
-            ),
+            corr=Correspondence.from_pairs(_json_list(data["correspondence"], "correspondence")),
         )
 
 

@@ -60,11 +60,6 @@ def _json_list(value, what: str, size: int | None = None):
     return value
 
 
-def _json_pairs(value, what: str) -> list:
-    """A JSON array of two-item arrays, such as edges or correspondence pairs."""
-    return [_json_list(pair, f"{what} entry", 2) for pair in _json_list(value, what)]
-
-
 def _json_object(value, what: str, required=()) -> dict:
     """``value`` if it is a JSON object holding every key in ``required``."""
     if not isinstance(value, dict):
@@ -160,7 +155,7 @@ class MetricSpace:
         self.points = _as_point_tuple(points, "points")
         n = len(self.points)
         self._index = {p: i for i, p in enumerate(self.points)}
-        self.pseudo = bool(pseudo)
+        self.pseudo = _json_bool(pseudo, "'pseudo'")
 
         if coords is not None:
             coords = _float_array(coords, "coords")
@@ -334,7 +329,7 @@ class MetricSpace:
             _json_list(data["points"], "points"),
             dist=data.get("matrix"),
             coords=data.get("coords"),
-            pseudo=_json_bool(data.get("pseudo", False), "'pseudo'"),
+            pseudo=data.get("pseudo", False),
         )
 
 

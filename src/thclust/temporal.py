@@ -18,7 +18,6 @@ from .metric import (
     TemporalSampling,
     ValidationError,
     _json_list,
-    _json_pairs,
     hausdorff_distance,
     linf_distance,
 )
@@ -51,7 +50,8 @@ class Correspondence:
     @classmethod
     def from_pairs(cls, pairs) -> "Correspondence":
         what = "correspondence point"
-        canon = sorted({(_json_str(u, what), _json_str(v, what)) for u, v in pairs})
+        read = (_json_list(pair, "correspondence entry", 2) for pair in pairs)
+        canon = sorted({(_json_str(u, what), _json_str(v, what)) for u, v in read})
         return cls(pairs=tuple(canon))
 
     def left(self) -> set[str]:
@@ -193,7 +193,7 @@ class LocalSolution:
                 for u in _json_list(data["ultrametrics"], "ultrametrics")
             ),
             correspondences=tuple(
-                Correspondence.from_pairs(_json_pairs(c, "correspondence"))
+                Correspondence.from_pairs(_json_list(c, "correspondence"))
                 for c in _json_list(data["correspondences"], "correspondences")
             ),
             **{name: _json_number(data[name], f"stored {name}") for name in metrics},

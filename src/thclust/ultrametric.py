@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metric import TOL, MetricSpace, ValidationError, shortest_path_closure
-from .metric import _as_point_tuple, _float_array, _json_list, _json_number, _json_object
+from .metric import _as_point_tuple, _float_array, _json_int, _json_list, _json_number
+from .metric import _json_object
 
 log = logging.getLogger(__name__)
 
@@ -430,25 +431,28 @@ class Dendrogram:
     merges: tuple[tuple[float, int | str, int | str], ...]
 
     def __post_init__(self):
-        leaves = set(_as_point_tuple(self.leaves, "leaves"))
-        if len(self.merges) != len(self.leaves) - 1:
-            raise ValidationError(
-                f"expected {len(self.leaves) - 1} merges, got {len(self.merges)}"
-            )
+        points = _as_point_tuple(self.leaves, "leaves")
+        leaves = set(points)
+        entries = _json_list(self.merges, "merges")
+        if len(entries) != len(points) - 1:
+            raise ValidationError(f"expected {len(points) - 1} merges, got {len(entries)}")
+        merges = []
         used: set[int | str] = set()
         prev = -math.inf
-        for idx, (h, a, b) in enumerate(self.merges):
-            _json_number(h, f"merge {idx} height")
+        for idx, entry in enumerate(entries):
+            h, *refs = _json_list(entry, f"merge {idx}", 3)
+            h = _json_number(h, f"merge {idx} height")
+            refs = [int(ref) if isinstance(ref, np.integer) else ref for ref in refs]
             if h < -TOL:
                 raise ValidationError(f"merge {idx} height {h!r} is negative")
             if prev > h + TOL:
                 raise ValidationError(f"merge heights decrease at index {idx}")
             prev = max(h, prev)
-            for ref in (a, b):
+            for ref in refs:
                 if isinstance(ref, str):
                     if ref not in leaves:
                         raise ValidationError(f"unknown leaf {ref!r} in merge {idx}")
-                elif isinstance(ref, (int, np.integer)) and not isinstance(ref, bool):
+                elif isinstance(ref, int) and not isinstance(ref, bool):
                     if not 0 <= ref < idx:
                         raise ValidationError(f"merge {idx} references invalid index {ref}")
                 else:
@@ -456,6 +460,11 @@ class Dendrogram:
                 if ref in used:
                     raise ValidationError(f"merge {idx} reuses node {ref!r}")
                 used.add(ref)
+            merges.append((h, *refs))
+        # Stored as tuples of floats, ints and ids, so to_dict always writes
+        # JSON and equal merge lists compare and hash alike.
+        object.__setattr__(self, "leaves", points)
+        object.__setattr__(self, "merges", tuple(merges))
         # The n - 1 merges hold 2n - 2 distinct references, each to one of the
         # n leaves or the n - 2 merges before the last: every node but the
         # root is used exactly once, so the merges span the leaves.
@@ -469,17 +478,13 @@ class Dendrogram:
     def to_dict(self) -> dict:
         return {
             "leaves": list(self.leaves),
-            "merges": [[float(h), a, b] for h, a, b in self.merges],
+            "merges": [list(merge) for merge in self.merges],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Dendrogram":
         _json_object(data, "dendrogram document", ("leaves", "merges"))
-        merges = []
-        for idx, entry in enumerate(_json_list(data["merges"], "merges")):
-            h, a, b = _json_list(entry, f"merge {idx}", 3)
-            merges.append((_json_number(h, f"merge {idx} height"), a, b))
-        return cls(tuple(_json_list(data["leaves"], "leaves")), tuple(merges))
+        return cls(_json_list(data["leaves"], "leaves"), data["merges"])
 
 
 def to_dendrogram(ultrametric: PseudoUltrametric) -> Dendrogram:
@@ -537,6 +542,7 @@ def instability_family(n: int, eps: float) -> tuple[MetricSpace, MetricSpace]:
     most ``eps`` on the same pair, which is the contrast the family exists
     to demonstrate.
     """
+    n = _json_int(n, "n")
     if n < 5:
         raise ValidationError("family needs n >= 5")
     if not 0 <= eps < 1:

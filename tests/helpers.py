@@ -11,6 +11,7 @@ import functools
 import itertools
 import logging
 from collections import deque
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,7 @@ from thclust import (
     Witness,
     instability_family,
 )
-from thclust.flocking import TYPE_COUNT, Actor, SimConfig, _serial, initial_state
+from thclust.flocking import TYPE_COUNT, SimConfig, initial_state
 from thclust.labeling import ContiguityViolation, IntegralFlow
 from thclust.temporal import require_correspondence
 
@@ -895,6 +896,41 @@ def reference_decompose_paths(flow):
 # ---------------------------------------------------------------- flocking
 
 
+@dataclass(eq=False)
+class Actor:
+    """One actor of the list state that the oracle step advances."""
+
+    ident: str
+    kind: int
+    position: np.ndarray
+    velocity: np.ndarray
+
+
+def _serial(ident: str) -> int:
+    return int(ident[1:]) if ident[1:].isdigit() else -1
+
+
+def actors_from_state(state) -> list[Actor]:
+    """The ``Actor`` list of an array state ``(idents, serials, kinds, pos,
+    vel)``, with copied rows."""
+    idents, _, kinds, pos, vel = state
+    return [Actor(ident, kind, p.copy(), v.copy())
+            for ident, kind, p, v in zip(idents, kinds.tolist(), pos, vel)]
+
+
+def state_from_actors(actors: list[Actor]):
+    """The array state of an ident-ordered ``Actor`` list; each serial is
+    read from its ident, -1 unless the ident is ``a`` and digits."""
+    n = len(actors)
+    return (
+        [a.ident for a in actors],
+        np.array([_serial(a.ident) for a in actors], dtype=np.int64),
+        np.array([a.kind for a in actors], dtype=np.int64),
+        np.array([a.position for a in actors], dtype=float).reshape(n, 2),
+        np.array([a.velocity for a in actors], dtype=float).reshape(n, 2),
+    )
+
+
 def reference_step(state: list[Actor], cfg: SimConfig, rng: np.random.Generator) -> list[Actor]:
     """The actor-list step that the array tick replaced, kept as its oracle.
 
@@ -1005,7 +1041,7 @@ def reference_run_detailed(cfg: SimConfig, on_tick=None):
     step when given.
     """
     init_seq, interact_seq = np.random.SeedSequence(cfg.seed).spawn(2)
-    state = initial_state(cfg, np.random.default_rng(init_seq))
+    state = actors_from_state(initial_state(cfg, np.random.default_rng(init_seq)))
     interact_rng = np.random.default_rng(interact_seq)
 
     snapshots: list[list[Actor]] = [list(state)]

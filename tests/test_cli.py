@@ -25,6 +25,7 @@ from thclust.cli import (
     _dendrogram_layout,
     _labelings_from_dict,
     _load,
+    _parse_json,
     _render_svg,
     main,
 )
@@ -706,6 +707,34 @@ def test_every_report_has_one_shape(tmp_path, capsys):
         assert read_json(Path(name))["format_version"] == "2"
 
 
+def test_reports_with_infinities_are_strict_json(tmp_path, capsys):
+    """An infinite ``-r``, ``--delta`` or ``--chi`` is reported as the string
+    "inf", which the CLI's own strict reader accepts."""
+    dend = str(tmp_path / "d.json")
+    assert main(["fit", line_file(tmp_path), "-o", dend]) == 0
+    graph = tmp_path / "k3.col"
+    graph.write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    inst, wit = str(tmp_path / "inst.json"), str(tmp_path / "wit.json")
+    coloring = write_json(tmp_path / "col.json", {"coloring": {"1": "r", "2": "g", "3": "b"}})
+    assert main(["reduce", str(graph), "-o", inst]) == 0
+    assert main(["witness", str(graph), coloring, "-o", wit]) == 0
+    capsys.readouterr()
+    commands = {
+        "cut": ["cut", dend, "-r", "inf", "-o", str(tmp_path / "c.json")],
+        "cluster": ["cluster", sampling_file(tmp_path), "--labels", "--delta", "inf",
+                    "-o", str(tmp_path / "out")],
+        "verify": ["verify", inst, wit, "--chi", "inf", "--rho", "0"],
+    }
+    reports = {}
+    for name, argv in commands.items():
+        main(argv)
+        reports[name] = _parse_json(capsys.readouterr().out, name)
+    assert reports["cut"]["config"]["r"] == "inf"
+    assert reports["cluster"]["config"]["delta"] == "inf"
+    assert reports["cluster"]["contiguity"]["delta"] == "inf"
+    assert reports["verify"]["config"]["chi"] == "inf"
+
+
 def _bench_tracing():
     """``bench/tracing.py`` as the benchmark loads it, unchanged."""
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -755,6 +784,20 @@ def test_bench_toy_workloads_run_clean(tmp_path, monkeypatch, name, trace):
     assert record["failed"] == 0, record["errors"]
     assert record["attempted"] >= 1
     assert bench_run.result_line(record, spec)["correct"]
+
+
+def test_bench_traced_spans_are_all_reached(tmp_path, monkeypatch):
+    """Every span the benchmark traces is called by at least one of its
+    workloads at toy size, so no per-layer figure reads 0 on working code."""
+    bench_run = _bench_run(monkeypatch)
+    calls = {name: 0.0 for name, _, _ in _bench_tracing().SPANS}
+    for workload in ("flock-label", "fit-large", "cli-session"):
+        record = bench_run.measure(workload, seed=3, seconds=0.0, trace=True, size="toy",
+                                   workdir=tmp_path / workload, reference=None)
+        assert record["failed"] == 0, record["errors"]
+        for name in calls:
+            calls[name] += record["layers"][f"{name}.calls"]
+    assert [name for name, count in calls.items() if count == 0] == []
 
 
 def test_bench_flow_counters_read_the_flow_network():

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import reference_run_detailed, reference_step
-from thclust import Actor, SimConfig, ValidationError, initial_state, run, run_detailed, step
+from helpers import actors_from_state, reference_run_detailed, reference_step, state_from_actors
+from thclust import SimConfig, ValidationError, initial_state, run, run_detailed, step
 
 
 def still_config(**overrides):
@@ -25,8 +25,12 @@ def still_config(**overrides):
     return SimConfig(**base)
 
 
-def actor(ident, kind, pos, vel):
-    return Actor(ident, kind, np.array(pos, dtype=float), np.array(vel, dtype=float))
+def flock(*rows):
+    """The state ``(idents, serials, kinds, pos, vel)`` of ``(ident, serial,
+    kind, position, velocity)`` rows, taken in the order given."""
+    idents, serials, kinds, pos, vel = zip(*rows)
+    return (list(idents), np.array(serials, dtype=np.int64), np.array(kinds, dtype=np.int64),
+            np.array(pos, dtype=float), np.array(vel, dtype=float))
 
 
 # ---------------------------------------------------------------- config
@@ -69,76 +73,76 @@ def test_config_round_trip_and_unknown_key():
 
 def test_force_free_step_is_pure_drift():
     cfg = still_config(dt=0.1)
-    state = [actor("a00000", 0, (50.0, 50.0), (1.0, 2.0))]
-    out = step(state, cfg, np.random.default_rng(0))
-    assert np.array_equal(out[0].position, [50.1, 50.2])
-    assert np.array_equal(out[0].velocity, [1.0, 2.0])
+    state = flock(("a00000", 0, 0, (50.0, 50.0), (1.0, 2.0)))
+    _, _, _, pos, vel = step(state, cfg, np.random.default_rng(0))
+    assert np.array_equal(pos[0], [50.1, 50.2])
+    assert np.array_equal(vel[0], [1.0, 2.0])
 
 
 def test_speed_is_clamped():
     cfg = still_config(max_speed=4.0)
-    state = [actor("a00000", 0, (50.0, 50.0), (30.0, 40.0))]
-    out = step(state, cfg, np.random.default_rng(0))
-    speed = float(np.hypot(*out[0].velocity))
+    state = flock(("a00000", 0, 0, (50.0, 50.0), (30.0, 40.0)))
+    _, _, _, _, vel = step(state, cfg, np.random.default_rng(0))
+    speed = float(np.hypot(*vel[0]))
     assert abs(speed - 4.0) < 1e-9
 
 
 def test_clump_pulls_same_kind_together():
     cfg = still_config(clump_weight=0.5, clump_radius=30.0)
-    state = [
-        actor("a00000", 1, (40.0, 50.0), (0.0, 0.0)),
-        actor("a00001", 1, (60.0, 50.0), (0.0, 0.0)),
-    ]
-    out = step(state, cfg, np.random.default_rng(0))
-    gap = np.linalg.norm(out[0].position - out[1].position)
+    state = flock(
+        ("a00000", 0, 1, (40.0, 50.0), (0.0, 0.0)),
+        ("a00001", 1, 1, (60.0, 50.0), (0.0, 0.0)),
+    )
+    _, _, _, pos, _ = step(state, cfg, np.random.default_rng(0))
+    gap = np.linalg.norm(pos[0] - pos[1])
     assert gap < 20.0
 
 
 def test_clump_ignores_other_kinds():
     cfg = still_config(clump_weight=0.5, clump_radius=30.0)
-    state = [
-        actor("a00000", 1, (40.0, 50.0), (0.0, 0.0)),
-        actor("a00001", 2, (60.0, 50.0), (0.0, 0.0)),
-    ]
-    out = step(state, cfg, np.random.default_rng(0))
-    assert np.array_equal(out[0].position, [40.0, 50.0])
-    assert np.array_equal(out[1].position, [60.0, 50.0])
+    state = flock(
+        ("a00000", 0, 1, (40.0, 50.0), (0.0, 0.0)),
+        ("a00001", 1, 2, (60.0, 50.0), (0.0, 0.0)),
+    )
+    _, _, _, pos, _ = step(state, cfg, np.random.default_rng(0))
+    assert np.array_equal(pos[0], [40.0, 50.0])
+    assert np.array_equal(pos[1], [60.0, 50.0])
 
 
 def test_avoid_pushes_close_actors_apart():
     cfg = still_config(avoid_weight=1.5, avoid_radius=3.0, clump_radius=15.0)
-    state = [
-        actor("a00000", 1, (49.5, 50.0), (0.0, 0.0)),
-        actor("a00001", 2, (50.5, 50.0), (0.0, 0.0)),
-    ]
-    out = step(state, cfg, np.random.default_rng(0))
-    gap = np.linalg.norm(out[0].position - out[1].position)
+    state = flock(
+        ("a00000", 0, 1, (49.5, 50.0), (0.0, 0.0)),
+        ("a00001", 1, 2, (50.5, 50.0), (0.0, 0.0)),
+    )
+    _, _, _, pos, _ = step(state, cfg, np.random.default_rng(0))
+    gap = np.linalg.norm(pos[0] - pos[1])
     assert gap > 1.0
 
 
 def test_school_aligns_with_kind_mean_velocity():
     cfg = still_config(school_weight=0.5)
-    state = [
-        actor("a00000", 0, (30.0, 50.0), (0.0, 0.0)),
-        actor("a00001", 0, (70.0, 50.0), (2.0, 0.0)),
-    ]
-    out = step(state, cfg, np.random.default_rng(0))
-    assert out[0].velocity[0] > 0.0
+    state = flock(
+        ("a00000", 0, 0, (30.0, 50.0), (0.0, 0.0)),
+        ("a00001", 1, 0, (70.0, 50.0), (2.0, 0.0)),
+    )
+    _, _, _, _, vel = step(state, cfg, np.random.default_rng(0))
+    assert vel[0, 0] > 0.0
 
 
 def test_boundary_reflection():
     cfg = still_config(max_speed=4.0, dt=0.1)
-    state = [actor("a00000", 0, (99.9, 50.0), (4.0, 0.0))]
-    out = step(state, cfg, np.random.default_rng(0))
-    assert abs(out[0].position[0] - 99.7) < 1e-9
-    assert out[0].velocity[0] == -4.0
+    state = flock(("a00000", 0, 0, (99.9, 50.0), (4.0, 0.0)))
+    _, _, _, pos, vel = step(state, cfg, np.random.default_rng(0))
+    assert abs(pos[0, 0] - 99.7) < 1e-9
+    assert vel[0, 0] == -4.0
 
 
 def test_wall_force_decelerates_near_edge():
     cfg = still_config(wall_force=4.0, dt=0.1)
-    state = [actor("a00000", 0, (99.0, 50.0), (0.0, 0.0))]
-    out = step(state, cfg, np.random.default_rng(0))
-    assert out[0].velocity[0] < 0.0  # pushed back toward the interior
+    state = flock(("a00000", 0, 0, (99.0, 50.0), (0.0, 0.0)))
+    _, _, _, _, vel = step(state, cfg, np.random.default_rng(0))
+    assert vel[0, 0] < 0.0  # pushed back toward the interior
 
 
 # ---------------------------------------------------------------- interactions
@@ -220,10 +224,13 @@ def test_initial_state_is_seed_determined():
     cfg = SimConfig(actor_count=10, seed=6)
     first = initial_state(cfg, np.random.default_rng(42))
     second = initial_state(cfg, np.random.default_rng(42))
-    assert [a.ident for a in first] == [a.ident for a in second]
-    assert all(np.array_equal(x.position, y.position) for x, y in zip(first, second))
-    assert all(np.array_equal(x.velocity, y.velocity) for x, y in zip(first, second))
-    assert {a.kind for a in first} <= set(range(4))
+    idents, serials, kinds, pos, vel = first
+    assert idents == second[0] == [f"a{i:05d}" for i in range(10)]
+    assert serials.dtype == kinds.dtype == np.int64
+    assert serials.tolist() == list(range(10))
+    assert pos.shape == vel.shape == (10, 2)
+    assert all(np.array_equal(x, y) for x, y in zip(first[1:], second[1:]))
+    assert set(kinds.tolist()) <= set(range(4))
 
 
 def test_snapshot_schedule_and_level_ids():
@@ -264,18 +271,24 @@ def test_on_tick_callback_sees_every_tick():
 # ---------------------------------------------------------------- against the actor-list oracle
 
 
-def step_record(actors):
-    return [(a.ident, a.kind, a.position.tobytes(), a.velocity.tobytes()) for a in actors]
+def step_record(state):
+    idents, serials, kinds, pos, vel = state
+    return list(zip(idents, serials.tolist(), kinds.tolist(),
+                    map(np.ndarray.tobytes, pos), map(np.ndarray.tobytes, vel)))
 
 
 def both_steps(state, cfg, seed=0):
-    """``step`` and ``reference_step`` on copies of one state and one stream:
-    the records of both outputs and the next draw of each stream."""
-    records = []
-    for fn in (step, reference_step):
-        rng = np.random.default_rng(seed)
-        copies = [actor(a.ident, a.kind, a.position, a.velocity) for a in state]
-        records.append((step_record(fn(copies, cfg, rng)), rng.random()))
+    """``step`` and ``reference_step`` on one state and copies of one stream:
+    the records of both outputs and the next draw of each stream. The
+    oracle's serials are read from its idents; ``step`` leaves its input
+    as it was."""
+    before = step_record(state)
+    rng = np.random.default_rng(seed)
+    records = [(step_record(step(state, cfg, rng)), rng.random())]
+    assert step_record(state) == before
+    rng = np.random.default_rng(seed)
+    old = reference_step(actors_from_state(state), cfg, rng)
+    records.append((step_record(state_from_actors(old)), rng.random()))
     return records
 
 
@@ -286,14 +299,17 @@ def busy_config(**overrides):
     return SimConfig(**base)
 
 
-def test_step_sorts_unsorted_input_like_the_oracle():
-    state = [
-        actor("a00007", 1, (50.0, 50.0), (1.0, -0.5)),
-        actor("a00002", 1, (51.0, 50.5), (0.0, 0.3)),
-        actor("a00011", 2, (49.0, 51.0), (-1.0, 0.0)),
-        actor("a00000", 2, (52.5, 48.0), (0.5, 0.5)),
-        actor("a00005", 0, (99.5, 0.5), (3.0, -3.0)),
-    ]
+BUSY_ROWS = [
+    ("a00000", 0, 2, (52.5, 48.0), (0.5, 0.5)),
+    ("a00002", 2, 1, (51.0, 50.5), (0.0, 0.3)),
+    ("a00005", 5, 0, (99.5, 0.5), (3.0, -3.0)),
+    ("a00007", 7, 1, (50.0, 50.0), (1.0, -0.5)),
+    ("a00011", 11, 2, (49.0, 51.0), (-1.0, 0.0)),
+]
+
+
+def test_step_matches_the_oracle_on_a_busy_state():
+    state = flock(*BUSY_ROWS)
     for spawn_prob, seed in itertools.product((0.0, 0.5, 1.0), range(4)):
         new, old = both_steps(state, busy_config(spawn_prob=spawn_prob), seed)
         assert new == old
@@ -302,12 +318,29 @@ def test_step_sorts_unsorted_input_like_the_oracle():
     assert "a00012" in [ident for ident, *_ in new[0]]
 
 
+MALFORMED_STATES = {
+    "unsorted": lambda s: ([s[0][3], *s[0][:3], s[0][4]], *s[1:]),
+    "repeated-id": lambda s: ([*s[0][:4], s[0][3]], *s[1:]),
+    "pos-shape": lambda s: (*s[:3], s[3].T, s[4]),
+    "kinds-length": lambda s: (*s[:2], s[2][:4], *s[3:]),
+    "vel-list": lambda s: (*s[:4], s[4].tolist()),
+    "four-items": lambda s: s[:4],
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_STATES))
+def test_step_refuses_a_malformed_state(case):
+    state = MALFORMED_STATES[case](flock(*BUSY_ROWS))
+    with pytest.raises(ValidationError, match="state"):
+        step(state, busy_config(), np.random.default_rng(0))
+
+
 def test_step_matches_the_oracle_with_a_non_digit_ident():
-    state = [
-        actor("zeta", 3, (40.0, 40.0), (0.2, 0.1)),
-        actor("a00001", 3, (40.5, 40.0), (0.0, 0.0)),
-        actor("boid", 1, (41.0, 39.5), (0.0, -0.4)),
-    ]
+    state = flock(
+        ("a00001", 1, 3, (40.5, 40.0), (0.0, 0.0)),
+        ("boid", -1, 1, (41.0, 39.5), (0.0, -0.4)),
+        ("zeta", -1, 3, (40.0, 40.0), (0.2, 0.1)),
+    )
     for seed in range(6):
         new, old = both_steps(state, busy_config(spawn_prob=1.0, delete_prob=0.5), seed)
         assert new == old
@@ -315,10 +348,10 @@ def test_step_matches_the_oracle_with_a_non_digit_ident():
 
 def test_step_past_a99999_sorts_the_newcomer_first():
     # string order, not serial order: "a100000" < "a99998"
-    state = [
-        actor("a99999", 0, (30.0, 30.0), (0.0, 0.0)),
-        actor("a99998", 0, (30.5, 30.0), (0.0, 0.0)),
-    ]
+    state = flock(
+        ("a99998", 99998, 0, (30.5, 30.0), (0.0, 0.0)),
+        ("a99999", 99999, 0, (30.0, 30.0), (0.0, 0.0)),
+    )
     new, old = both_steps(state, busy_config(spawn_prob=1.0, delete_prob=0.0))
     assert new == old
     assert [ident for ident, *_ in new[0]] == ["a100000", "a99998", "a99999"]

@@ -51,6 +51,18 @@ def test_graph_rejects_self_loops_and_unknown_endpoints():
         Graph.build(["a", "b"], [("a", "z")])
 
 
+def test_graph_refuses_malformed_edges():
+    for edges, message in (([5], "edges entry must be a list"),
+                           ([("a",)], "edges entry must have 2 items"),
+                           ([("a", "b", "c")], "edges entry must have 2 items"),
+                           ([(["a"], "b")], "edge end must be a string")):
+        with pytest.raises(ValidationError, match=message):
+            Graph.build(["a", "b"], edges)
+        with pytest.raises(ValidationError, match=message):
+            Graph(("a", "b"), tuple(edges))
+    assert Graph.build(["a", "b"], (pair for pair in [("b", "a")])).edges == (("a", "b"),)
+
+
 def test_graph_dict_round_trip():
     g = cycle_graph(5)
     assert Graph.from_dict(g.to_dict()) == g

@@ -119,6 +119,8 @@ def test_pseudo_must_be_a_json_boolean():
     for value in ("false", "true", 1, None):
         with pytest.raises(ValidationError, match="'pseudo' must be true or false"):
             MetricSpace.from_dict({**doc, "pseudo": value})
+        with pytest.raises(ValidationError, match="'pseudo' must be true or false"):
+            MetricSpace(["a", "b"], dist=[[0, 1], [1, 0]], pseudo=value)
 
 
 @pytest.mark.parametrize("key, rows", [

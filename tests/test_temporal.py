@@ -51,6 +51,16 @@ def test_correspondence_canonical_form():
     assert c.right() == {"x", "y"}
 
 
+def test_correspondence_pairs_have_two_items():
+    for pairs, message in (([("a",)], "correspondence entry must have 2 items"),
+                           ([("a", "x", "y")], "correspondence entry must have 2 items"),
+                           ([5], "correspondence entry must be a list"),
+                           ([("a", 1)], "correspondence point must be a string")):
+        with pytest.raises(ValidationError, match=message):
+            Correspondence.from_pairs(pairs)
+    assert Correspondence.from_pairs(iter([["b", "y"]])).pairs == (("b", "y"),)
+
+
 def test_locality_is_worst_pair_distance():
     ambient = tiny_ambient()
     c = Correspondence.from_pairs([("a", "a"), ("a", "b")])

@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -379,6 +380,9 @@ def test_instability_family_validation():
         instability_family(4, 0.1)
     with pytest.raises(ValidationError):
         instability_family(10, 1.0)
+    for n in (6.0, "6", True):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            instability_family(n, 0.1)
 
 
 def test_figure_family_frozen_values():
@@ -492,6 +496,24 @@ def test_dendrogram_structural_validation():
                       ({"leaves": ["a", "b"], "merges": [[1.0, "a"]]}, "merge 0")):
         with pytest.raises(ValidationError, match=what):
             Dendrogram.from_dict(doc)
+
+
+def test_dendrogram_stores_what_it_can_write():
+    """Merges are read where they enter: a numpy index becomes an int, a
+    list becomes a tuple, and a short or scalar merge is refused."""
+    d = Dendrogram(("a", "b", "c"), ((1.0, "a", "b"), (2.0, np.int64(0), "c")))
+    assert json.loads(json.dumps(d.to_dict())) == {
+        "leaves": ["a", "b", "c"], "merges": [[1.0, "a", "b"], [2.0, 0, "c"]]}
+    assert type(d.merges[1][1]) is int
+    listed = Dendrogram(["a", "b", "c"], [[1, "a", "b"], [np.float64(2), 0, "c"]])
+    assert listed == d and hash(listed) == hash(d)
+    assert listed.leaves == ("a", "b", "c") and type(listed.merges[0][0]) is float
+    for merges, message in ((((1.0, "a"),), "merge 0 must have 3 items"),
+                            (((5,),), "merge 0 must have 3 items"),
+                            ((5,), "merge 0 must be a list"),
+                            ("ab", "merges must be a list")):
+        with pytest.raises(ValidationError, match=message):
+            Dendrogram(("a", "b"), merges)
 
 
 # ---------------------------------------------------------------- cuts
