@@ -60,7 +60,6 @@ from .hardness import (
     ThcInstance,
     Witness,
     WitnessError,
-    brute_force_3color,
     coloring_from_witness,
     pad_to_three_colors,
     reduce_from_graph,

@@ -34,31 +34,23 @@ def _edge(edge) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with canonical vertex and edge ordering."""
+    """Simple undirected graph, stored canonically: sorted vertices, and each
+    edge once, as a sorted pair, in sorted order."""
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        known = set(_as_point_tuple(self.vertices, "vertices"))
+        vertices = tuple(sorted(_as_point_tuple(self.vertices, "vertices")))
+        known, edges = set(vertices), set()
         for u, v in map(_edge, _json_list(self.edges, "edges")):
             if u == v:
                 raise ValidationError(f"self-loop at {u!r}")
             if u not in known or v not in known:
                 raise ValidationError(f"edge ({u!r}, {v!r}) uses unknown vertex")
-
-    @classmethod
-    def build(cls, vertices, edges) -> "Graph":
-        vs = tuple(sorted(_as_point_tuple(vertices, "vertices")))
-        canon = {tuple(sorted(_edge(edge))) for edge in edges}
-        return cls(vertices=vs, edges=tuple(sorted(canon)))
-
-    def adjacent(self, u: str, v: str) -> bool:
-        return tuple(sorted((u, v))) in set(self.edges)
-
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        out = [b if a == v else a for a, b in self.edges if v in (a, b)]
-        return tuple(sorted(out))
+            edges.add((min(u, v), max(u, v)))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     def to_dict(self) -> dict:
         return {"vertices": list(self.vertices),
@@ -67,8 +59,7 @@ class Graph:
     @classmethod
     def from_dict(cls, data: dict) -> "Graph":
         _json_object(data, "graph document", ("vertices",))
-        return cls.build(_json_list(data["vertices"], "vertices"),
-                         _json_list(data.get("edges", []), "edges"))
+        return cls(_json_list(data["vertices"], "vertices"), data.get("edges", []))
 
     @classmethod
     def from_dimacs(cls, text: str) -> "Graph":
@@ -99,7 +90,7 @@ class Graph:
         if len(edges) != edge_count:
             raise ValidationError(f"problem line declares {edge_count} edges, "
                                   f"found {len(edges)}")
-        return cls.build(vertices, edges)
+        return cls(vertices, edges)
 
 
 @dataclass(frozen=True)
@@ -289,30 +280,3 @@ def coloring_from_witness(inst: ThcInstance, witness: Witness) -> dict[str, str]
                         f"extracted coloring is monochromatic on ({a!r}, {b!r})"
                     )
     return coloring
-
-
-def brute_force_3color(graph: Graph):
-    """First proper 3-coloring in lexicographic order, or None.
-
-    Vertices are tried in sorted order and colors in the fixed r, g, b
-    order, so the result is deterministic. Capped at 20 vertices.
-    """
-    vs = graph.vertices
-    if len(vs) > 20:
-        raise ValidationError("brute force is capped at 20 vertices")
-    adjacency = {v: set(graph.neighbors(v)) for v in vs}
-    assignment: dict[str, str] = {}
-
-    def extend(i: int) -> bool:
-        if i == len(vs):
-            return True
-        v = vs[i]
-        for color in COLORS:
-            if all(assignment.get(nb) != color for nb in adjacency[v]):
-                assignment[v] = color
-                if extend(i + 1):
-                    return True
-                del assignment[v]
-        return False
-
-    return dict(assignment) if extend(0) else None

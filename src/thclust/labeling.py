@@ -119,6 +119,20 @@ class _MaxFlowGraph:
     sorted by (tail, head), so a node's arcs are a run of slots in head
     order. ``pos[k]`` is arc ``k``'s slot and ``rev[a]`` the reverse of slot
     ``a``.
+
+    :meth:`max_flow` requires that no neighbour of the source has an arc to
+    the target, so no augmenting path has length 2. It takes a direct
+    source-to-target arc, if any, and the paths of length 3 in one greedy
+    pass before any search. Edmonds-Karp never shortens its paths, so the
+    search would take these first too, in this order: the direct arc until
+    it saturates, then each time through the first source arc in slot order
+    that has residual and whose head ``u`` has an arc with residual, in head
+    order, to a ``v`` with residual into the target. The pass stays on a
+    source arc until it saturates and never returns to it. That is safe: a
+    saturated source arc stays saturated, and a ``u`` with no such ``v``
+    keeps none, because its own arcs change only on a path through it and
+    residuals into the target only fall while the paths have length 3. ``v``
+    is never the source, whose arc into the target is saturated by then.
     """
 
     def __init__(self, tails, heads, caps, count: int):
@@ -138,63 +152,56 @@ class _MaxFlowGraph:
         self.pos = pos.tolist()
 
     def max_flow(self, s: int, t: int) -> int:
-        head, res, rev = self.head, self.res, self.rev
-        into_t = [-1] * len(self.adj)
-        for a in self.adj[t]:
+        adj, head, res, rev = self.adj, self.head, self.res, self.rev
+        into_t = [-1] * len(adj)
+        for a in adj[t]:
             into_t[head[a]] = rev[a]
-        from_s = [-1] * len(self.adj)
-        for a in self.adj[s]:
-            if into_t[head[a]] >= 0:
-                raise RuntimeError("a neighbour of the source has an arc to the sink")
-            from_s[head[a]] = a
-        total = 0
-        while (via := self._shortest_path(s, t, into_t, from_s)) is not None:
+        if any(into_t[head[a]] >= 0 for a in adj[s]):
+            raise RuntimeError("a neighbour of the source has an arc to the sink")
+        # The direct arc, then the paths of length 3 (see the class docstring).
+        total = self._augment([into_t[s]]) if into_t[s] >= 0 else 0
+        for a in adj[s]:
+            for b in adj[head[a]]:
+                if res[a] == 0:
+                    break
+                c = into_t[head[b]]
+                if res[b] > 0 and c >= 0 and res[c] > 0:
+                    total += self._augment((a, b, c))
+        while (via := self._shortest_path(s, t, into_t)) is not None:
             path = []
             v = t
             while v != s:
                 a = via[v]
                 path.append(a)
                 v = head[rev[a]]
-            bottleneck = min(res[a] for a in path)
-            for a in path:
-                res[a] -= bottleneck
-                res[rev[a]] += bottleneck
-            total += bottleneck
+            total += self._augment(path)
         return total
 
-    def _shortest_path(self, s: int, t: int, into_t: list[int], from_s: list[int]):
+    def _augment(self, path) -> int:
+        """Push the bottleneck of the slots ``path`` along them; return it."""
+        res, rev = self.res, self.rev
+        bottleneck = min(res[a] for a in path)
+        for a in path:
+            res[a] -= bottleneck
+            res[rev[a]] += bottleneck
+        return bottleneck
+
+    def _shortest_path(self, s: int, t: int, into_t: list[int]):
         """BFS from ``s`` that stops at the first node found with residual into ``t``.
 
-        ``into_t[v]`` is the arc from ``v`` to ``t``, or -1; ``from_s[v]`` is
-        the arc from ``s`` to ``v``, or -1. Returns the arc each reached node
+        ``into_t[v]`` is the arc from ``v`` to ``t``, or -1, and a direct arc
+        from ``s`` to ``t`` is saturated. Returns the arc each reached node
         was entered by, ``t`` included, or None when ``t`` is unreachable.
-
-        No neighbour of ``s`` has an arc to ``t`` (:meth:`max_flow` checks),
-        so the heads of the unsaturated arcs out of ``s`` are not all
-        discovered up front: they are walked in arc order as the first
-        segment of the queue, each discovered just before it is expanded,
-        and until then a node with an unsaturated arc from ``s`` counts as
-        discovered. A search that discovered them all first would pop the
-        same nodes in the same order and could not stop at any of them,
-        having no arc to ``t``, so it finds the same path. In the
-        feasibility phase this saves rediscovering every unsaturated
-        super-source arc per path.
         """
         adj, head, res = self.adj, self.head, self.res
         via = [-1] * len(adj)
         via[s] = -2
-        b = into_t[s]
-        if b >= 0 and res[b] > 0:
-            via[t] = b
-            return via
-        queue: list[int] = []
-        for u in itertools.chain(self._first_segment(s, via), queue):
+        queue = [s]
+        for u in queue:
             for a in adj[u]:
                 if res[a] > 0:
                     v = head[a]
                     if via[v] == -1:
-                        if (c := from_s[v]) >= 0 and res[c] > 0:
-                            continue  # discovered from s, popped in the first segment
                         via[v] = a
                         b = into_t[v]
                         if b >= 0 and res[b] > 0:
@@ -202,15 +209,6 @@ class _MaxFlowGraph:
                             return via
                         queue.append(v)
         return None
-
-    def _first_segment(self, s: int, via: list[int]):
-        """Discover and yield the heads of the unsaturated arcs out of ``s``,
-        one at a time, in arc order."""
-        head, res = self.head, self.res
-        for a in self.adj[s]:
-            if res[a] > 0:
-                via[head[a]] = a
-                yield head[a]
 
 
 def min_feasible_flow(network: FlowNetwork) -> IntegralFlow:
@@ -231,7 +229,10 @@ def min_feasible_flow(network: FlowNetwork) -> IntegralFlow:
     a search that ran on would pop nodes in discovery order and enter the
     target from the first of them with such an arc, the same path. No
     neighbour of either phase's source has an arc to its target, so both
-    phases read the source's arcs lazily (see ``_MaxFlowGraph._shortest_path``).
+    phases first take their paths of length 3 in one greedy pass in the
+    same order (see ``_MaxFlowGraph``); in the feasibility phase these are
+    most of the paths, feasibility source to out half to in half to
+    feasibility sink.
     """
     n = network.size
     cap = n  # no minimal flow needs more than one unit per point

@@ -1078,17 +1078,17 @@ def reference_run_detailed(cfg: SimConfig, on_tick=None):
 
 def complete_graph(k):
     vs = [f"v{i}" for i in range(k)]
-    return Graph.build(vs, itertools.combinations(vs, 2))
+    return Graph(vs, list(itertools.combinations(vs, 2)))
 
 
 def path_graph(k):
     vs = [f"v{i}" for i in range(k)]
-    return Graph.build(vs, zip(vs, vs[1:]))
+    return Graph(vs, list(zip(vs, vs[1:])))
 
 
 def cycle_graph(k):
     vs = [f"v{i}" for i in range(k)]
-    return Graph.build(vs, [(vs[i], vs[(i + 1) % k]) for i in range(k)])
+    return Graph(vs, [(vs[i], vs[(i + 1) % k]) for i in range(k)])
 
 
 def petersen_graph():
@@ -1096,13 +1096,43 @@ def petersen_graph():
     inner = [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
     spokes = [(f"o{i}", f"i{i}") for i in range(5)]
     vs = [f"o{i}" for i in range(5)] + [f"i{i}" for i in range(5)]
-    return Graph.build(vs, outer + inner + spokes)
+    return Graph(vs, outer + inner + spokes)
 
 
 def random_graph(rng, n, p=0.5):
     vs = [f"v{i}" for i in range(n)]
     edges = [e for e in itertools.combinations(vs, 2) if rng.random() < p]
-    return Graph.build(vs, edges)
+    return Graph(vs, edges)
+
+
+def brute_force_3color(graph):
+    """First proper 3-coloring in lexicographic order, or None.
+
+    Vertices are tried in sorted order and colors in the fixed r, g, b
+    order, so the result is deterministic. Capped at 20 vertices.
+    """
+    vs = graph.vertices
+    if len(vs) > 20:
+        raise ValidationError("brute force is capped at 20 vertices")
+    adjacency = {v: set() for v in vs}
+    for a, b in graph.edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    assignment: dict[str, str] = {}
+
+    def extend(i: int) -> bool:
+        if i == len(vs):
+            return True
+        v = vs[i]
+        for color in COLORS:
+            if all(assignment.get(nb) != color for nb in adjacency[v]):
+                assignment[v] = color
+                if extend(i + 1):
+                    return True
+                del assignment[v]
+        return False
+
+    return dict(assignment) if extend(0) else None
 
 
 @functools.lru_cache(maxsize=None)

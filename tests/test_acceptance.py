@@ -8,6 +8,7 @@ from time import perf_counter
 import numpy as np
 
 from helpers import (
+    brute_force_3color,
     brute_min_flow,
     complete_graph,
     cross_distances,
@@ -21,7 +22,6 @@ from thclust import (
     Graph,
     PseudoUltrametric,
     SimConfig,
-    brute_force_3color,
     check_contiguity,
     coloring_from_witness,
     fkw_fit,
@@ -214,7 +214,7 @@ def test_criterion_7_hardness_round_trip():
             for edge in picked:
                 proper &= pair_diff[edge]
             witness_exists = bool((proper & all3).any())
-            graph = Graph.build(vertices, picked)
+            graph = Graph(vertices, picked)
             if n <= 2:
                 # too few vertices to occupy all three color classes
                 assert not witness_exists

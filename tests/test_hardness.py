@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    brute_force_3color,
     color_assignments,
     complete_graph,
     cycle_graph,
@@ -23,7 +24,6 @@ from thclust import (
     ValidationError,
     Witness,
     WitnessError,
-    brute_force_3color,
     coloring_from_witness,
     pad_to_three_colors,
     reduce_from_graph,
@@ -36,19 +36,27 @@ from thclust import (
 
 
 def test_graph_build_canonicalizes():
-    g = Graph.build(["b", "a", "c"], [("c", "a"), ("a", "b")])
+    g = Graph(["b", "a", "c"], [("c", "a"), ("a", "b"), ("b", "a")])
     assert g.vertices == ("a", "b", "c")
     assert g.edges == (("a", "b"), ("a", "c"))
-    assert g.adjacent("c", "a")
-    assert not g.adjacent("b", "c")
-    assert g.neighbors("a") == ("b", "c")
+
+
+def test_list_built_graph_equals_the_tuple_built_one():
+    tuple_built = Graph(("a", "b", "c"), (("a", "b"), ("a", "c")))
+    for vertices, edges in ((["a", "b", "c"], [["a", "b"], ["a", "c"]]),
+                            (("c", "b", "a"), (("c", "a"), ("b", "a"))),
+                            (["b", "c", "a"], [["c", "a"], ("a", "b"), ["a", "c"]])):
+        graph = Graph(vertices, edges)
+        assert graph == tuple_built
+        assert hash(graph) == hash(tuple_built)
+        assert graph.edges == (("a", "b"), ("a", "c"))
 
 
 def test_graph_rejects_self_loops_and_unknown_endpoints():
     with pytest.raises(ValidationError):
-        Graph.build(["a"], [("a", "a")])
+        Graph(["a"], [("a", "a")])
     with pytest.raises(ValidationError):
-        Graph.build(["a", "b"], [("a", "z")])
+        Graph(["a", "b"], [("a", "z")])
 
 
 def test_graph_refuses_malformed_edges():
@@ -57,10 +65,11 @@ def test_graph_refuses_malformed_edges():
                            ([("a", "b", "c")], "edges entry must have 2 items"),
                            ([(["a"], "b")], "edge end must be a string")):
         with pytest.raises(ValidationError, match=message):
-            Graph.build(["a", "b"], edges)
+            Graph(["a", "b"], edges)
         with pytest.raises(ValidationError, match=message):
             Graph(("a", "b"), tuple(edges))
-    assert Graph.build(["a", "b"], (pair for pair in [("b", "a")])).edges == (("a", "b"),)
+    with pytest.raises(ValidationError, match="edges must be a list"):
+        Graph(["a", "b"], (pair for pair in [("b", "a")]))
 
 
 def test_graph_dict_round_trip():
@@ -108,7 +117,7 @@ def test_reduce_vertex_level_encodes_edges():
 
 
 def test_reduce_edgeless_graph_is_all_ones():
-    inst = reduce_from_graph(Graph.build(["x", "y", "z"], []))
+    inst = reduce_from_graph(Graph(["x", "y", "z"], []))
     want = np.ones((3, 3)) - np.eye(3)
     assert np.array_equal(inst.level2.dist, want)
 
@@ -174,7 +183,7 @@ def test_verify_rejects_foreign_vertices():
     wit = witness_from_coloring(
         complete_graph(3), {"v0": "r", "v1": "g", "v2": "b"}
     )
-    other = reduce_from_graph(Graph.build(["x", "y", "z"], []))
+    other = reduce_from_graph(Graph(["x", "y", "z"], []))
     assert not verify_witness(other, wit, 1.0, 0.0)
 
 
@@ -191,7 +200,7 @@ def test_pad_promotes_bipartite_coloring():
 
 
 def test_pad_needs_spare_vertices():
-    single = Graph.build(["v0"], [])
+    single = Graph(["v0"], [])
     with pytest.raises(WitnessError):
         pad_to_three_colors(single, {"v0": "r"})
     pair = path_graph(2)
@@ -277,7 +286,7 @@ def test_exhaustive_assignment_sweep_on_one_graph():
 
 def test_brute_force_returns_lexicographic_first():
     assert brute_force_3color(path_graph(3)) == {"v0": "r", "v1": "g", "v2": "r"}
-    assert brute_force_3color(Graph.build(["v0"], [])) == {"v0": "r"}
+    assert brute_force_3color(Graph(["v0"], [])) == {"v0": "r"}
 
 
 def test_brute_force_k4_has_no_coloring():

@@ -175,21 +175,88 @@ def test_max_flow_takes_the_reference_paths_on_random_graphs():
                 u, v = (nodes[i], nodes[j]) if rng.random() < 0.5 else (nodes[j], nodes[i])
                 arcs.append((u, v, int(rng.integers(1, 4))))
         source, sink = nodes[0], nodes[-1]
-        columns = np.array(arcs, dtype=np.intp).reshape(-1, 3).T
-        graph, reference = _MaxFlowGraph(*columns, n), _DictMaxFlowGraph()
         if _neighbours(arcs, source) & _neighbours(arcs, sink):
             refused += 1
+            columns = np.array(arcs, dtype=np.intp).reshape(-1, 3).T
             with pytest.raises(RuntimeError, match="neighbour of the source"):
-                graph.max_flow(source, sink)
+                _MaxFlowGraph(*columns, n).max_flow(source, sink)
             continue
         solved += 1
-        for u, v, cap in arcs:
-            reference.add_edge(u, v, cap)
-        assert graph.max_flow(source, sink) == reference.max_flow(source, sink)
-        for (u, v, _), a in zip(arcs, graph.pos):
-            assert graph.res[a] == reference.cap[u][v]
-            assert graph.res[graph.rev[a]] == reference.cap[v][u]
+        assert_same_residuals_as_reference(arcs, n, source, sink)
     assert solved > 50 and refused > 50
+
+
+def assert_same_residuals_as_reference(arcs, n, source, sink):
+    """Max-flow value and every residual slot equal to the dict solver's."""
+    columns = np.array(arcs, dtype=np.intp).reshape(-1, 3).T
+    graph, reference = _MaxFlowGraph(*columns, n), _DictMaxFlowGraph()
+    for u, v, cap in arcs:
+        reference.add_edge(u, v, cap)
+    assert graph.max_flow(source, sink) == reference.max_flow(source, sink)
+    for (u, v, _), a in zip(arcs, graph.pos):
+        assert graph.res[a] == reference.cap[u][v]
+        assert graph.res[graph.rev[a]] == reference.cap[v][u]
+    return graph
+
+
+def test_max_flow_takes_the_reference_paths_on_layered_graphs(monkeypatch):
+    """Graphs s -> A -> B -> t with capacities 1-3: many paths of length 3,
+    A nodes with no arc into B or whose B nodes fill up, A -> A and B -> A
+    arcs for longer paths, and sometimes a direct s -> t arc. The greedy
+    prefix and the searches after it take the dict solver's paths."""
+    searched = []
+    shortest_path = _MaxFlowGraph._shortest_path
+
+    def recording_shortest_path(graph, s, t, into_t):
+        via = shortest_path(graph, s, t, into_t)
+        searched.append(via is not None)
+        return via
+
+    monkeypatch.setattr(_MaxFlowGraph, "_shortest_path", recording_shortest_path)
+    rng = np.random.default_rng(608)
+    longer = direct = 0
+    for _ in range(300):
+        a, b = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        n = a + b + 2
+        nodes = rng.permutation(n).tolist()
+        source, sink, first, second = nodes[0], nodes[1], nodes[2:a + 2], nodes[a + 2:]
+
+        def cap():
+            return int(rng.integers(1, 4))
+
+        arcs = [(source, u, cap()) for u in first] + [(v, sink, cap()) for v in second]
+        for u in first:
+            if rng.random() < 0.8:
+                arcs += [(u, v, cap()) for v in second if rng.random() < 0.5]
+        linked = {(u, v) for u, v, _ in arcs}
+        for u, v in itertools.combinations(first, 2):
+            if rng.random() < 0.2:
+                arcs.append((u, v, cap()) if rng.random() < 0.5 else (v, u, cap()))
+        arcs += [(v, u, cap()) for u in first for v in second
+                 if (u, v) not in linked and rng.random() < 0.15]
+        if rng.random() < 0.3:
+            arcs.append((source, sink, cap()))
+            direct += 1
+        searched.clear()
+        assert_same_residuals_as_reference(arcs, n, source, sink)
+        longer += any(searched)
+    assert longer > 50 and direct > 50
+
+
+def test_max_flow_prefix_stays_on_a_source_arc_until_it_saturates():
+    """s -> u1 (capacity 3) fills v1, v2 and v3 before u2 gets its turn, so
+    u2 takes v4, not v2. u3 reaches only v1, so it is stuck in the prefix;
+    the search then takes s u3 v1 u1 v5 t, of length 5. A prefix that left
+    u1 after its first path would give v2 to u2 and leave u1 on v4."""
+    s, u1, u2, u3, v1, v2, v3, v4, v5, t = range(10)
+    arcs = [(s, u1, 3), (s, u2, 1), (s, u3, 1),
+            (u1, v1, 1), (u1, v2, 1), (u1, v3, 1), (u1, v4, 1), (u1, v5, 1),
+            (u2, v2, 1), (u2, v4, 1), (u3, v1, 1),
+            (v1, t, 1), (v2, t, 1), (v3, t, 1), (v4, t, 1), (v5, t, 1)]
+    graph = assert_same_residuals_as_reference(arcs, 10, s, t)
+    flow = {(u, v): graph.res[graph.rev[a]] for (u, v, _), a in zip(arcs, graph.pos)}
+    assert [x for x in (v1, v2, v3, v4, v5) if flow[u1, x]] == [v2, v3, v5]
+    assert (flow[u2, v2], flow[u2, v4], flow[u3, v1]) == (0, 1, 1)
 
 
 def assert_same_flow_as_reference(samp, correspondences):
