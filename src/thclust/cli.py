@@ -217,6 +217,8 @@ def _render_svg(panels) -> str:
 
 
 def cmd_cluster(args: argparse.Namespace) -> dict:
+    if args.delta is not None and args.delta < 0:
+        raise CliError(f"--delta {args.delta:g} is not a radius")
     sampling = _load(args.input, "sampling", TemporalSampling.from_dict)
     outdir = Path(args.outdir)
     labelings: tuple[Labeling, ...] = ()

@@ -10,6 +10,7 @@ rather than tolerance-based.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,11 +131,10 @@ class Witness:
     @classmethod
     def from_dict(cls, data: dict) -> "Witness":
         _json_object(data, "witness document", ("u_p", "u_v", "correspondence"))
-        return cls(
-            u_p=PseudoUltrametric.from_dict(data["u_p"]),
-            u_v=PseudoUltrametric.from_dict(data["u_v"]),
-            corr=Correspondence.from_pairs(_json_list(data["correspondence"], "correspondence")),
-        )
+        u_p = PseudoUltrametric.from_dict(data["u_p"])
+        u_v = PseudoUltrametric.from_dict(data["u_v"])
+        pairs = _json_list(data["correspondence"], "correspondence")
+        return cls(u_p, u_v, Correspondence.from_pairs(pairs, u_p.points, u_v.points))
 
 
 def reduce_from_graph(graph: Graph) -> ThcInstance:
@@ -188,7 +188,7 @@ def witness_from_coloring(graph: Graph, coloring: dict[str, str]) -> Witness:
         [1.0 if coloring[a] != coloring[b] else 0.0 for b in vs] for a in vs
     ])
     u_v = PseudoUltrametric(vs, same, validate=False)
-    corr = Correspondence.from_pairs((coloring[v], v) for v in vs)
+    corr = Correspondence.from_pairs(((coloring[v], v) for v in vs), COLORS, vs)
     return Witness(u_p=u_p, u_v=u_v, corr=corr)
 
 
@@ -228,18 +228,18 @@ def verify_witness(inst: ThcInstance, witness: Witness,
                    chi_bound: float, rho_bound: float) -> bool:
     """Does the witness meet both fit bounds and the distortion bound?
 
-    Returns False (rather than raising) when the relation fails to project
-    onto either level; a structurally valid witness is then judged on
-    max-norm fit per level and distortion across the relation.
+    Returns False when the witness's levels list other points than the
+    instance's. Its relation covers both of its levels by construction (a
+    :class:`Correspondence` is checked when made, so ``Witness.from_dict``
+    refuses a relation that misses a point or names an unknown one); the
+    witness is judged on max-norm fit per level and distortion across the
+    relation.
     """
     if tuple(witness.u_p.points) != tuple(inst.level1.points):
         return False
     if tuple(witness.u_v.points) != tuple(inst.level2.points):
         return False
-    try:
-        rho = distortion(witness.u_p, witness.u_v, witness.corr)
-    except ValidationError:
-        return False
+    rho = distortion(witness.u_p, witness.u_v, witness.corr)
     return _fit_error(inst, witness) <= chi_bound and rho <= rho_bound
 
 
@@ -255,10 +255,7 @@ def coloring_from_witness(inst: ThcInstance, witness: Witness) -> dict[str, str]
     chi = _fit_error(inst, witness)
     if chi >= 2:
         raise WitnessError(f"witness fit error {chi:g} is not below 2")
-    try:
-        rho = distortion(witness.u_p, witness.u_v, witness.corr)
-    except ValidationError as exc:
-        raise WitnessError(f"witness relation is not a correspondence: {exc}") from exc
+    rho = distortion(witness.u_p, witness.u_v, witness.corr)
     if rho != 0:
         raise WitnessError(f"witness distortion {rho:g} is not zero")
     coloring: dict[str, str] = {}
@@ -270,13 +267,7 @@ def coloring_from_witness(inst: ThcInstance, witness: Witness) -> dict[str, str]
             )
         coloring[vertex] = anchor
     # Zero distortion with fit < 2 cannot label an edge monochromatically.
-    vs = inst.level2.points
-    idx = {v: i for i, v in enumerate(vs)}
-    for a in vs:
-        for b in vs:
-            if a < b and inst.level2.dist[idx[a], idx[b]] == 2.0:
-                if coloring[a] == coloring[b]:
-                    raise WitnessError(
-                        f"extracted coloring is monochromatic on ({a!r}, {b!r})"
-                    )
+    for a, b in itertools.combinations(sorted(inst.level2.points), 2):
+        if inst.level2.distance(a, b) == 2.0 and coloring[a] == coloring[b]:
+            raise WitnessError(f"extracted coloring is monochromatic on ({a!r}, {b!r})")
     return coloring

@@ -17,7 +17,7 @@ import numpy as np
 
 from .metric import TOL, MetricSpace, TemporalSampling, ValidationError
 from .metric import _json_int, _json_list, _json_object, _json_str
-from .temporal import Correspondence, LocalSolution, require_correspondence, solve_local
+from .temporal import LocalSolution, _require_levels, solve_local
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,19 +56,20 @@ def build_flow_instance(sampling: TemporalSampling,
             f"expected {sampling.t - 1} correspondences, got {len(corrs)}"
         )
     ids: list[str] = []
-    nodes: list[dict[str, int]] = []
+    nodes = []  # nodes[i][x]: the node of point x of level i
     for level in sampling.levels:
-        nodes.append({p: len(ids) + x for x, p in enumerate(sorted(level))})
-        ids += sorted(level)
+        order = sorted(range(len(level)), key=level.__getitem__)
+        nodes.append(len(ids) + np.argsort(order))
+        ids += [level[x] for x in order]
     source, sink = len(ids), len(ids) + 1
-    edges = [(source, x) for x in nodes[0].values()]
+    edges = [np.column_stack((np.full(len(nodes[0]), source), nodes[0]))]
     for i, corr in enumerate(corrs):
-        if not isinstance(corr, Correspondence):
-            corr = Correspondence.from_pairs(corr)
-        require_correspondence(corr, sampling.levels[i], sampling.levels[i + 1])
-        edges += [(nodes[i][u], nodes[i + 1][v]) for u, v in corr.pairs]
-    edges += [(x, sink) for x in nodes[-1].values()]
-    return FlowNetwork(levels=sampling.levels, ids=tuple(ids), edges=sorted(edges))
+        _require_levels(corr, *sampling.levels[i:i + 2])
+        edges.append(np.column_stack((nodes[i][corr.left], nodes[i + 1][corr.right])))
+    edges.append(np.column_stack((nodes[-1], np.full(len(nodes[-1]), sink))))
+    edges = np.concatenate(edges)
+    return FlowNetwork(levels=sampling.levels, ids=tuple(ids),
+                       edges=edges[np.lexsort(edges.T[::-1])])
 
 
 def _is_count(amount) -> bool:

@@ -21,7 +21,7 @@ from .metric import (
     hausdorff_distance,
     linf_distance,
 )
-from .metric import _json_bool, _json_number, _json_object, _json_str
+from .metric import _as_point_tuple, _json_bool, _json_number, _json_object, _json_str
 from .ultrametric import PseudoUltrametric, fkw_fit, subdominant_ultrametric
 from .ultrametric import Dendrogram, to_dendrogram
 
@@ -37,57 +37,71 @@ class CertificationError(RuntimeError):
     """A recomputed guarantee failed to hold for a solution."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Correspondence:
-    """A relation between two point sets whose projections cover both sides.
+    """A relation between two levels whose projections cover both, checked
+    once, when made.
 
-    Pairs are stored sorted and deduplicated; coverage is checked against
-    concrete point sets by :func:`require_correspondence`.
+    ``first`` and ``second`` are the levels' point tuples, and pair k joins
+    ``first[left[k]]`` and ``second[right[k]]``. ``left`` and ``right`` are
+    read-only int arrays, each pair once, sorted by (left, right).
     """
 
-    pairs: tuple[tuple[str, str], ...]
+    first: tuple[str, ...]
+    second: tuple[str, ...]
+    left: np.ndarray
+    right: np.ndarray
+
+    def __post_init__(self):
+        cols = [np.asarray(col, dtype=np.intp).reshape(-1) for col in (self.left, self.right)]
+        for side, col in zip(("first", "second"), cols):
+            level = _as_point_tuple(getattr(self, side), f"{side} level")
+            if len(col) != len(cols[0]) or not np.all((col >= 0) & (col < len(level))):
+                raise ValidationError(f"correspondence has bad {side}-side indices")
+            if (missed := np.setdiff1d(np.arange(len(level)), col)).size:
+                miss = min(level[x] for x in missed)
+                raise ValidationError(f"correspondence misses {side}-side point {miss!r}")
+            object.__setattr__(self, side, level)
+        m = len(self.second)
+        for name, col in zip(("left", "right"), np.divmod(np.unique(cols[0] * m + cols[1]), m)):
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
 
     @classmethod
-    def from_pairs(cls, pairs) -> "Correspondence":
+    def from_pairs(cls, pairs, first, second) -> "Correspondence":
+        """The correspondence of id pairs between the levels ``first`` and
+        ``second``: the one reader of id pairs."""
         what = "correspondence point"
-        read = (_json_list(pair, "correspondence entry", 2) for pair in pairs)
-        canon = sorted({(_json_str(u, what), _json_str(v, what)) for u, v in read})
-        return cls(pairs=tuple(canon))
+        read = [[_json_str(p, what) for p in _json_list(pair, "correspondence entry", 2)]
+                for pair in pairs]
+        cols = []
+        for col, (side, level) in enumerate((("first", first), ("second", second))):
+            index = {p: x for x, p in enumerate(level)}
+            if unknown := {pair[col] for pair in read} - index.keys():
+                raise ValidationError(f"correspondence uses unknown {side}-side point "
+                                      f"{min(unknown)!r}")
+            cols.append([index[pair[col]] for pair in read])
+        return cls(first, second, *cols)
 
-    def left(self) -> set[str]:
-        return {u for u, _ in self.pairs}
-
-    def right(self) -> set[str]:
-        return {v for _, v in self.pairs}
+    @property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """The pairs as ids, sorted by id."""
+        return tuple(sorted(zip(map(self.first.__getitem__, self.left.tolist()),
+                                map(self.second.__getitem__, self.right.tolist()))))
 
     def to_list(self) -> list[list[str]]:
         return [[u, v] for u, v in self.pairs]
 
 
-def require_correspondence(corr: Correspondence, p_ids, q_ids) -> None:
-    """Raise unless ``corr`` projects onto both given point sets exactly."""
-    p_set, q_set = set(p_ids), set(q_ids)
-    left, right = corr.left(), corr.right()
-    if not left <= p_set:
-        extra = sorted(left - p_set)[0]
-        raise ValidationError(f"correspondence uses unknown first-side point {extra!r}")
-    if not right <= q_set:
-        extra = sorted(right - q_set)[0]
-        raise ValidationError(f"correspondence uses unknown second-side point {extra!r}")
-    if left != p_set:
-        miss = sorted(p_set - left)[0]
-        raise ValidationError(f"correspondence misses first-side point {miss!r}")
-    if right != q_set:
-        miss = sorted(q_set - right)[0]
-        raise ValidationError(f"correspondence misses second-side point {miss!r}")
+def _require_levels(corr: Correspondence, first, second) -> None:
+    if corr.first != first or corr.second != second:
+        raise ValidationError("correspondence joins other levels")
 
 
 def locality(corr: Correspondence, ambient: MetricSpace) -> float:
     """Largest ambient distance spanned by any pair of the correspondence."""
-    if not corr.pairs:
-        raise ValidationError("locality of an empty correspondence is undefined")
-    idx = np.array([[ambient.index_of(u), ambient.index_of(v)] for u, v in corr.pairs])
-    return float(ambient.dist[idx[:, 0], idx[:, 1]].max())
+    at = [np.array([ambient.index_of(p) for p in level]) for level in (corr.first, corr.second)]
+    return float(ambient.dist[at[0][corr.left], at[1][corr.right]].max())
 
 
 def build_hausdorff_correspondence(p_ids, q_ids, ambient: MetricSpace) -> Correspondence:
@@ -101,12 +115,7 @@ def build_hausdorff_correspondence(p_ids, q_ids, ambient: MetricSpace) -> Corres
     pi = [ambient.index_of(p) for p in p_ids]
     qi = [ambient.index_of(q) for q in q_ids]
     d = ambient.dist[np.ix_(pi, qi)]
-    keep = np.argwhere(d <= d_h + TOL)
-    corr = Correspondence.from_pairs(
-        (p_ids[i], q_ids[j]) for i, j in keep
-    )
-    require_correspondence(corr, p_ids, q_ids)
-    return corr
+    return Correspondence(p_ids, q_ids, *np.nonzero(d <= d_h + TOL))
 
 
 def distortion(u1: PseudoUltrametric, u2: PseudoUltrametric, corr: Correspondence) -> float:
@@ -115,20 +124,18 @@ def distortion(u1: PseudoUltrametric, u2: PseudoUltrametric, corr: Correspondenc
     Maximized over ordered pairs of correspondence elements, including pairs
     that share a point on either side.
 
-    The pairs are sorted, so each first-side point a owns one run of
-    partners N(a). Over N(a) x N(a') the worst disagreement with
+    The pairs are sorted by index, so each first-side point a owns one run
+    of partners N(a). Over N(a) x N(a') the worst disagreement with
     ``m = mu1[a, a']`` is ``max(Hi - m, m - Lo)``, Hi and Lo being the max and
     min of ``mu2`` there: rounded subtraction is monotone, so this is exactly
     the largest ``|mu1 - mu2|`` of the K x K blocks. Hi and Lo take two
     grouped reductions, over the rows of ``mu2[b]`` (|P| x |Q|) and then over
     the columns picked by ``b`` (|P| x |P|), with ``b`` the partners in pair
-    order: O(K (|P| + |Q|)) work for K pairs. Unsorted pairs only split runs,
-    which leaves every maximum the same. NaN from infinite heights on both
+    order: O(K (|P| + |Q|)) work for K pairs. NaN from infinite heights on both
     sides propagates as it did in the blocks.
     """
-    require_correspondence(corr, u1.points, u2.points)
-    left = np.array([u1.index_of(u) for u, _ in corr.pairs])
-    b = np.array([u2.index_of(v) for _, v in corr.pairs])
+    _require_levels(corr, u1.points, u2.points)
+    left, b = corr.left, corr.right
     starts = np.flatnonzero(np.r_[True, left[1:] != left[:-1]])
     rows = u2.mu[b]
     hi = np.maximum.reduceat(np.maximum.reduceat(rows, starts, axis=0)[:, b],
@@ -183,8 +190,10 @@ class LocalSolution:
         metrics = ("chi", "delta", "rho")
         _json_object(data, "solution document",
                      ("sampling", "scheme", "ultrametrics", "correspondences", *metrics))
+        sampling = TemporalSampling.from_dict(data["sampling"])
+        levels, corrs = sampling.levels, _json_list(data["correspondences"], "correspondences")
         solution = cls(
-            sampling=TemporalSampling.from_dict(data["sampling"]),
+            sampling=sampling,
             scheme=_json_str(data["scheme"], "scheme"),
             ultrametrics=tuple(
                 Dendrogram.from_dict(u).to_ultrametric()
@@ -193,11 +202,13 @@ class LocalSolution:
                 for u in _json_list(data["ultrametrics"], "ultrametrics")
             ),
             correspondences=tuple(
-                Correspondence.from_pairs(_json_list(c, "correspondence"))
-                for c in _json_list(data["correspondences"], "correspondences")
+                Correspondence.from_pairs(_json_list(c, "correspondence"), p, q)
+                for c, p, q in zip(corrs, levels, levels[1:])
             ),
             **{name: _json_number(data[name], f"stored {name}") for name in metrics},
         )
+        if len(corrs) != len(levels) - 1:
+            raise ValidationError("solution has wrong number of correspondences")
         vacuous = _json_bool(data.get("delta_vacuous", solution.delta_vacuous), "'delta_vacuous'")
         if vacuous != solution.delta_vacuous:
             raise ValidationError(f"'delta_vacuous' {vacuous} disagrees with the level count")
@@ -220,12 +231,9 @@ def solve_local(sampling: TemporalSampling, scheme: str = "fkw") -> LocalSolutio
     """
     spaces = [sampling.level_space(i) for i in range(sampling.t)]
     fits = [_fit(scheme, sp) for sp in spaces]
-    corrs = [
-        build_hausdorff_correspondence(
-            sampling.levels[i], sampling.levels[i + 1], sampling.ambient
-        )
-        for i in range(sampling.t - 1)
-    ]
+    levels = sampling.levels
+    corrs = [build_hausdorff_correspondence(p, q, sampling.ambient)
+             for p, q in zip(levels, levels[1:])]
     chi = max(linf_distance(sp, u) for sp, u in zip(spaces, fits))
     delta = max((locality(c, sampling.ambient) for c in corrs), default=0.0)
     rho = max((distortion(fits[i], fits[i + 1], c) for i, c in enumerate(corrs)), default=0.0)
@@ -275,12 +283,10 @@ def evaluate_general(sol: LocalSolution) -> Certification:
         if tuple(fit.points) != tuple(space.points):
             raise ValidationError(f"level {i} ultrametric points mismatch the sampling")
         level_chi.append(linf_distance(space, fit))
-    pair_delta = []
-    pair_rho = []
-    for i, corr in enumerate(sol.correspondences):
-        # distortion checks corr against both levels before locality runs
-        pair_rho.append(distortion(sol.ultrametrics[i], sol.ultrametrics[i + 1], corr))
-        pair_delta.append(locality(corr, s.ambient))
+    fits, corrs = sol.ultrametrics, sol.correspondences
+    # distortion checks every correspondence against its levels before locality runs
+    pair_rho = [distortion(fits[i], fits[i + 1], corr) for i, corr in enumerate(corrs)]
+    pair_delta = [locality(corr, s.ambient) for corr in corrs]
     chi = max(level_chi)
     delta = max(pair_delta, default=0.0)
     rho = max(pair_rho, default=0.0)

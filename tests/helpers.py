@@ -31,10 +31,10 @@ from thclust import (
     ValidationError,
     Witness,
     instability_family,
+    verify_witness,
 )
 from thclust.flocking import TYPE_COUNT, SimConfig, initial_state
 from thclust.labeling import ContiguityViolation, IntegralFlow
-from thclust.temporal import require_correspondence
 
 log = logging.getLogger(__name__)
 
@@ -105,6 +105,14 @@ def random_sampling(rng, ambient_size=8, min_levels=1, max_levels=4, max_level_s
         pick = sorted(rng.choice(ambient_size, size=k, replace=False).tolist())
         levels.append([ambient.points[i] for i in pick])
     return TemporalSampling(ambient, levels)
+
+
+def shuffled_levels(rng, sampling):
+    """``sampling`` with every level listed in a random order, so that level
+    order is no longer id order."""
+    return TemporalSampling(sampling.ambient, [
+        [level[j] for j in rng.permutation(len(level))] for level in sampling.levels
+    ])
 
 
 # ---------------------------------------------------------------- metric oracles
@@ -598,10 +606,8 @@ def correspondence_localities(p_ids, q_ids, ambient):
 
 
 def reference_locality(corr: Correspondence, ambient: MetricSpace) -> float:
-    """The pair-by-pair locality that the fancy-index max in
+    """The pair-by-pair locality over id pairs that the fancy-index max in
     ``thclust.temporal.locality`` replaced."""
-    if not corr.pairs:
-        raise ValidationError("locality of an empty correspondence is undefined")
     return max(ambient.distance(u, v) for u, v in corr.pairs)
 
 
@@ -612,9 +618,8 @@ def reference_distortion(u1: PseudoUltrametric, u2: PseudoUltrametric,
     ordered pair of correspondence elements, compared entry by entry.
 
     Maximized over ordered pairs of correspondence elements, including pairs
-    that share a point on either side.
+    that share a point on either side. The pairs are read as ids.
     """
-    require_correspondence(corr, u1.points, u2.points)
     i1 = [u1.index_of(u) for u, _ in corr.pairs]
     i2 = [u2.index_of(v) for _, v in corr.pairs]
     a = u1.mu[np.ix_(i1, i1)]
@@ -680,8 +685,8 @@ def point_node(level, point):
 
 
 def reference_flow_edges(sampling, correspondences):
-    """The tuple-keyed edge list that ``build_flow_instance`` built before
-    flow nodes were numbered, in sorted order."""
+    """The tuple-keyed edge list that ``build_flow_instance`` built from id
+    pairs before flow nodes were numbered, in sorted order."""
     edges = [(SOURCE, point_node(0, p)) for p in sampling.levels[0]]
     for i, corr in enumerate(correspondences):
         edges += [(point_node(i, u), point_node(i + 1, v)) for u, v in corr.pairs]
@@ -1166,8 +1171,20 @@ def three_colorable_oracle(graph):
     return bool(proper_rows(rows, [(idx[a], idx[b]) for a, b in graph.edges]).any())
 
 
+def color_witness_verifies(inst, vertices, coloring) -> bool:
+    """Does the color-class witness of ``coloring`` verify at (1, 0)? An
+    assignment whose witness cannot be built does not."""
+    try:
+        witness = raw_color_witness(vertices, coloring)
+    except ValidationError:
+        return False
+    return verify_witness(inst, witness, 1.0, 0.0)
+
+
 def raw_color_witness(vertices, coloring):
-    """Color-class witness for an arbitrary assignment, properness unchecked."""
+    """Color-class witness for an arbitrary assignment, properness unchecked.
+    An assignment that leaves a color unused cannot pair every anchor, so
+    building its relation raises :class:`ValidationError`."""
     n = len(vertices)
     m = np.ones((n, n)) - np.eye(n)
     for a, b in itertools.combinations(range(n), 2):
@@ -1175,5 +1192,5 @@ def raw_color_witness(vertices, coloring):
             m[a, b] = m[b, a] = 0.0
     anchors = PseudoUltrametric(COLORS, 1.0 - np.eye(3))
     classes = PseudoUltrametric(vertices, m)
-    corr = Correspondence.from_pairs([(coloring[v], v) for v in vertices])
-    return Witness(anchors, classes, corr)
+    pairs = [(coloring[v], v) for v in vertices]
+    return Witness(anchors, classes, Correspondence.from_pairs(pairs, COLORS, classes.points))

@@ -293,6 +293,14 @@ def test_cluster_rejects_nan_delta(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cluster_rejects_negative_delta(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    args = ["cluster", sampling_file(tmp_path), "--labels", "--delta", "-1"]
+    assert main([*args, "-o", str(outdir)]) == 1
+    assert not outdir.exists()
+    assert "not a radius" in capsys.readouterr().err
+
+
 def test_cluster_svg_is_wellformed(tmp_path, capsys):
     outdir = tmp_path / "out"
     main(["cluster", sampling_file(tmp_path), "--emit", "svg", "-o", str(outdir)])
@@ -573,6 +581,32 @@ def test_witness_pair_with_a_number_id_is_input_error(tmp_path, capsys):
     assert main(["verify", str(inst), str(wit), "--chi", "1", "--rho", "0"]) == 1
     captured = capsys.readouterr()
     assert "wit.json" in captured.err and "must be a string" in captured.err
+    assert not captured.out
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda pairs: [p for p in pairs if p[1] != "3"] + [["b", "2"]],
+     "misses second-side point '3'"),
+    (lambda pairs: [p for p in pairs if p[0] != "b"], "misses first-side point 'b'"),
+    (lambda pairs: pairs + [["b", "9"]], "unknown second-side point '9'"),
+])
+def test_witness_relation_that_is_no_correspondence_is_input_error(
+        tmp_path, capsys, mangle, message):
+    """A relation that misses a point of a level, or names a point outside
+    it, is refused when the witness is read, like a bad solution.json."""
+    graph = tmp_path / "k3.col"
+    graph.write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    inst, wit = tmp_path / "inst.json", tmp_path / "wit.json"
+    coloring = write_json(tmp_path / "col.json", {"coloring": {"1": "r", "2": "g", "3": "b"}})
+    assert main(["reduce", str(graph), "-o", str(inst)]) == 0
+    assert main(["witness", str(graph), coloring, "-o", str(wit)]) == 0
+    doc = read_json(wit)
+    doc["correspondence"] = mangle(doc["correspondence"])
+    wit.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(wit), "--chi", "1", "--rho", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "wit.json" in captured.err and message in captured.err
     assert not captured.out
 
 

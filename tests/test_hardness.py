@@ -6,13 +6,13 @@ import pytest
 from helpers import (
     brute_force_3color,
     color_assignments,
+    color_witness_verifies,
     complete_graph,
     cycle_graph,
     path_graph,
     petersen_graph,
     proper_rows,
     random_graph,
-    raw_color_witness,
     three_colorable_oracle,
     uses_all_three,
 )
@@ -179,6 +179,18 @@ def test_witness_serialization_round_trip():
             Witness.from_dict({**doc, "correspondence": pairs})
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([["r", "v0"], ["g", "v1"], ["g", "v2"]], "misses first-side point 'b'"),
+    ([["r", "v0"], ["g", "v1"], ["b", "v1"]], "misses second-side point 'v2'"),
+    ([["r", "v0"], ["g", "v1"], ["b", "v2"], ["y", "v2"]], "unknown first-side point 'y'"),
+    ([["r", "v0"], ["g", "v1"], ["b", "v2"], ["b", "v9"]], "unknown second-side point 'v9'"),
+])
+def test_witness_document_refuses_a_relation_that_is_no_correspondence(pairs, message):
+    doc = witness_from_coloring(complete_graph(3), {"v0": "r", "v1": "g", "v2": "b"}).to_dict()
+    with pytest.raises(ValidationError, match=message):
+        Witness.from_dict({**doc, "correspondence": pairs})
+
+
 def test_verify_rejects_foreign_vertices():
     wit = witness_from_coloring(
         complete_graph(3), {"v0": "r", "v1": "g", "v2": "b"}
@@ -262,10 +274,9 @@ def test_verify_matches_coloring_predicate_on_sampled_assignments():
         inst = reduce_from_graph(g)
         for _ in range(12):
             assignment = {v: COLORS[rng.integers(3)] for v in g.vertices}
-            wit = raw_color_witness(g.vertices, assignment)
             proper = all(assignment[a] != assignment[b] for a, b in g.edges)
             all3 = set(assignment.values()) == set(COLORS)
-            assert verify_witness(inst, wit, 1.0, 0.0) == (proper and all3)
+            assert color_witness_verifies(inst, g.vertices, assignment) == (proper and all3)
 
 
 def test_exhaustive_assignment_sweep_on_one_graph():
@@ -277,8 +288,7 @@ def test_exhaustive_assignment_sweep_on_one_graph():
     all3 = uses_all_three(rows)
     for row, want in zip(rows, proper & all3):
         assignment = {v: COLORS[row[idx[v]]] for v in g.vertices}
-        wit = raw_color_witness(g.vertices, assignment)
-        assert verify_witness(inst, wit, 1.0, 0.0) == bool(want)
+        assert color_witness_verifies(inst, g.vertices, assignment) == bool(want)
 
 
 # ---------------------------------------------------------------- brute force

@@ -17,6 +17,7 @@ from helpers import (
     reference_flow_edges,
     reference_min_feasible_flow,
     reference_paths_to_labelings,
+    shuffled_levels,
     tuple_edges,
 )
 from thclust import (
@@ -82,10 +83,14 @@ def test_build_rejects_wrong_correspondence_count():
 
 
 def test_build_rejects_noncovering_correspondence():
+    """A correspondence that misses a point cannot be made, and one made
+    for other levels is refused."""
     samp = TemporalSampling(tiny_ambient(), [["a", "b"], ["a"]])
-    broken = (Correspondence.from_pairs([("a", "a")]),)
-    with pytest.raises(ValidationError):
-        build_flow_instance(samp, broken)
+    with pytest.raises(ValidationError, match="misses first-side point 'b'"):
+        Correspondence.from_pairs([("a", "a")], *samp.levels)
+    other = Correspondence.from_pairs([("a", "a"), ("b", "a")], ("b", "a"), ("a",))
+    with pytest.raises(ValidationError, match="correspondence joins other levels"):
+        build_flow_instance(samp, (other,))
 
 
 # ---------------------------------------------------------------- min flow
@@ -272,12 +277,14 @@ def assert_same_flow_as_reference(samp, correspondences):
 
 
 def test_min_flow_matches_reference_solver_on_random_samplings():
+    """Levels listed in id order, and the same levels shuffled."""
     rng = np.random.default_rng(606)
     for _ in range(500):
-        samp = random_sampling(rng)
-        for scheme in ("fkw", "subdominant"):
-            sol = solve_local(samp, scheme=scheme)
-            assert_same_flow_as_reference(samp, sol.correspondences)
+        in_id_order = random_sampling(rng)
+        for samp in (in_id_order, shuffled_levels(rng, in_id_order)):
+            for scheme in ("fkw", "subdominant"):
+                sol = solve_local(samp, scheme=scheme)
+                assert_same_flow_as_reference(samp, sol.correspondences)
 
 
 def test_min_flow_matches_reference_solver_when_value_is_pushed_back(monkeypatch):
@@ -286,7 +293,7 @@ def test_min_flow_matches_reference_solver_when_value_is_pushed_back(monkeypatch
     pairs = [(0, 0), (0, 3), (1, 1), (1, 2), (2, 1), (2, 3), (3, 0), (4, 2), (4, 5), (5, 4)]
     level = [f"p{i}" for i in range(6)]
     samp = TemporalSampling(line_space(range(6)), [level, level])
-    corr = Correspondence.from_pairs([(f"p{u}", f"p{v}") for u, v in pairs])
+    corr = Correspondence.from_pairs([(f"p{u}", f"p{v}") for u, v in pairs], level, level)
     pushed = []
     max_flow = _MaxFlowGraph.max_flow
 

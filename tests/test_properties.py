@@ -272,7 +272,7 @@ def test_distortion_matches_the_block_reference(sampling, scheme, data):
         cover = [(a, q[j % len(q)]) for j, a in enumerate(p)]
         cover += [(p[j % len(p)], b) for j, b in enumerate(q)]
         u1, u2 = sol.ultrametrics[i], sol.ultrametrics[i + 1]
-        for c in (corr, Correspondence.from_pairs(cover + extra)):
+        for c in (corr, Correspondence.from_pairs(cover + extra, p, q)):
             assert distortion(u1, u2, c) == reference_distortion(u1, u2, c)
 
 

@@ -10,12 +10,12 @@ from helpers import (
     differential_spaces,
     line_space,
     min_locality_scan,
-    outcome,
     random_graph,
     random_sampling,
     raw_color_witness,
     reference_distortion,
     reference_locality,
+    shuffled_levels,
 )
 from thclust import (
     COLORS,
@@ -45,10 +45,40 @@ def tiny_ambient():
 
 
 def test_correspondence_canonical_form():
-    c = Correspondence.from_pairs([("b", "y"), ("a", "x"), ("b", "y")])
+    c = Correspondence.from_pairs([("b", "y"), ("a", "x"), ("b", "y")], ("b", "a"), ("x", "y"))
     assert c.pairs == (("a", "x"), ("b", "y"))
-    assert c.left() == {"a", "b"}
-    assert c.right() == {"x", "y"}
+    assert (c.first, c.second) == (("b", "a"), ("x", "y"))
+    assert c.left.tolist() == [0, 1] and c.right.tolist() == [1, 0]
+    assert not c.left.flags.writeable and not c.right.flags.writeable
+
+
+def test_correspondence_sorts_and_dedupes_index_pairs():
+    """Shuffled index arrays with repeats give each pair once, sorted by
+    index, while the id view stays sorted by id."""
+    rng = np.random.default_rng(65)
+    first, second = ("c", "a", "d", "b"), ("z", "x", "y")
+    for _ in range(40):
+        size = int(rng.integers(4, 20))
+        left = np.r_[np.arange(4), rng.integers(0, 4, size)]
+        right = np.r_[rng.integers(0, 3, 4), np.arange(3), rng.integers(0, 3, size - 3)]
+        perm = rng.permutation(len(left))
+        c = Correspondence(first, second, left[perm], right[perm])
+        pairs = [(first[a], second[b]) for a, b in zip(left, right)]
+        assert c.to_list() == [list(p) for p in sorted(set(pairs))]
+        index = sorted(set(zip(left.tolist(), right.tolist())))
+        assert list(zip(c.left.tolist(), c.right.tolist())) == index
+
+
+@pytest.mark.parametrize("left, right, message", [
+    ([0, 1], [0], "bad second-side indices"),
+    ([0, 2], [0, 0], "bad first-side indices"),
+    ([0, 1], [-1, 0], "bad second-side indices"),
+    ([0, 0], [0, 0], "misses first-side point 'b'"),
+    ([], [], "misses first-side point 'a'"),
+])
+def test_correspondence_refuses_bad_index_arrays(left, right, message):
+    with pytest.raises(ValidationError, match=message):
+        Correspondence(("a", "b"), ("x",), left, right)
 
 
 def test_correspondence_pairs_have_two_items():
@@ -57,16 +87,16 @@ def test_correspondence_pairs_have_two_items():
                            ([5], "correspondence entry must be a list"),
                            ([("a", 1)], "correspondence point must be a string")):
         with pytest.raises(ValidationError, match=message):
-            Correspondence.from_pairs(pairs)
-    assert Correspondence.from_pairs(iter([["b", "y"]])).pairs == (("b", "y"),)
+            Correspondence.from_pairs(pairs, ("a",), ("x",))
+    assert Correspondence.from_pairs(iter([["b", "y"]]), ("b",), ("y",)).pairs == (("b", "y"),)
 
 
 def test_locality_is_worst_pair_distance():
     ambient = tiny_ambient()
-    c = Correspondence.from_pairs([("a", "a"), ("a", "b")])
+    c = Correspondence.from_pairs([("a", "a"), ("a", "b")], ("a",), ("a", "b"))
     assert locality(c, ambient) == 3.0
-    with pytest.raises(ValidationError):
-        locality(Correspondence.from_pairs([]), ambient)
+    with pytest.raises(ValidationError, match="misses first-side point 'a'"):
+        Correspondence.from_pairs([], ("a",), ("a", "b"))
 
 
 def test_hausdorff_correspondence_known_pairs():
@@ -107,14 +137,14 @@ def test_subset_enumeration_confirms_minimality():
 
 def test_distortion_zero_on_identical_matched_spaces():
     u = PseudoUltrametric(["x", "y"], np.array([[0.0, 5.0], [5.0, 0.0]]))
-    c = Correspondence.from_pairs([("x", "x"), ("y", "y")])
+    c = Correspondence.from_pairs([("x", "x"), ("y", "y")], u.points, u.points)
     assert distortion(u, u, c) == 0.0
 
 
 def test_distortion_compares_merge_heights():
     u1 = PseudoUltrametric(["x1", "x2"], np.array([[0.0, 5.0], [5.0, 0.0]]))
     u2 = PseudoUltrametric(["y1", "y2"], np.array([[0.0, 3.0], [3.0, 0.0]]))
-    c = Correspondence.from_pairs([("x1", "y1"), ("x2", "y2")])
+    c = Correspondence.from_pairs([("x1", "y1"), ("x2", "y2")], u1.points, u2.points)
     assert distortion(u1, u2, c) == 2.0
 
 
@@ -125,16 +155,20 @@ def test_distortion_symmetric_under_transpose():
         sol = solve_local(samp, scheme="subdominant")
         c = sol.correspondences[0]
         u1, u2 = sol.ultrametrics
-        flipped = Correspondence.from_pairs((v, u) for u, v in c.pairs)
+        flipped = Correspondence(c.second, c.first, c.right, c.left)
         assert distortion(u1, u2, c) == distortion(u2, u1, flipped)
 
 
 def test_distortion_requires_full_coverage():
     u1 = PseudoUltrametric(["x1", "x2"], np.array([[0.0, 5.0], [5.0, 0.0]]))
     u2 = PseudoUltrametric(["y1", "y2"], np.array([[0.0, 3.0], [3.0, 0.0]]))
-    partial = Correspondence.from_pairs([("x1", "y1"), ("x1", "y2")])
-    with pytest.raises(ValidationError, match="x2"):
-        distortion(u1, u2, partial)
+    with pytest.raises(ValidationError, match="misses first-side point 'x2'"):
+        Correspondence.from_pairs([("x1", "y1"), ("x1", "y2")], u1.points, u2.points)
+    with pytest.raises(ValidationError, match="unknown second-side point 'y3'"):
+        Correspondence.from_pairs([("x1", "y1"), ("x2", "y3")], u1.points, u2.points)
+    other = Correspondence.from_pairs([("x1", "y1"), ("x2", "y2")], ("x2", "x1"), u2.points)
+    with pytest.raises(ValidationError, match="correspondence joins other levels"):
+        distortion(u1, u2, other)
 
 
 def _same(x, y):
@@ -150,7 +184,7 @@ def _covering_relation(rng, p_ids, q_ids):
         pairs |= {(p, q_ids[j]) for j in rng.choice(len(q_ids), size=size, replace=False)}
     for q in set(q_ids) - {q for _, q in pairs}:
         pairs.add((p_ids[int(rng.integers(len(p_ids)))], q))
-    return Correspondence.from_pairs(pairs)
+    return Correspondence.from_pairs(pairs, p_ids, q_ids)
 
 
 def _assert_matches_reference(u1, u2, corr, ambient=None):
@@ -160,8 +194,9 @@ def _assert_matches_reference(u1, u2, corr, ambient=None):
 
 
 def test_distortion_matches_reference_on_differential_samplings():
-    """Both fits of three random levels of every differential space, linked
-    by their Hausdorff correspondences and by random covering relations."""
+    """Both fits of three random levels of every differential space, listed
+    in id order and shuffled, linked by their Hausdorff correspondences and
+    by random covering relations."""
     rng = np.random.default_rng(61)
     for space in differential_spaces():
         n = len(space)
@@ -170,34 +205,41 @@ def test_distortion_matches_reference_on_differential_samplings():
              sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))]
             for _ in range(3)
         ]
-        samp = TemporalSampling(space, levels)
-        for scheme in ("fkw", "subdominant"):
-            sol = solve_local(samp, scheme=scheme)
-            for i, corr in enumerate(sol.correspondences):
-                u1, u2 = sol.ultrametrics[i], sol.ultrametrics[i + 1]
-                _assert_matches_reference(u1, u2, corr, space)
-                relation = _covering_relation(rng, levels[i], levels[i + 1])
-                _assert_matches_reference(u1, u2, relation, space)
+        in_id_order = TemporalSampling(space, levels)
+        for samp in (in_id_order, shuffled_levels(rng, in_id_order)):
+            for scheme in ("fkw", "subdominant"):
+                sol = solve_local(samp, scheme=scheme)
+                for i, corr in enumerate(sol.correspondences):
+                    u1, u2 = sol.ultrametrics[i], sol.ultrametrics[i + 1]
+                    _assert_matches_reference(u1, u2, corr, space)
+                    relation = _covering_relation(rng, *samp.levels[i:i + 2])
+                    _assert_matches_reference(u1, u2, relation, space)
 
 
 def test_distortion_matches_reference_on_hardness_witnesses():
-    """Color-class witnesses pair each color with a whole class; colorings
-    that leave a color unused fail coverage with the same error."""
+    """Color-class witnesses pair each color with a whole class; a coloring
+    that leaves a color unused gives no correspondence at all."""
     rng = np.random.default_rng(62)
     for n in range(1, 9):
         graph = random_graph(rng, n)
         for _ in range(8):
             coloring = {v: COLORS[int(rng.integers(3))] for v in graph.vertices}
+            unused = sorted(set(COLORS) - set(coloring.values()))
+            if unused:
+                with pytest.raises(ValidationError,
+                                   match=f"misses first-side point '{unused[0]}'"):
+                    raw_color_witness(graph.vertices, coloring)
+                continue
             wit = raw_color_witness(graph.vertices, coloring)
-            flipped = Correspondence.from_pairs((v, c) for c, v in wit.corr.pairs)
+            flipped = Correspondence.from_pairs(((v, c) for c, v in wit.corr.pairs),
+                                                wit.u_v.points, wit.u_p.points)
             for u1, u2, corr in ((wit.u_p, wit.u_v, wit.corr), (wit.u_v, wit.u_p, flipped)):
-                assert outcome(distortion, u1, u2, corr) == \
-                    outcome(reference_distortion, u1, u2, corr)
+                assert distortion(u1, u2, corr) == reference_distortion(u1, u2, corr)
 
 
 def test_distortion_matches_reference_when_one_point_has_many_partners():
     """Stars on either side, two crossed stars and the full relation, also
-    given unsorted and with repeats to the dataclass directly."""
+    given to the dataclass directly as shuffled index arrays with repeats."""
     rng = np.random.default_rng(63)
     for n1, n2 in ((1, 12), (12, 1), (5, 30), (30, 5), (20, 20)):
         ambient = cloud_space(rng, n1 + n2)
@@ -213,9 +255,12 @@ def test_distortion_matches_reference_when_one_point_has_many_partners():
             [(p, q) for p in u1.points for q in u2.points],
         ]
         for pairs in relations:
-            _assert_matches_reference(u1, u2, Correspondence.from_pairs(pairs), ambient)
+            corr = Correspondence.from_pairs(pairs, u1.points, u2.points)
+            _assert_matches_reference(u1, u2, corr, ambient)
             shuffled = [pairs[j] for j in rng.permutation(len(pairs))]
-            raw = Correspondence(pairs=tuple(shuffled + shuffled[:3]))
+            index = [(u1.index_of(p), u2.index_of(q)) for p, q in shuffled + shuffled[:3]]
+            raw = Correspondence(u1.points, u2.points, *zip(*index))
+            assert raw.to_list() == [list(pair) for pair in sorted(set(pairs))]
             _assert_matches_reference(u1, u2, raw, ambient)
 
 
@@ -230,7 +275,7 @@ def test_distortion_keeps_nan_and_inf_of_infinite_heights():
     u2 = PseudoUltrametric(["x", "y", "z"], [[0, inf, 1], [inf, 0, inf], [1, inf, 0]],
                            validate=False)
     fin2 = PseudoUltrametric(["x", "y", "z"], [[0, 2, 1], [2, 0, 2], [1, 2, 0]])
-    corr = Correspondence.from_pairs([("a", "x"), ("b", "y"), ("b", "z")])
+    corr = Correspondence.from_pairs([("a", "x"), ("b", "y"), ("b", "z")], u1.points, u2.points)
     rng = np.random.default_rng(64)
     with np.errstate(invalid="ignore"):  # inf - inf, in both routines
         for left, right, want in ((u1, u2, math.nan), (u1, fin2, inf), (fin1, u2, inf),
@@ -339,13 +384,24 @@ def test_evaluate_general_rejects_wrong_points():
     ([("a", "a"), ("a", "b")], "misses first-side point 'b'"),
 ])
 def test_evaluate_general_names_a_bad_correspondence(pairs, message):
-    """The correspondence is checked against both levels before anything
-    reads its pairs from the ambient space."""
+    """A correspondence is checked against both levels when made, so a
+    forged one never reaches the certifier."""
     ambient = tiny_ambient()
     sol = solve_local(make_sampling(ambient, [["a", "b"], ["a", "b"]]))
-    forged = dataclasses.replace(sol, correspondences=(Correspondence.from_pairs(pairs),))
     with pytest.raises(ValidationError, match=message):
-        evaluate_general(forged)
+        corr = Correspondence.from_pairs(pairs, *sol.sampling.levels)
+        evaluate_general(dataclasses.replace(sol, correspondences=(corr,)))
+
+
+def test_evaluate_general_refuses_a_correspondence_of_other_levels():
+    ambient = tiny_ambient()
+    sol = solve_local(make_sampling(ambient, [["a", "b"], ["a", "b"]]))
+    corr = Correspondence.from_pairs([("a", "a"), ("b", "b")], ("b", "a"), ("a", "b"))
+    with pytest.raises(ValidationError, match="correspondence joins other levels"):
+        evaluate_general(dataclasses.replace(sol, correspondences=(corr,)))
+    doc = sol.to_dict()
+    with pytest.raises(ValidationError, match="wrong number of correspondences"):
+        LocalSolution.from_dict({**doc, "correspondences": doc["correspondences"] * 2})
 
 
 def test_local_solution_round_trip():
