@@ -250,7 +250,9 @@ def coloring_from_witness(inst: ThcInstance, witness: Witness) -> dict[str, str]
     With those bounds each vertex can relate to only one anchor (two
     anchors would force their height to 0 while the fit keeps it near 2),
     and no edge can be monochromatic (its height would be 0 against a
-    source distance of 2). Violations raise :class:`WitnessError`.
+    source distance of 2). Violations raise :class:`WitnessError`; the
+    relation is read in index order, so on levels listed in id order the
+    first violation named is the first in id order.
     """
     chi = _fit_error(inst, witness)
     if chi >= 2:
@@ -258,9 +260,11 @@ def coloring_from_witness(inst: ThcInstance, witness: Witness) -> dict[str, str]
     rho = distortion(witness.u_p, witness.u_v, witness.corr)
     if rho != 0:
         raise WitnessError(f"witness distortion {rho:g} is not zero")
+    corr = witness.corr
     coloring: dict[str, str] = {}
-    for anchor, vertex in witness.corr.pairs:
-        if vertex in coloring and coloring[vertex] != anchor:
+    for a, v in zip(corr.left.tolist(), corr.right.tolist()):
+        anchor, vertex = corr.first[a], corr.second[v]
+        if vertex in coloring:
             raise WitnessError(
                 f"vertex {vertex!r} relates to anchors "
                 f"{coloring[vertex]!r} and {anchor!r}"

@@ -118,33 +118,45 @@ def build_hausdorff_correspondence(p_ids, q_ids, ambient: MetricSpace) -> Corres
     return Correspondence(p_ids, q_ids, *np.nonzero(d <= d_h + TOL))
 
 
+def _widest(near, far, mu_near, mu_far) -> float:
+    """The largest ``mu_far[y, y'] - mu_near[x, x']`` over ordered pairs of
+    relation elements (x, y), (x', y'), given as covering index columns.
+
+    In an ultrametric the largest height between two sets is the diameter
+    of their union, and a set's diameter is its largest height from any one
+    member. So with N(x) the partners of x, r(x) one of them and d(x) the
+    largest ``mu_far[r(x), y]`` over y in N(x), the largest ``mu_far`` over
+    N(x) x N(x') is ``max(d(x), d(x'), mu_far[r(x), r(x')])``.
+    """
+    r = np.empty(len(mu_near), dtype=np.intp)
+    r[near] = far  # any one partner; near covers its level
+    d = np.zeros(len(mu_near))  # heights are >= 0, and mu_far[r(x), r(x)] = 0
+    np.maximum.at(d, near, mu_far[r[near], far])
+    hi = np.maximum(np.maximum.outer(d, d), mu_far[np.ix_(r, r)])
+    return (hi - mu_near).max()
+
+
 def distortion(u1: PseudoUltrametric, u2: PseudoUltrametric, corr: Correspondence) -> float:
     """Merge distortion: the largest height disagreement across the relation.
 
     Maximized over ordered pairs of correspondence elements, including pairs
     that share a point on either side.
 
-    The pairs are sorted by index, so each first-side point a owns one run
-    of partners N(a). Over N(a) x N(a') the worst disagreement with
-    ``m = mu1[a, a']`` is ``max(Hi - m, m - Lo)``, Hi and Lo being the max and
-    min of ``mu2`` there: rounded subtraction is monotone, so this is exactly
-    the largest ``|mu1 - mu2|`` of the K x K blocks. Hi and Lo take two
-    grouped reductions, over the rows of ``mu2[b]`` (|P| x |Q|) and then over
-    the columns picked by ``b`` (|P| x |P|), with ``b`` the partners in pair
-    order: O(K (|P| + |Q|)) work for K pairs. NaN from infinite heights on both
-    sides propagates as it did in the blocks.
+    Rounded subtraction is monotone, so the largest ``mu2 - mu1`` is the
+    largest, over first-side pairs (a, a'), of the largest ``mu2`` over
+    their partners minus ``mu1[a, a']``: one gather of the K pair heights
+    and one |P| x |P| maximum (:func:`_widest`). ``mu1 - mu2`` is the same
+    with the sides swapped, over |Q| x |Q|; O(K + |P|^2 + |Q|^2) in all. On
+    exact ultrametrics (every fit, every dendrogram replay of sorted merges)
+    this is exactly the largest ``|mu1 - mu2|`` of the K x K blocks; heights
+    that pass the strong triangle inequality only within ``TOL`` (a loaded
+    dendrogram with sub-``TOL`` dips, a validated matrix with sub-``TOL``
+    noise) can move it by up to ``2 * TOL``, one per triangle step. NaN from
+    infinite heights on both sides propagates as it did in the blocks.
     """
     _require_levels(corr, u1.points, u2.points)
-    left, b = corr.left, corr.right
-    starts = np.flatnonzero(np.r_[True, left[1:] != left[:-1]])
-    rows = u2.mu[b]
-    hi = np.maximum.reduceat(np.maximum.reduceat(rows, starts, axis=0)[:, b],
-                             starts, axis=1)
-    lo = np.minimum.reduceat(np.minimum.reduceat(rows, starts, axis=0)[:, b],
-                             starts, axis=1)
-    a = left[starts]
-    m = u1.mu[np.ix_(a, a)]
-    return float(np.maximum(hi - m, m - lo).max())
+    return float(np.maximum(_widest(corr.left, corr.right, u1.mu, u2.mu),
+                            _widest(corr.right, corr.left, u2.mu, u1.mu)))
 
 
 @dataclass(frozen=True)

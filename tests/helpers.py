@@ -613,8 +613,8 @@ def reference_locality(corr: Correspondence, ambient: MetricSpace) -> float:
 
 def reference_distortion(u1: PseudoUltrametric, u2: PseudoUltrametric,
                          corr: Correspondence) -> float:
-    """The K x K block distortion that the grouped reductions in
-    ``thclust.temporal.distortion`` replaced: both height blocks over every
+    """The K x K block distortion that the grouped reductions
+    (:func:`grouped_distortion`) replaced: both height blocks over every
     ordered pair of correspondence elements, compared entry by entry.
 
     Maximized over ordered pairs of correspondence elements, including pairs
@@ -625,6 +625,30 @@ def reference_distortion(u1: PseudoUltrametric, u2: PseudoUltrametric,
     a = u1.mu[np.ix_(i1, i1)]
     b = u2.mu[np.ix_(i2, i2)]
     return float(np.abs(a - b).max())
+
+
+def grouped_distortion(u1: PseudoUltrametric, u2: PseudoUltrametric,
+                       corr: Correspondence) -> float:
+    """The grouped reductions that the ultrametric diameter identity in
+    ``thclust.temporal.distortion`` replaced: exact on any heights.
+
+    The pairs are sorted by index, so each first-side point a owns one run
+    of partners N(a). Over N(a) x N(a') the worst disagreement with
+    ``m = mu1[a, a']`` is ``max(Hi - m, m - Lo)``, Hi and Lo being the max
+    and min of ``mu2`` there, taken by two grouped reductions: over the rows
+    of ``mu2[b]`` (K x |Q|) and then over the columns picked by ``b``
+    (|P| x K), with ``b`` the partners in pair order.
+    """
+    left, b = corr.left, corr.right
+    starts = np.flatnonzero(np.r_[True, left[1:] != left[:-1]])
+    rows = u2.mu[b]
+    hi = np.maximum.reduceat(np.maximum.reduceat(rows, starts, axis=0)[:, b],
+                             starts, axis=1)
+    lo = np.minimum.reduceat(np.minimum.reduceat(rows, starts, axis=0)[:, b],
+                             starts, axis=1)
+    a = left[starts]
+    m = u1.mu[np.ix_(a, a)]
+    return float(np.maximum(hi - m, m - lo).max())
 
 
 # ---------------------------------------------------------------- labeling oracles

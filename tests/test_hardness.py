@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,16 +10,21 @@ from helpers import (
     color_witness_verifies,
     complete_graph,
     cycle_graph,
+    grouped_distortion,
+    outcome,
     path_graph,
     petersen_graph,
     proper_rows,
     random_graph,
+    raw_color_witness,
     three_colorable_oracle,
     uses_all_three,
 )
 from thclust import (
     COLORS,
+    Correspondence,
     Graph,
+    MetricSpace,
     PseudoUltrametric,
     ThcInstance,
     ValidationError,
@@ -259,6 +265,48 @@ def test_extraction_rejects_witness_over_other_vertices():
     with pytest.raises(WitnessError, match="differ from the instance"):
         coloring_from_witness(inst, wit)
     assert not verify_witness(inst, wit, 1.0, 0.0)
+
+
+def test_extraction_names_a_vertex_related_to_two_anchors():
+    """On anchors 1 apart, flat heights fit within 1 at zero distortion, so
+    the relation itself must refuse v0's two anchors. The pairs are read in
+    level order, which on levels listed in id order is id order."""
+    vertices = reduce_from_graph(Graph(["v0", "v1"], [])).level2
+    flat_v = PseudoUltrametric(vertices.points, np.zeros((2, 2)))
+    pairs = [("r", "v0"), ("g", "v0"), ("b", "v1")]
+    for anchors, message in ((tuple(sorted(COLORS)), "anchors 'g' and 'r'"),
+                             (COLORS, "anchors 'r' and 'g'")):
+        inst = ThcInstance(level1=MetricSpace(anchors, dist=1.0 - np.eye(3)), level2=vertices)
+        flat_p = PseudoUltrametric(anchors, np.zeros((3, 3)))
+        wit = Witness(flat_p, flat_v, Correspondence.from_pairs(pairs, anchors, vertices.points))
+        assert verify_witness(inst, wit, 1.0, 0.0)
+        with pytest.raises(WitnessError, match=f"^vertex 'v0' relates to {message}$"):
+            coloring_from_witness(inst, wit)
+
+
+def test_verdicts_match_the_grouped_distortion_oracle():
+    """verify_witness and coloring_from_witness decide alike when distortion
+    is the grouped-reduction oracle: on color-class witnesses of sampled
+    assignments, and on the same witnesses with blurred anchors or spread
+    vertices."""
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        g = random_graph(rng, int(rng.integers(3, 7)))
+        inst = reduce_from_graph(g)
+        n = len(g.vertices)
+        for _ in range(6):
+            assignment = {v: COLORS[rng.integers(3)] for v in g.vertices}
+            if set(assignment.values()) != set(COLORS):
+                continue
+            wit = raw_color_witness(g.vertices, assignment)
+            spread = PseudoUltrametric(g.vertices, 1.0 - np.eye(n))
+            for w in (wit, Witness(PseudoUltrametric(COLORS, np.zeros((3, 3))), wit.u_v, wit.corr),
+                      Witness(wit.u_p, spread, wit.corr)):
+                calls = [(verify_witness, inst, w, 1.0, 0.0), (verify_witness, inst, w, 2.0, 1.0),
+                         (coloring_from_witness, inst, w)]
+                got = [outcome(*call) for call in calls]
+                with mock.patch("thclust.hardness.distortion", grouped_distortion):
+                    assert [outcome(*call) for call in calls] == got
 
 
 # ---------------------------------------------------------------- equivalence

@@ -8,6 +8,8 @@ from helpers import (
     cloud_space,
     correspondence_localities,
     differential_spaces,
+    grid_space,
+    grouped_distortion,
     line_space,
     min_locality_scan,
     random_graph,
@@ -19,8 +21,10 @@ from helpers import (
 )
 from thclust import (
     COLORS,
+    TOL,
     CertificationError,
     Correspondence,
+    Dendrogram,
     LocalSolution,
     PseudoUltrametric,
     SimConfig,
@@ -29,11 +33,13 @@ from thclust import (
     build_hausdorff_correspondence,
     distortion,
     evaluate_general,
+    fkw_fit,
     hausdorff_distance,
     locality,
     run,
     solve_local,
     subdominant_ultrametric,
+    to_dendrogram,
 )
 
 
@@ -264,11 +270,28 @@ def test_distortion_matches_reference_when_one_point_has_many_partners():
             _assert_matches_reference(u1, u2, raw, ambient)
 
 
+def _merged_ultrametric(rng, prefix, n):
+    """Heights of n - 1 random merges at sorted heights drawn from
+    {0, 1, 2, 3, inf}: random nested partitions, an exact ultrametric with
+    infinite heights, which the validated constructor cannot take."""
+    mu = np.zeros((n, n))
+    clusters = [[i] for i in range(n)]
+    for h in np.sort(rng.choice([0.0, 1.0, 2.0, 3.0, math.inf], size=n - 1)):
+        i, j = sorted(rng.choice(len(clusters), size=2, replace=False))
+        joined = clusters.pop(j)
+        mu[np.ix_(clusters[i], joined)] = mu[np.ix_(joined, clusters[i])] = h
+        clusters[i] += joined
+    points = [f"{prefix}{i}" for i in range(n)]
+    PseudoUltrametric(points, np.where(np.isinf(mu), 4.0, mu))  # the finite twin validates
+    return PseudoUltrametric(points, mu, validate=False)
+
+
 def test_distortion_keeps_nan_and_inf_of_infinite_heights():
-    """inf - inf is NaN in the block reference; the grouped reductions must
-    return NaN there too, also when the same block has a finite partner
-    height (which makes the other term inf), and inf where only one side is
-    infinite."""
+    """inf - inf is NaN in the block reference; distortion must return NaN
+    there too, also when the same block has a finite partner height (which
+    makes the other term inf), and inf where only one side is infinite: on
+    four explicit cases and on random nested partitions with infinite
+    heights."""
     inf = math.inf
     u1 = PseudoUltrametric(["a", "b"], [[0, inf], [inf, 0]], validate=False)
     fin1 = PseudoUltrametric(["a", "b"], [[0, 1], [1, 0]])
@@ -283,16 +306,52 @@ def test_distortion_keeps_nan_and_inf_of_infinite_heights():
             got = distortion(left, right, corr)
             assert _same(got, want) and _same(got, reference_distortion(left, right, corr))
         for _ in range(60):
-            mats = []
-            for n in (int(rng.integers(1, 6)), int(rng.integers(1, 6))):
-                m = rng.integers(0, 4, size=(n, n)).astype(float)
-                m[rng.random((n, n)) < 0.3] = inf
-                mats.append(np.maximum(m, m.T))
-            u1 = PseudoUltrametric([f"a{i}" for i in range(len(mats[0]))], mats[0],
-                                   validate=False)
-            u2 = PseudoUltrametric([f"b{i}" for i in range(len(mats[1]))], mats[1],
-                                   validate=False)
+            u1 = _merged_ultrametric(rng, "a", int(rng.integers(1, 6)))
+            u2 = _merged_ultrametric(rng, "b", int(rng.integers(1, 6)))
             _assert_matches_reference(u1, u2, _covering_relation(rng, u1.points, u2.points))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_distortion_equals_both_oracles_on_flock_fits(seed):
+    """Both schemes' fits of a 40-actor flock: the diameter identity gives
+    the K x K block's and the grouped reductions' value bit for bit."""
+    samp = run(SimConfig(actor_count=40, seed=seed))
+    for scheme in ("fkw", "subdominant"):
+        sol = solve_local(samp, scheme=scheme)
+        for i, corr in enumerate(sol.correspondences):
+            u1, u2 = sol.ultrametrics[i], sol.ultrametrics[i + 1]
+            got = distortion(u1, u2, corr)
+            assert got == reference_distortion(u1, u2, corr) == grouped_distortion(u1, u2, corr)
+
+
+def test_distortion_stays_within_two_tol_of_heights_that_pass_within_tol():
+    """Heights whose triples hold only within TOL: fits of integer-tie spaces
+    replayed from dendrograms with sub-TOL dips, and validated with sub-TOL
+    noise. The diameter identity is then off by at most one TOL per
+    triangle step, and it is off on some of these inputs."""
+    rng = np.random.default_rng(66)
+
+    def dipped(u):
+        d = to_dendrogram(u)
+        merges = [(h - rng.uniform(0.0, 0.9 * TOL), a, b) for h, a, b in d.merges]
+        return Dendrogram(d.leaves, merges).to_ultrametric()
+
+    def noisy(u):
+        noise = np.triu(rng.uniform(0.0, 0.9 * TOL, size=u.mu.shape), 1)
+        return PseudoUltrametric(u.points, u.mu + noise + noise.T)
+
+    gaps = []
+    for _ in range(100):
+        fits = [fkw_fit(sp).ultrametric if rng.integers(2) else subdominant_ultrametric(sp)
+                for sp in (grid_space(rng, int(rng.integers(2, 10))) for _ in range(2))]
+        for make in (dipped, noisy):
+            u1, u2 = make(fits[0]), make(fits[1])
+            corr = _covering_relation(rng, u1.points, u2.points)
+            want = reference_distortion(u1, u2, corr)
+            assert want == grouped_distortion(u1, u2, corr)
+            gaps.append(abs(distortion(u1, u2, corr) - want))
+    assert max(gaps) <= 2 * TOL
+    assert max(gaps) > 0
 
 
 # ---------------------------------------------------------------- solve_local
