@@ -160,15 +160,15 @@ def _dendrogram_layout(dendrogram: Dendrogram):
     merge midway between its children. Segments are (x1, h1, x2, h2) in
     leaf-slot and height units.
     """
-    leaves, merges = dendrogram.leaves, dendrogram.merges
-    kids, start, _ = _layout(leaves, merges)
+    leaves, merges = dendrogram.leaves, dendrogram.node_merges()
+    start, _ = _layout(len(leaves), merges)
     order = [""] * len(leaves)
     for leaf, slot in zip(leaves, start):
         order[slot] = leaf
     xs = [float(slot) for slot in start[:len(leaves)]]
     hs = [0.0] * len(leaves)
     segments = []
-    for (h, _, _), (a, b) in zip(merges, kids):
+    for h, a, b in merges:
         segments.append((xs[a], hs[a], xs[a], h))
         segments.append((xs[b], hs[b], xs[b], h))
         segments.append((xs[a], h, xs[b], h))

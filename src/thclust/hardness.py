@@ -75,7 +75,8 @@ class Graph:
                 continue
             parts = line.split()
             if parts[0] == "p":
-                counts = parts[2:] if len(parts) == 4 and declared is None else [""]
+                ok = len(parts) == 4 and parts[1] == "edge" and declared is None
+                counts = parts[2:] if ok else [""]
                 if not all(c.isascii() and c.isdigit() for c in counts):
                     raise ValidationError(f"bad problem line at line {lineno}")
                 declared, edge_count = map(int, counts)
@@ -157,7 +158,10 @@ def reduce_from_graph(graph: Graph) -> ThcInstance:
 
 
 def check_coloring(graph: Graph, coloring: dict[str, str]) -> None:
-    """Raise unless the assignment colors every vertex properly."""
+    """Raise unless the assignment colors every vertex of the graph, and
+    only those, properly."""
+    if extra := coloring.keys() - set(graph.vertices):
+        raise WitnessError(f"vertex {min(extra)!r} is not in the graph")
     for v in graph.vertices:
         if v not in coloring:
             raise WitnessError(f"vertex {v!r} is uncolored")

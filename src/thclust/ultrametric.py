@@ -58,9 +58,8 @@ def validate_ultrametric(mu, points=None):
         raise ValidationError("ultrametric matrix must be symmetric")
     if np.abs(np.diagonal(m)).max() > TOL:
         raise ValidationError("ultrametric diagonal must be zero")
-    ids = tuple(str(i) for i in range(n))  # _heights tells leaves by str
-    tree = _spanning_tree(ids, np.minimum(m, m.T))
-    if _certifies(m, _heights(ids, _merges(ids, tree)), TOL):
+    tree = _spanning_tree(range(n), np.minimum(m, m.T))
+    if _certifies(m, _heights(n, _merges(range(n), *tree)), TOL):
         return True, None
     for i in range(n):
         # max(mu[i][j], mu[j][k]) for all j,k at once; rows j, columns k.
@@ -132,66 +131,71 @@ class PseudoUltrametric(MetricSpace):
         return cls(_json_list(data["points"], "points"), data["matrix"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MstEdgeList:
-    """Edges (u, v, weight) of a minimum spanning tree, u < v, in the
-    deterministic selection order (weight, then endpoint ids)."""
+    """A minimum spanning tree, rooted at the smallest id, in the order
+    Prim's algorithm grew it (see :func:`_spanning_tree`).
+
+    Edge t joins point ``child[t]`` to point ``parent[t]``, which was
+    already in the tree, at ``weight[t]``. The three are read-only arrays
+    that number the points by their position in ``points``; :attr:`edges`
+    is the id view.
+    """
 
     points: tuple[str, ...]
-    edges: tuple[tuple[str, str, float], ...]
+    parent: np.ndarray
+    child: np.ndarray
+    weight: np.ndarray
+
+    def __post_init__(self):
+        for col in (self.parent, self.child, self.weight):
+            col.setflags(write=False)
+
+    def _kruskal(self) -> list[tuple[float, str, str, int]]:
+        """(weight, u, v, t) for each edge t, u < v, in the order Kruskal's
+        algorithm would select the edges."""
+        pts = self.points
+        cols = zip(self.parent.tolist(), self.child.tolist(), self.weight.tolist())
+        return sorted((w, *sorted((pts[a], pts[b])), t) for t, (a, b, w) in enumerate(cols))
+
+    @property
+    def edges(self) -> tuple[tuple[str, str, float], ...]:
+        """Edges (u, v, weight) with u < v, in Kruskal's selection order."""
+        return tuple((u, v, w) for w, u, v, _ in self._kruskal())
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> bool:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        self.parent[rj] = ri
-        return True
-
-
-def _spanning_tree(points: tuple[str, ...], matrix: np.ndarray):
+def _spanning_tree(points, matrix: np.ndarray):
     """Minimum spanning tree of the complete graph weighted by ``matrix``.
 
     Edges are ranked by (weight, smaller id, larger id): a strict total
     order, so the minimum spanning tree is unique and equal-weight ties go
-    to the lexicographically first pair of endpoint ids. Returns edges
-    (u, v, weight) with u < v, sorted by that rank, which is the order in
-    which Kruskal's algorithm would select them.
+    to the lexicographically first pair of endpoint ids. ``points`` holds
+    the ids, which serve only as sort keys.
 
     The tree is grown by Prim's algorithm over a dense array in O(n^2)
-    (Müllner, 2011), with vertices numbered by their rank in id order. Each
-    vertex outside the tree keeps its lightest edge into the tree, ``best``
-    and ``src``, and the next vertex joins along the lightest of those. Two
-    candidate edges into the same vertex x share the endpoint x, so their
-    (smaller, larger) rank pairs compare as their other endpoints do: a
-    candidate replaces ``src[x]`` when it is lighter, or as heavy with a
-    smaller tree endpoint. Among the vertices tied at the lightest weight,
-    the smallest rank pair wins. Every step thus adds the lightest edge
-    across the cut in the total order, which belongs to the unique tree
-    (cut property), so the edge set is exactly Kruskal's.
+    (Müllner, 2011) from the smallest id, with vertices numbered by their
+    rank in id order. Each vertex outside the tree keeps its lightest edge
+    into the tree, ``best`` and ``src``, and the next vertex joins along the
+    lightest of those. Two candidate edges into the same vertex x share the
+    endpoint x, so their (smaller, larger) rank pairs compare as their other
+    endpoints do: a candidate replaces ``src[x]`` when it is lighter, or as
+    heavy with a smaller tree endpoint. Among the vertices tied at the
+    lightest weight, the smallest rank pair wins. Every step thus adds the
+    lightest edge across the cut in the total order, which belongs to the
+    unique tree (cut property), so the edge set is exactly Kruskal's.
 
-    ``matrix`` must be exactly symmetric, because an edge is compared as
-    read from the row of whichever endpoint joined the tree first; the
-    callers pass ``space.dist``, ``min(m, m.T)`` and fitted heights, all
-    symmetric. Infinite weights are ordinary edges, so tree membership is
-    a mask, not a sentinel weight.
+    Returns point-index arrays ``(parent, child, weight)`` in join order:
+    edge t joins ``child[t]`` to ``parent[t]``, which is the root or an
+    earlier child. ``matrix`` must be exactly symmetric, because an edge is
+    compared, and returned, as read from the row of its parent; the callers
+    pass ``space.dist``, ``min(m, m.T)`` and fitted heights, all symmetric.
+    Infinite weights are ordinary edges, so tree membership is a mask, not
+    a sentinel weight.
     """
     n = len(points)
-    if n < 2:
-        return ()
     order = np.array(sorted(range(n), key=points.__getitem__), dtype=np.intp)
+    if n < 2:
+        return order[:0], order[:0], np.zeros(0)
     w = matrix[np.ix_(order, order)]
     outside = np.ones(n, dtype=bool)
     outside[0] = False
@@ -211,97 +215,88 @@ def _spanning_tree(points: tuple[str, ...], matrix: np.ndarray):
         closer = outside & ((row < best) | ((row == best) & (v < src)))
         best[closer] = row[closer]
         src[closer] = v
-    lo = np.minimum(src[joined], joined)
-    hi = np.maximum(src[joined], joined)
-    weight = w[lo, hi]
-    ranked = np.lexsort((hi, lo, weight))
-    return tuple(
-        (points[i], points[j], x)
-        for i, j, x in zip(order[lo[ranked]].tolist(), order[hi[ranked]].tolist(),
-                           weight[ranked].tolist())
-    )
+    parent = src[joined]
+    return order[parent], order[joined], w[parent, joined]
 
 
 def minimum_spanning_edges(space: MetricSpace) -> MstEdgeList:
     """The unique minimum spanning tree of the distance graph, equal-weight
     ties broken by the lexicographic pair of endpoint ids."""
-    return MstEdgeList(space.points, _spanning_tree(space.points, space.dist))
+    return MstEdgeList(space.points, *_spanning_tree(space.points, space.dist))
 
 
-def _merges(points: tuple[str, ...], edges):
-    """Canonical merge list of the single linkage over spanning-tree edges.
+def _merges(points, parent, child, weight) -> list[tuple[float, int, int]]:
+    """Canonical merge list of the single linkage over spanning-tree edges,
+    leaf x being node x and merge t node n + t.
 
     Edges are taken in groups of exactly equal weight. Within a group, the
     clusters its edges link are chained together into one merge event; each
     event becomes successive binary merges joining its clusters smallest
-    leaf id first, and events run in order of their smallest leaf id.
+    leaf id first, and events run in order of their smallest leaf id. The
+    ids in ``points`` serve only as those sort keys.
     """
-    n = len(points)
-    index = {p: i for i, p in enumerate(points)}
-    uf = _UnionFind(n)
-    # The root of each cluster is its smallest leaf, so ``points[root]``
-    # orders clusters by smallest leaf id.
-    node_ref: list[int | str] = list(points)
-    merges: list[tuple[float, int | str, int | str]] = []
-    ascending = sorted(edges, key=lambda e: e[2])
-    for h, group in itertools.groupby(ascending, key=lambda e: e[2]):
-        chain = _UnionFind(n)
-        roots = set()
-        for u, v, _ in group:
-            i, j = uf.find(index[u]), uf.find(index[v])
-            chain.union(i, j)
-            roots.update((i, j))
+    up = list(range(len(points)))
+    node = list(range(len(points)))
+    merges: list[tuple[float, int, int]] = []
+
+    def find(x: int) -> int:
+        while up[x] != x:
+            up[x] = up[up[x]]  # path halving
+            x = up[x]
+        return x
+
+    # Each cluster's root is its smallest id and ``node[root]`` its node. A
+    # group reads the roots its edges link before uniting them, so each
+    # event's root is its smallest id, which is its first cluster's root.
+    ranked = np.argsort(weight, kind="stable")
+    edges = zip(weight[ranked].tolist(), parent[ranked].tolist(), child[ranked].tolist())
+    for h, group in itertools.groupby(edges, key=lambda e: e[0]):
+        linked = [(find(a), find(b)) for _, a, b in group]
+        for a, b in linked:
+            a, b = sorted((find(a), find(b)), key=points.__getitem__)
+            up[b] = a
         events: dict[int, list[int]] = {}
-        for root in roots:
-            events.setdefault(chain.find(root), []).append(root)
-        joined = [sorted(rs, key=points.__getitem__) for rs in events.values()]
-        for rs in sorted(joined, key=lambda rs: points[rs[0]]):
-            for nxt in rs[1:]:
-                merges.append((h, node_ref[rs[0]], node_ref[nxt]))
-                uf.union(rs[0], nxt)  # rs[0] stays the root
-                node_ref[rs[0]] = len(merges) - 1
-    return tuple(merges)
+        for root in {x for pair in linked for x in pair}:
+            events.setdefault(find(root), []).append(root)
+        for first in sorted(events, key=points.__getitem__):
+            for nxt in sorted(events[first], key=points.__getitem__)[1:]:
+                merges.append((h, node[first], node[nxt]))
+                node[first] = len(points) + len(merges) - 1
+    return merges
 
 
-def _layout(leaves: tuple[str, ...], merges):
-    """Dendrogram leaf order as runs of slots: (kids, start, size).
+def _layout(n: int, merges):
+    """Dendrogram leaf order as runs of slots: (start, size).
 
-    Leaf i is node i and merge t is node n + t; ``kids[t]`` holds merge t's
-    two children, and node x covers slots ``start[x]`` up to
-    ``start[x] + size[x]``, its left child's run before its right child's.
-    The merges must span the leaves, as a :class:`Dendrogram`'s do. A merge
-    comes after its children, so walking down from the root (the last node)
+    ``merges`` are (height, a, b) over nodes: leaf x is node x and merge t
+    is node n + t. Node x covers slots ``start[x]`` up to ``start[x] +
+    size[x]``, its left child's run before its right child's. The merges
+    must span the n leaves, as a :class:`Dendrogram`'s do. A merge comes
+    after its children, so walking down from the root (the last node)
     places every node before its children.
     """
-    n = len(leaves)
-    index = {p: i for i, p in enumerate(leaves)}
-
-    def node(ref):
-        return index[ref] if isinstance(ref, str) else n + ref
-
-    kids = [(node(a), node(b)) for _, a, b in merges]
     size = [1] * n
-    for a, b in kids:
+    for _, a, b in merges:
         size.append(size[a] + size[b])
     start = [0] * len(size)
-    for t in range(len(kids) - 1, -1, -1):
-        a, b = kids[t]
+    for t in range(len(merges) - 1, -1, -1):
+        _, a, b = merges[t]
         start[a], start[b] = start[n + t], start[n + t] + size[a]
-    return kids, start, size
+    return start, size
 
 
-def _heights(leaves: tuple[str, ...], merges) -> np.ndarray:
-    """Replay merges into a height matrix: the height of two leaves' first
-    shared merge becomes their entry.
+def _heights(n: int, merges) -> np.ndarray:
+    """Replay node-numbered merges (see :func:`_layout`) into a height
+    matrix: the height of two leaves' first shared merge becomes their
+    entry.
 
     In the slots of :func:`_layout` every cluster is a run, so a merge
     writes two rectangles of slices; one permutation then returns the
-    matrix to leaf-id order.
+    matrix to leaf order.
     """
-    n = len(leaves)
-    kids, start, size = _layout(leaves, merges)
+    start, size = _layout(n, merges)
     slots = np.zeros((n, n))
-    for (h, _, _), (a, b) in zip(merges, kids):
+    for h, a, b in merges:
         left = slice(start[a], start[b])
         right = slice(start[b], start[b] + size[b])
         slots[left, right] = h
@@ -318,7 +313,8 @@ def subdominant_ultrametric(space: MetricSpace) -> PseudoUltrametric:
     entrywise and is the unique max-norm-closest such ultrametric.
     """
     pts = space.points
-    mu = _heights(pts, _merges(pts, minimum_spanning_edges(space).edges))
+    tree = minimum_spanning_edges(space)
+    mu = _heights(len(pts), _merges(pts, tree.parent, tree.child, tree.weight))
     return PseudoUltrametric(pts, mu, validate=False)
 
 
@@ -351,42 +347,24 @@ def fkw_fit(space: MetricSpace) -> FkwFit:
     pts = space.points
     n = len(pts)
     tree = minimum_spanning_edges(space)
-    musub = _heights(pts, _merges(pts, tree.edges))
+    musub = _heights(n, _merges(pts, tree.parent, tree.child, tree.weight))
     err = float(np.abs(space.dist - musub).max())
     shift = err / 2.0
 
-    index = {p: i for i, p in enumerate(pts)}
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for u, v, _ in tree.edges:
-        adj[index[u]].append(index[v])
-        adj[index[v]].append(index[u])
-    # Root the tree and collect subtree masks for the child side of each edge.
-    parent = np.full(n, -1, dtype=int)
-    bfs = [0]
-    seen = {0}
-    for node in bfs:
-        for nb in adj[node]:
-            if nb not in seen:
-                seen.add(nb)
-                parent[nb] = node
-                bfs.append(nb)
+    # Every parent joined the tree before its child, so walking the join
+    # order backwards completes each subtree before its parent's.
     subtree = np.eye(n, dtype=bool)
-    for node in reversed(bfs):
-        if parent[node] >= 0:
-            subtree[parent[node]] |= subtree[node]
+    for p, c in zip(tree.parent[::-1].tolist(), tree.child[::-1].tolist()):
+        subtree[p] |= subtree[c]
 
     priorities = []
-    for u, v, w in tree.edges:
-        i, j = index[u], index[v]
-        child = i if parent[i] == j else j
-        side_child = subtree[child]
-        eligible = musub[i] <= w  # ball that makes the edge the bottleneck
-        left = eligible & side_child
-        right = eligible & ~side_child
+    for c, w in zip(tree.child.tolist(), tree.weight.tolist()):
+        eligible = musub[c] <= w  # ball that makes the edge the bottleneck
+        left = eligible & subtree[c]
+        right = eligible & ~subtree[c]
         priorities.append(float(space.dist[np.ix_(left, right)].max()))
 
-    reweighted = [(u, v, p) for (u, v, _), p in zip(tree.edges, priorities)]
-    raw = _heights(pts, _merges(pts, reweighted)) - shift
+    raw = _heights(n, _merges(pts, tree.parent, tree.child, np.array(priorities))) - shift
     clamped = np.argwhere(np.triu(raw < 0, 1))
     if len(clamped):
         log.info(
@@ -401,7 +379,7 @@ def fkw_fit(space: MetricSpace) -> FkwFit:
         subdominant_error=err,
         shift=shift,
         mst=tree,
-        priorities=tuple(priorities),
+        priorities=tuple(priorities[t] for *_, t in tree._kruskal()),
         clamped_pairs=len(clamped),
     )
 
@@ -416,6 +394,12 @@ class Dendrogram:
     ``len(leaves) - 1`` merges. The merges are the single linkage over a
     spanning tree of the heights (see :func:`to_dendrogram`), and
     :meth:`to_ultrametric` replays them back into the height matrix.
+
+    This class alone owns that reference format. The rest of the module
+    numbers nodes instead, leaf ``leaves[x]`` as node x and merge t as node
+    n + t; :meth:`node_merges` is the one decoder, used by
+    :meth:`to_ultrametric` and the CLI's drawing, and :func:`to_dendrogram`
+    encodes the merges it builds.
 
     The constructor checks what makes that replay an ultrametric, which is
     therefore not checked again: the merges form one binary tree over the
@@ -469,10 +453,17 @@ class Dendrogram:
         # n leaves or the n - 2 merges before the last: every node but the
         # root is used exactly once, so the merges span the leaves.
 
+    def node_merges(self) -> tuple[tuple[float, int, int], ...]:
+        """The merges (height, a, b) with node numbers for references."""
+        n = len(self.leaves)
+        index = {p: x for x, p in enumerate(self.leaves)}
+        return tuple((h, *(index[ref] if isinstance(ref, str) else n + ref for ref in refs))
+                     for h, *refs in self.merges)
+
     def to_ultrametric(self) -> PseudoUltrametric:
         """Replay the merges, unchecked (see the class docstring); the height
         of two leaves' first shared merge becomes their ultrametric value."""
-        return PseudoUltrametric(self.leaves, _heights(self.leaves, self.merges),
+        return PseudoUltrametric(self.leaves, _heights(len(self.leaves), self.node_merges()),
                                  validate=False)
 
     def to_dict(self) -> dict:
@@ -497,7 +488,10 @@ def to_dendrogram(ultrametric: PseudoUltrametric) -> Dendrogram:
     joining its groups smallest leaf id first.
     """
     pts = ultrametric.points
-    return Dendrogram(pts, _merges(pts, _spanning_tree(pts, ultrametric.mu)))
+    n = len(pts)
+    merges = _merges(pts, *_spanning_tree(pts, ultrametric.mu))
+    return Dendrogram(pts, tuple((h, *(pts[x] if x < n else x - n for x in (a, b)))
+                                 for h, a, b in merges))
 
 
 def cut_at_height(ultrametric: PseudoUltrametric, r: float) -> list[list[str]]:

@@ -24,7 +24,6 @@ from thclust import (
     Graph,
     Labeling,
     MetricSpace,
-    MstEdgeList,
     PseudoUltrametric,
     TOL,
     TemporalSampling,
@@ -324,10 +323,18 @@ def reference_spanning_tree(points: tuple[str, ...], matrix) -> tuple:
     return tuple(edges)
 
 
-def reference_minimum_spanning_edges(space: MetricSpace) -> MstEdgeList:
+@dataclass(frozen=True)
+class ReferenceTree:
+    """A spanning tree as the Kruskal oracle gives it: only the id view
+    ``edges`` of :class:`thclust.MstEdgeList`."""
+
+    points: tuple[str, ...]
+    edges: tuple[tuple[str, str, float], ...]
+
+
+def reference_minimum_spanning_edges(space: MetricSpace) -> ReferenceTree:
     """The Kruskal tree of the distance graph (:func:`reference_spanning_tree`)."""
-    return MstEdgeList(points=space.points,
-                       edges=reference_spanning_tree(space.points, space.dist))
+    return ReferenceTree(space.points, reference_spanning_tree(space.points, space.dist))
 
 
 def reference_path_max_matrix(points: tuple[str, ...], edges) -> np.ndarray:
@@ -384,7 +391,7 @@ def reference_fkw_fit(space: MetricSpace) -> FkwFit:
     n = len(pts)
     if n == 1:
         trivial = PseudoUltrametric(pts, np.zeros((1, 1)), validate=False)
-        return FkwFit(trivial, trivial, 0.0, 0.0, MstEdgeList(pts, ()), (), ())
+        return FkwFit(trivial, trivial, 0.0, 0.0, ReferenceTree(pts, ()), (), ())
 
     tree = reference_minimum_spanning_edges(space)
     musub = reference_path_max_matrix(pts, tree.edges)

@@ -468,6 +468,7 @@ MALFORMED = {
     "reduce-dimacs-count": ("reduce", "p edge x 3\n"),
     "reduce-dimacs-short": ("reduce", "p edge 3 5\ne 1 2\n"),
     "reduce-dimacs-no-edge-count": ("reduce", "p edge 3\ne 1 2\n"),
+    "reduce-dimacs-format": ("reduce", "p foo 3 1\ne 1 2\n"),
     # merge lists: booleans, a negative height, a dip of just over TOL
     "cut-bool-reference": ("cut", {"dendrogram": {
         "leaves": ["a", "b", "c"], "merges": [[1.0, "a", "b"], [2.0, False, "c"]]}}),
@@ -515,6 +516,19 @@ def test_malformed_coloring_is_input_error(tmp_path, capsys, coloring, message):
     err = capsys.readouterr().err
     assert "col.json" in err and message in err
     assert not (tmp_path / "wit.json").exists()
+
+
+@pytest.mark.parametrize("pad", [[], ["--pad"]])
+def test_coloring_of_a_vertex_outside_the_graph_exits_one(tmp_path, capsys, pad):
+    graph = write_json(tmp_path / "g.json", {"graph": {"vertices": ["a", "b", "c"],
+                                                      "edges": [["a", "b"]]}})
+    src = write_json(tmp_path / "col.json",
+                     {"coloring": {"a": "r", "b": "g", "c": "r", "0": "b"}})
+    out = tmp_path / "wit.json"
+    assert main(["witness", graph, src, *pad, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "vertex '0' is not in the graph" in captured.err and not captured.out
+    assert not out.exists()
 
 
 _B = {"point": "b", "labels": [2]}

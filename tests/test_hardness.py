@@ -96,7 +96,7 @@ def test_from_dimacs_parses_and_names_bad_lines():
             Graph.from_dimacs(f"c count\np edge {count} 0\n")
         with pytest.raises(ValidationError, match="bad problem line at line 2"):
             Graph.from_dimacs(f"c count\np edge 2 {count}\n")
-    for line in ("p edge 2", "p edge 2 1 1"):
+    for line in ("p edge 2", "p edge 2 1 1", "p foo 3 1", "p col 3 1", "p 3 1 1"):
         with pytest.raises(ValidationError, match="bad problem line at line 1"):
             Graph.from_dimacs(f"{line}\ne 1 2\n")
     for declared, lines in ((5, "e 1 2\n"), (0, "e 1 2\n"), (1, "e 1 2\ne 2 3\n")):
@@ -167,6 +167,18 @@ def test_witness_rejects_two_color_assignment():
     g = path_graph(3)
     with pytest.raises(WitnessError):
         witness_from_coloring(g, {"v0": "r", "v1": "g", "v2": "r"})
+
+
+def test_coloring_of_a_vertex_outside_the_graph_is_refused():
+    """A coloring names only the graph's vertices: an extra '0' holding the
+    third color must neither count towards three colors nor be dropped."""
+    g = Graph(("a", "b", "c"), [("a", "b")])
+    coloring = {"a": "r", "b": "g", "c": "r", "0": "b", "z": "g"}
+    for make in (witness_from_coloring, pad_to_three_colors):
+        with pytest.raises(WitnessError, match="^vertex '0' is not in the graph$"):
+            make(g, coloring)
+    padded = pad_to_three_colors(g, {"a": "r", "b": "g", "c": "r"})
+    assert witness_from_coloring(g, padded).corr.second == ("a", "b", "c")
 
 
 def test_witness_serialization_round_trip():

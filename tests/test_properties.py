@@ -172,7 +172,7 @@ def test_accepted_dendrograms_replay_to_ultrametrics(tree):
     except ValidationError as exc:
         assert "decrease" in str(exc) or "negative" in str(exc)
         return
-    assert validate_ultrametric(_heights(leaves, merges)) == (True, None)
+    assert validate_ultrametric(_heights(len(leaves), dendrogram.node_merges())) == (True, None)
     want = PseudoUltrametric(leaves, reference_heights(leaves, merges))
     assert np.array_equal(dendrogram.to_ultrametric().mu, want.mu)
 

@@ -27,6 +27,7 @@ from helpers import (
 from thclust import (
     Dendrogram,
     MetricSpace,
+    MstEdgeList,
     PseudoUltrametric,
     TOL,
     ValidationError,
@@ -99,9 +100,9 @@ def _four_point(bump):
 
 
 def _tree_certifies(m):
-    ids = tuple(str(i) for i in range(len(m)))
-    tree = _spanning_tree(ids, np.minimum(m, m.T))
-    return _certifies(m, _heights(ids, _merges(ids, tree)), TOL)
+    n = len(m)
+    tree = _spanning_tree(range(n), np.minimum(m, m.T))
+    return _certifies(m, _heights(n, _merges(range(n), *tree)), TOL)
 
 
 def test_validate_falls_back_to_the_triple_scan():
@@ -570,7 +571,12 @@ def _noisy(u, rng):
 
 
 def test_spanning_tree_and_fits_match_reference():
-    for space in differential_spaces():
+    """Also on a path whose first-listed point "c" is an interior tree
+    vertex and not the smallest id, so the tree's root, "a", is not the
+    first point."""
+    inner = line_space([2.0, 0.0, 1.0, 3.5, 5.0, 4.0], ids=["c", "a", "b", "d", "f", "e"])
+    assert minimum_spanning_edges(inner).parent.tolist() == [1, 2, 0, 3, 5]
+    for space in [*differential_spaces(), inner]:
         assert minimum_spanning_edges(space).edges == \
             reference_minimum_spanning_edges(space).edges
         sub = subdominant_ultrametric(space)
@@ -578,6 +584,9 @@ def test_spanning_tree_and_fits_match_reference():
         fit, ref = fkw_fit(space), reference_fkw_fit(space)
         assert np.array_equal(fit.ultrametric.mu, ref.ultrametric.mu)
         assert np.array_equal(fit.subdominant.mu, ref.subdominant.mu)
+        assert fit.subdominant_error == ref.subdominant_error
+        assert fit.shift == ref.shift
+        assert fit.mst.edges == ref.mst.edges
         assert fit.priorities == ref.priorities
         assert fit.clamped_pairs == len(ref.clamped_pairs)
 
@@ -596,12 +605,17 @@ def test_heights_match_reference():
                 PseudoUltrametric(grid.points, np.maximum(grid.mu - 2.0, 0.0)),
                 PseudoUltrametric(pts, np.zeros((n, n)))]
         trees = [to_dendrogram(u) for u in fits]
-        trees.append(Dendrogram(pts, _merges(pts, _spanning_tree(pts, space.dist))))
+        # the source distances' own tree, its references written by hand
+        own = _merges(pts, *_spanning_tree(pts, space.dist))
+        refs = [(h, *(pts[x] if x < n else x - n for x in (a, b))) for h, a, b in own]
+        trees.append(Dendrogram(pts, refs))
+        assert trees[-1].node_merges() == tuple(own)
         for d in trees:
-            assert np.array_equal(_heights(d.leaves, d.merges),
+            assert np.array_equal(_heights(n, d.node_merges()),
                                   reference_heights(d.leaves, d.merges))
     ints = Dendrogram(("c", "a", "b", "d"), ((1, "b", "d"), (2, "c", 0), (2, "a", 1)))
-    assert np.array_equal(_heights(ints.leaves, ints.merges),
+    assert ints.node_merges() == ((1, 2, 3), (2, 0, 4), (2, 1, 5))
+    assert np.array_equal(_heights(4, ints.node_merges()),
                           reference_heights(ints.leaves, ints.merges))
 
 
@@ -636,8 +650,17 @@ def _tree_inputs():
 
 
 def test_spanning_tree_matches_reference():
+    """Kruskal's edges, grown as a tree rooted at the smallest id in which
+    every parent joins before its child."""
     for points, m in _tree_inputs():
-        assert _spanning_tree(points, m) == reference_spanning_tree(points, m)
+        tree = MstEdgeList(points, *_spanning_tree(points, m))
+        assert tree.edges == reference_spanning_tree(points, m)
+        assert not any(col.flags.writeable for col in (tree.parent, tree.child, tree.weight))
+        joined = {min(range(len(points)), key=points.__getitem__)} if points else set()
+        for p, c in zip(tree.parent.tolist(), tree.child.tolist()):
+            assert p in joined and c not in joined
+            joined.add(c)
+        assert joined == set(range(len(points)))
 
 
 def test_cut_matches_reference():
