@@ -282,7 +282,10 @@ def test_cluster_delta_override_can_fail_certification(tmp_path, capsys):
         ]
     )
     assert code == 2
-    assert "certification failure" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "certification failure: labelings 0 and 1 break contiguity at delta 0: "
+        "label 2 near point 'a' (condition 1)\n"
+    )
 
 
 def test_cluster_rejects_nan_delta(tmp_path, capsys):
