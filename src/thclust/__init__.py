@@ -14,7 +14,6 @@ from .metric import (
     ValidationError,
     hausdorff_distance,
     linf_distance,
-    perturb,
     shortest_path_closure,
 )
 from .temporal import (
@@ -48,6 +47,7 @@ from .labeling import (
     LabeledSolution,
     Labeling,
     build_flow_instance,
+    certify,
     check_contiguity,
     decompose_paths,
     min_feasible_flow,
@@ -66,6 +66,6 @@ from .hardness import (
     verify_witness,
     witness_from_coloring,
 )
-from .flocking import SimConfig, initial_state, run, run_detailed, step
+from .flocking import SimConfig, initial_state, run_detailed, step
 
 __version__ = "0.1.0"

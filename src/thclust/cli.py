@@ -28,17 +28,10 @@ from .hardness import (
     verify_witness,
     witness_from_coloring,
 )
-from .labeling import Labeling, check_contiguity, solve_labeled
+from .labeling import Labeling, certify, solve_labeled
 from .metric import MetricSpace, TemporalSampling, ValidationError, linf_distance
 from .metric import _json_list, _json_object, _json_str
-from .temporal import (
-    SCHEMES,
-    CertificationError,
-    LocalSolution,
-    _fit,
-    evaluate_general,
-    solve_local,
-)
+from .temporal import SCHEMES, CertificationError, LocalSolution, _fit, solve_local
 from .ultrametric import (
     Dendrogram,
     _layout,
@@ -219,6 +212,8 @@ def _render_svg(panels) -> str:
 def cmd_cluster(args: argparse.Namespace) -> dict:
     if args.delta is not None and args.delta < 0:
         raise CliError(f"--delta {args.delta:g} is not a radius")
+    if args.delta is not None and not args.labels:
+        raise CliError("--delta certifies labelings; it needs --labels")
     sampling = _load(args.input, "sampling", TemporalSampling.from_dict)
     outdir = Path(args.outdir)
     labelings: tuple[Labeling, ...] = ()
@@ -262,30 +257,25 @@ def cmd_cluster(args: argparse.Namespace) -> dict:
         outputs.append(str(svg_path))
 
     # Certify from the written artifacts rather than in-memory objects.
-    certification = evaluate_general(
-        _load(str(outdir / "solution.json"), None, LocalSolution.from_dict)
+    loaded = _load(str(outdir / "labels.json"), None, _labelings_from_dict) \
+        if args.labels else ()
+    certification = certify(
+        _load(str(outdir / "solution.json"), None, LocalSolution.from_dict),
+        loaded, args.delta,
     )
     metrics = {
         "chi": certification.chi,
         "delta": certification.delta,
         "rho": certification.rho,
         "rho_bound": certification.bound,
+        "level_chi": list(certification.level_chi),
+        "pair_delta": list(certification.pair_delta),
+        "pair_rho": list(certification.pair_rho),
     }
     report = {"metrics": metrics, "outputs": outputs}
-    if labelings:
+    if args.labels:
         metrics["k"] = k
-        loaded = _load(str(outdir / "labels.json"), None, _labelings_from_dict)
-        radius = args.delta if args.delta is not None else certification.delta
-        for i in range(len(loaded) - 1):
-            ok, violation = check_contiguity(
-                loaded[i], loaded[i + 1], radius, sampling.ambient
-            )
-            if not ok:
-                raise CertificationError(
-                    f"labelings {i} and {i + 1} break contiguity at delta "
-                    f"{radius:g}: label {violation.label} near point "
-                    f"{violation.point!r} (condition {violation.condition})"
-                )
+        radius = certification.delta if args.delta is None else args.delta
         report["contiguity"] = {"delta": _inf_as_text(radius),
                                 "adjacent_pairs_checked": len(loaded) - 1}
     return report

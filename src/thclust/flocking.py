@@ -60,6 +60,9 @@ class SimConfig:
             raise ValidationError("seed must be nonnegative")
         if self.actor_count < 1:
             raise ValidationError("actor_count must be positive")
+        # The state's (actor_count, 2) float arrays must have a byte size numpy can hold.
+        if self.actor_count > np.iinfo(np.intp).max // (2 * np.dtype(float).itemsize):
+            raise ValidationError(f"actor_count {self.actor_count} is beyond numpy's array size")
         if self.arena_side <= 0:
             raise ValidationError("arena_side must be positive")
         if self.dt <= 0:
@@ -253,8 +256,3 @@ def run_detailed(cfg: SimConfig, on_tick=None):
     coords = np.concatenate([pos for _, _, _, pos, _ in snapshots])
     ambient = MetricSpace(point_ids, coords=coords, pseudo=True)
     return TemporalSampling(ambient, levels), kind_maps
-
-
-def run(cfg: SimConfig) -> TemporalSampling:
-    """Simulate and return only the sampling; see :func:`run_detailed`."""
-    return run_detailed(cfg)[0]

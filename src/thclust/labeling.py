@@ -17,7 +17,14 @@ import numpy as np
 
 from .metric import TOL, MetricSpace, TemporalSampling, ValidationError
 from .metric import _json_int, _json_list, _json_object, _json_str
-from .temporal import LocalSolution, _require_levels, solve_local
+from .temporal import (
+    Certification,
+    CertificationError,
+    LocalSolution,
+    _require_levels,
+    evaluate_general,
+    solve_local,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,6 +420,43 @@ def _holders(labeling: Labeling, ambient: MetricSpace):
     where = {p: r for r, p in enumerate(points)}
     rank = np.array([where[p] for p in labeling.holders], dtype=np.intp)
     return points, rank, index[rank]
+
+
+def certify(local: LocalSolution, labelings=(), delta: float | None = None) -> Certification:
+    """Certify a solution and, when given, its labelings; return the certification.
+
+    Runs :func:`~thclust.temporal.evaluate_general` on ``local``. Labeling
+    ``i`` must then label exactly the points of level ``i``, one labeling
+    per level, and every adjacent pair must pass :func:`check_contiguity`
+    in the sampling's ambient space at ``delta``, or else at the certified
+    delta. A failure raises :class:`CertificationError` naming the labeling
+    and the smallest offending point, or the broken pair.
+    """
+    certification = evaluate_general(local)
+    labelings, levels = tuple(labelings), local.sampling.levels
+    if not labelings:
+        return certification
+    if len(labelings) != len(levels):
+        raise CertificationError(f"{len(labelings)} labelings for {len(levels)} levels")
+    for i, (level, labeling) in enumerate(zip(levels, labelings)):
+        points = set(level)
+        if stray := points ^ set(labeling.holders):
+            point = min(stray)
+            fault = f"leaves point {point!r} of level {i} unlabeled" if point in points \
+                else f"labels point {point!r} outside level {i}"
+            raise CertificationError(f"labeling {i} {fault}")
+    radius = certification.delta if delta is None else delta
+    for i in range(len(labelings) - 1):
+        ok, violation = check_contiguity(
+            labelings[i], labelings[i + 1], radius, local.sampling.ambient
+        )
+        if not ok:
+            raise CertificationError(
+                f"labelings {i} and {i + 1} break contiguity at delta "
+                f"{radius:g}: label {violation.label} near point "
+                f"{violation.point!r} (condition {violation.condition})"
+            )
+    return certification
 
 
 @dataclass(frozen=True)

@@ -333,41 +333,6 @@ class MetricSpace:
         )
 
 
-def perturb(space: MetricSpace, eps: float, seed: int) -> MetricSpace:
-    """Random symmetric perturbation staying within ``eps`` in the max norm.
-
-    Offsets are drawn i.i.d. uniform in [-eps, eps], one per unordered pair,
-    added to the distances, clamped at zero, and repaired to a pseudometric by
-    shortest-path closure. The closure of a perturbed matrix can drift more
-    than ``eps`` below the original (short detours compound), so the offsets
-    are halved until the repaired matrix stays within ``eps``; the procedure
-    is deterministic per seed and always terminates because zero offsets
-    reproduce the input exactly.
-    """
-    if not 0 <= eps < np.inf:  # NaN fails too
-        raise ValidationError(f"eps must be a finite nonnegative number, got {eps!r}")
-    if eps > 0:
-        n = len(space.points)
-        rng = np.random.default_rng(seed)
-        off = rng.uniform(-eps, eps, size=(n, n))
-        off = np.triu(off, 1)
-        off = off + off.T
-        scale = 1.0
-        for _ in range(80):
-            cand = np.maximum(space.dist + scale * off, 0.0)
-            np.fill_diagonal(cand, 0.0)
-            repaired = shortest_path_closure(cand)
-            if np.abs(repaired - space.dist).max() <= eps:
-                mask = ~np.eye(n, dtype=bool)
-                pseudo = space.pseudo or bool(n > 1 and repaired[mask].min() <= TOL)
-                return MetricSpace(space.points, dist=repaired, pseudo=pseudo, validate=False)
-            scale *= 0.5
-    return MetricSpace(
-        space.points, dist=space.dist, coords=space.coords,
-        pseudo=space.pseudo, validate=False,
-    )
-
-
 def linf_distance(a: MetricSpace, b: MetricSpace) -> float:
     """Max-norm distance between two spaces over the identical point set,
     such as a level and its ultrametric fit; point order may differ, the

@@ -30,6 +30,8 @@ from thclust import (
     ValidationError,
     Witness,
     instability_family,
+    run_detailed,
+    shortest_path_closure,
     verify_witness,
 )
 from thclust.flocking import TYPE_COUNT, SimConfig, initial_state
@@ -93,6 +95,41 @@ def differential_spaces():
     for n in (5, 8, 12, 21):
         for eps in (0.0, 0.1, 0.5):
             yield from instability_family(n, eps)
+
+
+def perturb(space: MetricSpace, eps: float, seed: int) -> MetricSpace:
+    """Random symmetric perturbation staying within ``eps`` in the max norm.
+
+    Offsets are drawn i.i.d. uniform in [-eps, eps], one per unordered pair,
+    added to the distances, clamped at zero, and repaired to a pseudometric by
+    shortest-path closure. The closure of a perturbed matrix can drift more
+    than ``eps`` below the original (short detours compound), so the offsets
+    are halved until the repaired matrix stays within ``eps``; the procedure
+    is deterministic per seed and always terminates because zero offsets
+    reproduce the input exactly.
+    """
+    if not 0 <= eps < np.inf:  # NaN fails too
+        raise ValidationError(f"eps must be a finite nonnegative number, got {eps!r}")
+    if eps > 0:
+        n = len(space.points)
+        rng = np.random.default_rng(seed)
+        off = rng.uniform(-eps, eps, size=(n, n))
+        off = np.triu(off, 1)
+        off = off + off.T
+        scale = 1.0
+        for _ in range(80):
+            cand = np.maximum(space.dist + scale * off, 0.0)
+            np.fill_diagonal(cand, 0.0)
+            repaired = shortest_path_closure(cand)
+            if np.abs(repaired - space.dist).max() <= eps:
+                mask = ~np.eye(n, dtype=bool)
+                pseudo = space.pseudo or bool(n > 1 and repaired[mask].min() <= TOL)
+                return MetricSpace(space.points, dist=repaired, pseudo=pseudo, validate=False)
+            scale *= 0.5
+    return MetricSpace(
+        space.points, dist=space.dist, coords=space.coords,
+        pseudo=space.pseudo, validate=False,
+    )
 
 
 def random_sampling(rng, ambient_size=8, min_levels=1, max_levels=4, max_level_size=5):
@@ -930,6 +967,11 @@ def reference_decompose_paths(flow):
 
 
 # ---------------------------------------------------------------- flocking
+
+
+def run(cfg: SimConfig) -> TemporalSampling:
+    """Simulate and return only the sampling of :func:`thclust.run_detailed`."""
+    return run_detailed(cfg)[0]
 
 
 @dataclass(eq=False)

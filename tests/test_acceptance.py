@@ -14,24 +14,24 @@ from helpers import (
     cross_distances,
     dense_space,
     min_locality_scan,
+    perturb,
     random_sampling,
     random_space,
+    run,
     three_colorable_oracle,
 )
 from thclust import (
     Graph,
     PseudoUltrametric,
     SimConfig,
-    check_contiguity,
+    certify,
     coloring_from_witness,
     fkw_fit,
     hausdorff_distance,
     instability_family,
     linf_distance,
     pad_to_three_colors,
-    perturb,
     reduce_from_graph,
-    run,
     solve_labeled,
     solve_local,
     subdominant_ultrametric,
@@ -172,11 +172,7 @@ def test_criterion_6_flow_pipeline():
         n = samp.size
         assert sol.flow.value <= n
         assert {lab.k for lab in sol.labelings} == {sol.flow.value}
-        for i in range(len(sol.labelings) - 1):
-            ok, violation = check_contiguity(
-                sol.labelings[i], sol.labelings[i + 1], sol.local.delta, samp.ambient
-            )
-            assert ok, violation
+        certify(sol.local, sol.labelings, delta=sol.local.delta)
         if n <= 10:
             assert brute_min_flow(sol.flow.network) == sol.flow.value
             brute_checked += 1

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import cloud_space, line_space, reference_dendrogram_layout
+from helpers import cloud_space, line_space, reference_dendrogram_layout, run
 from thclust import (
     Dendrogram,
     LocalSolution,
@@ -15,7 +15,6 @@ from thclust import (
     SimConfig,
     TemporalSampling,
     evaluate_general,
-    run,
     solve_labeled,
     subdominant_ultrametric,
     to_dendrogram,
@@ -229,6 +228,13 @@ def test_cluster_labels_report_matches_recomputation(tmp_path, capsys):
         ("rho_bound", cert.bound),
     ):
         assert abs(report["metrics"][key] - want) < 1e-9
+    for key, want in (
+        ("level_chi", cert.level_chi),
+        ("pair_delta", cert.pair_delta),
+        ("pair_rho", cert.pair_rho),
+    ):
+        assert len(report["metrics"][key]) == len(want)
+        assert np.allclose(report["metrics"][key], want, rtol=0.0, atol=1e-9)
 
     solution = read_json(outdir / "solution.json")
     labels = read_json(outdir / "labels.json")
@@ -294,6 +300,13 @@ def test_cluster_rejects_nan_delta(tmp_path, capsys):
     assert main([*args, "-o", str(outdir)]) == 1
     assert not outdir.exists()
     capsys.readouterr()
+
+
+def test_cluster_refuses_delta_without_labels(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert main(["cluster", sampling_file(tmp_path), "--delta", "0", "-o", str(outdir)]) == 1
+    assert capsys.readouterr().err == "error: --delta certifies labelings; it needs --labels\n"
+    assert not outdir.exists()
 
 
 def test_cluster_rejects_negative_delta(tmp_path, capsys):
@@ -681,6 +694,15 @@ def test_simulate_rejects_bad_config_numbers(tmp_path, capsys, doc):
     out = tmp_path / "s.json"
     assert main(["simulate", cfg, "-o", str(out)]) == 1
     assert "bad_cfg.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [10**30, 2**63])
+def test_simulate_refuses_an_actor_count_numpy_cannot_hold(tmp_path, capsys, count):
+    cfg = write_json(tmp_path / "huge.json", {"actor_count": count})
+    out = tmp_path / "s.json"
+    assert main(["simulate", cfg, "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: actor_count {count} ")
     assert not out.exists()
 
 

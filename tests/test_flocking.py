@@ -5,8 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from helpers import actors_from_state, reference_run_detailed, reference_step, state_from_actors
-from thclust import SimConfig, ValidationError, initial_state, run, run_detailed, step
+from helpers import (
+    actors_from_state,
+    reference_run_detailed,
+    reference_step,
+    run,
+    state_from_actors,
+)
+from thclust import SimConfig, ValidationError, initial_state, run_detailed, step
 
 
 def still_config(**overrides):
@@ -59,6 +65,13 @@ def test_config_validation():
 def test_config_rejects_bad_numbers(name, value):
     with pytest.raises(ValidationError, match=name):
         SimConfig(**{name: value})
+
+
+@pytest.mark.parametrize("count", [10**30, 2**63])
+def test_config_refuses_an_actor_count_numpy_cannot_hold(count):
+    """Refused when made, so the state's (count, 2) arrays are never drawn."""
+    with pytest.raises(ValidationError, match=f"actor_count {count} "):
+        SimConfig(actor_count=count)
 
 
 def test_config_round_trip_and_unknown_key():

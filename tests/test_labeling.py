@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from helpers import (
     reference_flow_edges,
     reference_min_feasible_flow,
     reference_paths_to_labelings,
+    run,
     shuffled_levels,
     tuple_edges,
 )
 from thclust import (
     TOL,
+    CertificationError,
     Correspondence,
     IntegralFlow,
     Labeling,
@@ -29,11 +32,12 @@ from thclust import (
     TemporalSampling,
     ValidationError,
     build_flow_instance,
+    certify,
     check_contiguity,
     decompose_paths,
+    evaluate_general,
     min_feasible_flow,
     paths_to_labelings,
-    run,
     solve_labeled,
     solve_local,
 )
@@ -553,9 +557,38 @@ def test_solve_labeled_contiguous_at_reported_delta():
             sol = solve_labeled(samp, scheme=scheme)
             assert sol.k <= samp.size
             assert sol.flow.value == sol.k
-            for l1, l2 in zip(sol.labelings, sol.labelings[1:]):
-                ok, violation = check_contiguity(l1, l2, sol.local.delta, samp.ambient)
-                assert ok, violation
+            certify(sol.local, sol.labelings, delta=sol.local.delta)
+
+
+def line_labeled():
+    """Levels [a], [a, b], [a]: level 0's ``a`` holds labels 1 and 2, and in
+    level 1 label 2 moves to ``b``, at distance 3."""
+    return solve_labeled(TemporalSampling(tiny_ambient(), [["a"], ["a", "b"], ["a"]]))
+
+
+def test_certify_returns_the_certification_and_checks_contiguity_at_delta():
+    sol = line_labeled()
+    assert certify(sol.local) == certify(sol.local, sol.labelings) == evaluate_general(sol.local)
+    certify(sol.local, sol.labelings, delta=3.0)
+    broken = "labelings 0 and 1 break contiguity at delta 2.9: label 2 near point 'a' (condition 1)"
+    with pytest.raises(CertificationError, match=re.escape(broken)):
+        certify(sol.local, sol.labelings, delta=2.9)
+
+
+@pytest.mark.parametrize("labelings, message", [
+    # a dropped labeling
+    (lambda labs: labs[:2], "2 labelings for 3 levels"),
+    # labelings 1 and 2 swapped: level 1's b goes unlabeled
+    (lambda labs: (labs[0], labs[2], labs[1]), "labeling 1 leaves point 'b' of level 1 unlabeled"),
+    # a holder outside its level
+    (lambda labs: (*labs[:2], Labeling(("c", "a"))), "labeling 2 labels point 'c' outside level 2"),
+    # the smallest stray point is named
+    (lambda labs: (Labeling(("c", "b")), *labs[1:]), "labeling 0 leaves point 'a' of level 0 unlabeled"),
+])
+def test_certify_refuses_labelings_that_miss_their_levels(labelings, message):
+    sol = line_labeled()
+    with pytest.raises(CertificationError, match=re.escape(message)):
+        certify(sol.local, labelings(sol.labelings))
 
 
 def test_forty_actor_labels_keep_their_bits():

@@ -8,6 +8,7 @@ from helpers import (
     dense_space,
     line_space,
     outcome,
+    perturb,
     random_space,
     reference_space_outcome,
     shortest_path_oracle,
@@ -19,7 +20,6 @@ from thclust import (
     ValidationError,
     hausdorff_distance,
     linf_distance,
-    perturb,
     shortest_path_closure,
 )
 from thclust.metric import _scalar_types

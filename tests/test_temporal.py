@@ -17,6 +17,7 @@ from helpers import (
     raw_color_witness,
     reference_distortion,
     reference_locality,
+    run,
     shuffled_levels,
 )
 from thclust import (
@@ -36,7 +37,6 @@ from thclust import (
     fkw_fit,
     hausdorff_distance,
     locality,
-    run,
     solve_local,
     subdominant_ultrametric,
     to_dendrogram,

@@ -12,6 +12,7 @@ from helpers import (
     grid_space,
     line_space,
     outcome,
+    perturb,
     random_space,
     reference_cut_at_height,
     reference_fkw_fit,
@@ -36,7 +37,6 @@ from thclust import (
     instability_family,
     linf_distance,
     minimum_spanning_edges,
-    perturb,
     subdominant_ultrametric,
     to_dendrogram,
     validate_ultrametric,
