@@ -233,8 +233,7 @@ def test_cluster_labels_report_matches_recomputation(tmp_path, capsys):
         ("pair_delta", cert.pair_delta),
         ("pair_rho", cert.pair_rho),
     ):
-        assert len(report["metrics"][key]) == len(want)
-        assert np.allclose(report["metrics"][key], want, rtol=0.0, atol=1e-9)
+        assert report["metrics"][key] == pytest.approx(list(want), rel=0.0, abs=1e-9)
 
     solution = read_json(outdir / "solution.json")
     labels = read_json(outdir / "labels.json")
