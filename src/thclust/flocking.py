@@ -111,10 +111,11 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
     Forces, clamp, move and reflect act on all actors at once. The clump
     and avoid sums visit only the pairs within their radius, each row in
     ascending column order: a dense row sum adds the same terms in the same
-    order plus signed zeros, so the bits agree. Interactions are resolved on
-    post-move positions, pair by pair in ident order; an actor deleted
-    earlier in the tick takes part in nothing else. Newcomers take serials
-    after the largest one alive at the start of the tick. Only the
+    order plus signed zeros, so the bits agree; a zero weight likewise adds
+    only signed zeros to a force that starts at +0.0. Interactions are
+    resolved on post-move positions, pair by pair in ident order; an actor
+    deleted earlier in the tick takes part in nothing else. Newcomers take
+    serials after the largest one alive at the start of the tick. Only the
     interaction stage draws from ``rng``. The inputs are never written; a
     malformed state raises :class:`ValidationError`.
     """
@@ -129,37 +130,29 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
     force = np.zeros_like(pos)
     dx, dy, dist = _gaps(pos)
 
-    if cfg.clump_weight:
-        same = kinds[:, None] == kinds[None, :]
-        rows, cols = np.nonzero(same & (dist <= cfg.clump_radius))
-        counts = np.bincount(rows, minlength=n)
-        has = counts > 0
-        if has.any():
-            centroid = np.zeros_like(pos)
-            np.add.at(centroid, rows, pos[cols])
-            centroid[has] /= counts[has, None]
-            force[has] += cfg.clump_weight * (centroid[has] - pos[has])
-    if cfg.avoid_weight:
-        rows, cols = np.nonzero(dist <= cfg.avoid_radius)
-        if len(rows):
-            offset = np.stack((dx[rows, cols], dy[rows, cols]), axis=1)
-            push = -offset / np.maximum(dist[rows, cols], 1e-9)[:, None] ** 2
-            total = np.zeros_like(pos)
-            np.add.at(total, rows, push)
-            force += cfg.avoid_weight * total
-    if cfg.school_weight:
-        for kind in range(TYPE_COUNT):
-            members = kinds == kind
-            if members.any():
-                mean_vel = vel[members].mean(axis=0)
-                force[members] += cfg.school_weight * (mean_vel - vel[members])
+    same = kinds[:, None] == kinds[None, :]
+    rows, cols = np.nonzero(same & (dist <= cfg.clump_radius))
+    counts = np.bincount(rows, minlength=n)
+    has = counts > 0
+    centroid = np.zeros_like(pos)
+    np.add.at(centroid, rows, pos[cols])
+    centroid[has] /= counts[has, None]
+    force[has] += cfg.clump_weight * (centroid[has] - pos[has])
+    rows, cols = np.nonzero(dist <= cfg.avoid_radius)
+    offset = np.stack((dx[rows, cols], dy[rows, cols]), axis=1)
+    push = -offset / np.maximum(dist[rows, cols], 1e-9)[:, None] ** 2
+    total = np.zeros_like(pos)
+    np.add.at(total, rows, push)
+    force += cfg.avoid_weight * total
+    for kind in range(TYPE_COUNT):
+        members = kinds == kind
+        if members.any():  # the mean of an empty slice warns
+            mean_vel = vel[members].mean(axis=0)
+            force[members] += cfg.school_weight * (mean_vel - vel[members])
     margin = 0.05 * cfg.arena_side
-    low = pos < margin
-    force += np.where(low, cfg.wall_force * (margin - pos) / margin, 0.0)
-    high = pos > cfg.arena_side - margin
-    force -= np.where(
-        high, cfg.wall_force * (pos - (cfg.arena_side - margin)) / margin, 0.0
-    )
+    force += np.where(pos < margin, cfg.wall_force * (margin - pos) / margin, 0.0)
+    top = cfg.arena_side - margin
+    force -= np.where(pos > top, cfg.wall_force * (pos - top) / margin, 0.0)
 
     vel = vel + force * cfg.dt
     speed = np.sqrt((vel**2).sum(axis=1))

@@ -134,6 +134,16 @@ def _as_point_tuple(points: Iterable[str], what: str) -> tuple[str, ...]:
     return pts
 
 
+def _euclidean(coords: np.ndarray) -> np.ndarray:
+    """Euclidean distances between coordinate rows, refused unless finite."""
+    with np.errstate(over="ignore"):
+        diff = coords[:, None, :] - coords[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=-1))
+    if not np.isfinite(dist).all():
+        raise ValidationError("distances derived from coordinates must be finite")
+    return dist
+
+
 class MetricSpace:
     """A finite point set with explicit pairwise distances.
 
@@ -168,16 +178,11 @@ class MetricSpace:
             coords.setflags(write=False)
         self.coords = coords
 
-        derived = False
-        if dist is None:
+        derived = dist is None
+        if derived:
             if coords is None:
                 raise ValidationError("provide dist or coords")
-            with np.errstate(over="ignore"):
-                diff = coords[:, None, :] - coords[None, :, :]
-                dist = np.sqrt((diff**2).sum(axis=-1))
-            if not np.isfinite(dist).all():
-                raise ValidationError("distances derived from coordinates must be finite")
-            derived = True
+            dist = _euclidean(coords)
         else:
             dist = _float_array(dist, "distance matrix")
 
@@ -186,9 +191,7 @@ class MetricSpace:
         if validate and not derived:
             self._check_matrix(dist)
             if coords is not None:
-                diff = coords[:, None, :] - coords[None, :, :]
-                eu = np.sqrt((diff**2).sum(axis=-1))
-                gap = np.abs(eu - dist)
+                gap = np.abs(_euclidean(coords) - dist)
                 if gap.max() > TOL:
                     i, j = np.unravel_index(int(gap.argmax()), gap.shape)
                     raise ValidationError(

@@ -163,11 +163,11 @@ def distortion(u1: PseudoUltrametric, u2: PseudoUltrametric, corr: Correspondenc
 class LocalSolution:
     """Per-level ultrametrics plus adjacent correspondences and their metrics.
 
-    ``scheme`` is one of :data:`SCHEMES`, checked when made.
-    ``delta_vacuous`` marks the single-level case, where no adjacent pair
-    exists and delta is reported as 0 by convention. A document stores each
-    level as its dendrogram, whose constructor is the only check on reading;
-    format 1 stored a height matrix, which is read as well.
+    Checked when made, by ``dataclasses.replace`` too: ``scheme`` is one of
+    :data:`SCHEMES`, ultrametric i has exactly level i's point tuple, and
+    correspondence i joins levels i and i + 1. ``delta_vacuous`` marks the
+    single-level case, where delta is reported as 0 by convention. A document
+    stores each level as its dendrogram (format 1: a height matrix, still read).
     """
 
     sampling: TemporalSampling
@@ -180,6 +180,16 @@ class LocalSolution:
 
     def __post_init__(self):
         _require_scheme(self.scheme)
+        levels = self.sampling.levels
+        if len(self.ultrametrics) != len(levels):
+            raise ValidationError("solution has wrong number of ultrametrics")
+        if len(self.correspondences) != len(levels) - 1:
+            raise ValidationError("solution has wrong number of correspondences")
+        for i, (fit, level) in enumerate(zip(self.ultrametrics, levels)):
+            if fit.points != level:
+                raise ValidationError(f"level {i} ultrametric points mismatch the sampling")
+        for corr, p, q in zip(self.correspondences, levels, levels[1:]):
+            _require_levels(corr, p, q)
 
     @property
     def delta_vacuous(self) -> bool:
@@ -199,11 +209,17 @@ class LocalSolution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LocalSolution":
+        """The constructor checks that the parts fit the sampling; the
+        correspondence count is checked before it, as ``zip`` drops extras."""
         metrics = ("chi", "delta", "rho")
         _json_object(data, "solution document",
                      ("sampling", "scheme", "ultrametrics", "correspondences", *metrics))
         sampling = TemporalSampling.from_dict(data["sampling"])
-        levels, corrs = sampling.levels, _json_list(data["correspondences"], "correspondences")
+        levels, items = sampling.levels, _json_list(data["correspondences"], "correspondences")
+        corrs = tuple(Correspondence.from_pairs(_json_list(c, "correspondence"), p, q)
+                      for c, p, q in zip(items, levels, levels[1:]))
+        if len(items) != len(levels) - 1:
+            raise ValidationError("solution has wrong number of correspondences")
         solution = cls(
             sampling=sampling,
             scheme=_json_str(data["scheme"], "scheme"),
@@ -213,14 +229,9 @@ class LocalSolution:
                 else PseudoUltrametric.from_dict(u)
                 for u in _json_list(data["ultrametrics"], "ultrametrics")
             ),
-            correspondences=tuple(
-                Correspondence.from_pairs(_json_list(c, "correspondence"), p, q)
-                for c, p, q in zip(corrs, levels, levels[1:])
-            ),
+            correspondences=corrs,
             **{name: _json_number(data[name], f"stored {name}") for name in metrics},
         )
-        if len(corrs) != len(levels) - 1:
-            raise ValidationError("solution has wrong number of correspondences")
         vacuous = _json_bool(data.get("delta_vacuous", solution.delta_vacuous), "'delta_vacuous'")
         if vacuous != solution.delta_vacuous:
             raise ValidationError(f"'delta_vacuous' {vacuous} disagrees with the level count")
@@ -284,19 +295,8 @@ def evaluate_general(sol: LocalSolution) -> Certification:
     the offending adjacent pair; metric mismatches with the stored values
     are reported the same way.
     """
-    s = sol.sampling
-    if len(sol.ultrametrics) != s.t:
-        raise ValidationError("solution has wrong number of ultrametrics")
-    if len(sol.correspondences) != s.t - 1:
-        raise ValidationError("solution has wrong number of correspondences")
-    level_chi = []
-    for i, fit in enumerate(sol.ultrametrics):
-        space = s.level_space(i)
-        if tuple(fit.points) != tuple(space.points):
-            raise ValidationError(f"level {i} ultrametric points mismatch the sampling")
-        level_chi.append(linf_distance(space, fit))
-    fits, corrs = sol.ultrametrics, sol.correspondences
-    # distortion checks every correspondence against its levels before locality runs
+    s, fits, corrs = sol.sampling, sol.ultrametrics, sol.correspondences
+    level_chi = [linf_distance(s.level_space(i), fit) for i, fit in enumerate(fits)]
     pair_rho = [distortion(fits[i], fits[i + 1], corr) for i, corr in enumerate(corrs)]
     pair_delta = [locality(corr, s.ambient) for corr in corrs]
     chi = max(level_chi)

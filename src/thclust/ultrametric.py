@@ -537,6 +537,9 @@ def instability_family(n: int, eps: float) -> tuple[MetricSpace, MetricSpace]:
     to demonstrate.
     """
     n = _json_int(n, "n")
+    # The (n, n) float matrices must have a byte size numpy can hold.
+    if n > math.isqrt(np.iinfo(np.intp).max // np.dtype(float).itemsize):
+        raise ValidationError(f"n {n} is beyond numpy's array size")
     if n < 5:
         raise ValidationError("family needs n >= 5")
     if not 0 <= eps < 1:

@@ -762,6 +762,14 @@ def test_figure4_rejects_small_n(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n", [10**30, 2**32])
+def test_figure4_refuses_an_n_numpy_cannot_hold(tmp_path, capsys, n):
+    outdir = tmp_path / "f"
+    assert main(["figure4", "-n", str(n), "-o", str(outdir)]) == 1
+    assert capsys.readouterr().err == f"input error: n {n} is beyond numpy's array size\n"
+    assert not outdir.exists()
+
+
 # ---------------------------------------------------------------- run report
 
 

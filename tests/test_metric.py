@@ -406,3 +406,16 @@ def test_hub_sums_near_float_max_do_not_warn():
 def test_coordinates_with_overflowing_distances_rejected():
     with pytest.raises(ValidationError, match="derived from coordinates must be finite"):
         MetricSpace(["a", "b"], coords=[[0.0, 0.0], [1e200, 0.0]])
+
+
+def test_coordinates_overflowing_beside_a_matrix_are_refused_without_a_warning():
+    """The agreement check computes the coordinate distances as the derived
+    path does: an overflow is refused as non-finite, not reported as a
+    disagreement, and warns nothing. The matrix itself is checked first."""
+    coords = [[0.0], [1e200]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="derived from coordinates must be finite"):
+            MetricSpace(["a", "b"], dist=[[0.0, 1e200], [1e200, 0.0]], coords=coords)
+        with pytest.raises(ValidationError, match="negative distance at pair"):
+            MetricSpace(["a", "b"], dist=[[0.0, -1.0], [-1.0, 0.0]], coords=coords)

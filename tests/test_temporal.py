@@ -432,8 +432,8 @@ def test_evaluate_general_rejects_wrong_points():
     ambient = tiny_ambient()
     sol = solve_local(make_sampling(ambient, [["a", "b"], ["a", "b"]]))
     wrong = PseudoUltrametric(["a", "c"], np.array([[0.0, 1.0], [1.0, 0.0]]))
-    forged = dataclasses.replace(sol, ultrametrics=(wrong, sol.ultrametrics[1]))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="mismatch the sampling"):
+        forged = dataclasses.replace(sol, ultrametrics=(wrong, sol.ultrametrics[1]))
         evaluate_general(forged)
 
 
@@ -461,6 +461,71 @@ def test_evaluate_general_refuses_a_correspondence_of_other_levels():
     doc = sol.to_dict()
     with pytest.raises(ValidationError, match="wrong number of correspondences"):
         LocalSolution.from_dict({**doc, "correspondences": doc["correspondences"] * 2})
+
+
+def two_level_solution():
+    return solve_local(make_sampling(tiny_ambient(), [["a", "b"], ["b", "c"]]))
+
+
+def misfits(sol):
+    """Field changes that misfit a two-level solution to its sampling, by
+    name, each with the message that refuses it."""
+    fit0, fit1 = sol.ultrametrics
+    count = "solution has wrong number of"
+    points = "level 0 ultrametric points mismatch the sampling"
+    return {
+        "one-ultrametric": ({"ultrametrics": (fit0,)}, f"{count} ultrametrics"),
+        "three-ultrametrics": ({"ultrametrics": (fit0, fit1, fit1)}, f"{count} ultrametrics"),
+        "no-correspondence": ({"correspondences": ()}, f"{count} correspondences"),
+        "two-correspondences": ({"correspondences": sol.correspondences * 2},
+                                f"{count} correspondences"),
+        "other-level-points": ({"ultrametrics": (fit1, fit1)}, points),
+        "reordered-points": ({"ultrametrics": (
+            PseudoUltrametric(["b", "a"], fit0.mu[::-1, ::-1]), fit1)}, points),
+        "other-levels-joined": ({"correspondences": (Correspondence.from_pairs(
+            [("b", "b"), ("a", "c")], ("b", "a"), ("b", "c")),)},
+            "correspondence joins other levels"),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "one-ultrametric", "three-ultrametrics", "no-correspondence", "two-correspondences",
+    "other-level-points", "reordered-points", "other-levels-joined",
+])
+def test_local_solution_refuses_a_shape_that_misfits_its_sampling(name):
+    """One ultrametric per level over exactly its point tuple and one
+    correspondence per adjacent pair, joining exactly those levels: checked
+    when made, by the constructor and by ``dataclasses.replace`` alike."""
+    sol = two_level_solution()
+    change, message = misfits(sol)[name]
+    with pytest.raises(ValidationError, match=message):
+        LocalSolution(**{**vars(sol), **change})
+    with pytest.raises(ValidationError, match=message):
+        dataclasses.replace(sol, **change)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["ultrametrics"].pop(), "solution has wrong number of ultrametrics"),
+    (lambda doc: doc["ultrametrics"].append(doc["ultrametrics"][0]),
+     "solution has wrong number of ultrametrics"),
+    (lambda doc: doc["correspondences"].pop(), "solution has wrong number of correspondences"),
+    (lambda doc: doc["correspondences"].append(doc["correspondences"][0]),
+     "solution has wrong number of correspondences"),
+    (lambda doc: doc["ultrametrics"].__setitem__(0, doc["ultrametrics"][1]),
+     "level 0 ultrametric points mismatch the sampling"),
+    (lambda doc: doc["ultrametrics"][0]["leaves"].reverse(),
+     "level 0 ultrametric points mismatch the sampling"),
+], ids=["one-dendrogram", "three-dendrograms", "no-correspondence", "two-correspondences",
+        "other-level-dendrogram", "reordered-leaves"])
+def test_solution_document_refuses_a_shape_that_misfits_its_sampling(edit, message):
+    """A document's correspondences are read against their own levels, so
+    the fourth misfit, a correspondence joining other levels, cannot be
+    written in one."""
+    doc = two_level_solution().to_dict()
+    LocalSolution.from_dict(doc)
+    edit(doc)
+    with pytest.raises(ValidationError, match=message):
+        LocalSolution.from_dict(doc)
 
 
 def test_local_solution_round_trip():

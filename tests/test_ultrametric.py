@@ -386,6 +386,13 @@ def test_instability_family_validation():
             instability_family(n, 0.1)
 
 
+@pytest.mark.parametrize("n", [10**30, 2**32])
+def test_instability_family_refuses_an_n_numpy_cannot_hold(n):
+    """Refused before a single id or matrix is built."""
+    with pytest.raises(ValidationError, match=f"n {n} is beyond numpy's array size"):
+        instability_family(n, 0.1)
+
+
 def test_figure_family_frozen_values():
     """The 12-point family: pendant pair fitted at 2 on one side and at
     5 + eps/2 on the other, while the subdominant stays put."""
