@@ -30,7 +30,6 @@ from .temporal import (
 from .ultrametric import (
     Dendrogram,
     FkwFit,
-    MstEdgeList,
     PseudoUltrametric,
     cut_at_height,
     fkw_fit,

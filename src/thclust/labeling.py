@@ -95,9 +95,6 @@ class IntegralFlow:
 
     def __post_init__(self):
         object.__setattr__(self, "flow", tuple(self.flow))
-        self.validate()
-
-    def validate(self) -> None:
         edges, size = self.network.edges, self.network.size
         if len(self.flow) != len(edges):
             raise ValidationError(f"flow has {len(self.flow)} amounts for {len(edges)} edges")

@@ -357,9 +357,10 @@ def linf_distance(a: MetricSpace, b: MetricSpace) -> float:
     return float(np.abs(ma - aligned).max())
 
 
-def hausdorff_distance(p_ids: Sequence[str], q_ids: Sequence[str], ambient: MetricSpace) -> float:
+def hausdorff_distance(p_ids: Iterable[str], q_ids: Iterable[str], ambient: MetricSpace) -> float:
     """Hausdorff distance between two non-empty subsets of an ambient space."""
-    if not list(p_ids) or not list(q_ids):
+    p_ids, q_ids = tuple(p_ids), tuple(q_ids)
+    if not p_ids or not q_ids:
         raise ValidationError("Hausdorff distance needs non-empty point sets")
     pi = [ambient.index_of(p) for p in p_ids]
     qi = [ambient.index_of(q) for q in q_ids]

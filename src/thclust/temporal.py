@@ -111,6 +111,7 @@ def build_hausdorff_correspondence(p_ids, q_ids, ambient: MetricSpace) -> Corres
     the result always projects onto both sides; its locality is d_H itself.
     The threshold carries a 1e-9 slack so rounding cannot drop a witness.
     """
+    p_ids, q_ids = tuple(p_ids), tuple(q_ids)
     d_h = hausdorff_distance(p_ids, q_ids, ambient)
     pi = [ambient.index_of(p) for p in p_ids]
     qi = [ambient.index_of(q) for q in q_ids]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,39 +131,6 @@ class PseudoUltrametric(MetricSpace):
         return cls(_json_list(data["points"], "points"), data["matrix"])
 
 
-@dataclass(frozen=True, eq=False)
-class MstEdgeList:
-    """A minimum spanning tree, rooted at the smallest id, in the order
-    Prim's algorithm grew it (see :func:`_spanning_tree`).
-
-    Edge t joins point ``child[t]`` to point ``parent[t]``, which was
-    already in the tree, at ``weight[t]``. The three are read-only arrays
-    that number the points by their position in ``points``; :attr:`edges`
-    is the id view.
-    """
-
-    points: tuple[str, ...]
-    parent: np.ndarray
-    child: np.ndarray
-    weight: np.ndarray
-
-    def __post_init__(self):
-        for col in (self.parent, self.child, self.weight):
-            col.setflags(write=False)
-
-    def _kruskal(self) -> list[tuple[float, str, str, int]]:
-        """(weight, u, v, t) for each edge t, u < v, in the order Kruskal's
-        algorithm would select the edges."""
-        pts = self.points
-        cols = zip(self.parent.tolist(), self.child.tolist(), self.weight.tolist())
-        return sorted((w, *sorted((pts[a], pts[b])), t) for t, (a, b, w) in enumerate(cols))
-
-    @property
-    def edges(self) -> tuple[tuple[str, str, float], ...]:
-        """Edges (u, v, weight) with u < v, in Kruskal's selection order."""
-        return tuple((u, v, w) for w, u, v, _ in self._kruskal())
-
-
 def _spanning_tree(points, matrix: np.ndarray):
     """Minimum spanning tree of the complete graph weighted by ``matrix``.
 
@@ -219,10 +186,11 @@ def _spanning_tree(points, matrix: np.ndarray):
     return order[parent], order[joined], w[parent, joined]
 
 
-def minimum_spanning_edges(space: MetricSpace) -> MstEdgeList:
+def minimum_spanning_edges(space: MetricSpace):
     """The unique minimum spanning tree of the distance graph, equal-weight
-    ties broken by the lexicographic pair of endpoint ids."""
-    return MstEdgeList(space.points, *_spanning_tree(space.points, space.dist))
+    ties broken by the lexicographic pair of endpoint ids, as the join-order
+    point-index arrays ``(parent, child, weight)`` of :func:`_spanning_tree`."""
+    return _spanning_tree(space.points, space.dist)
 
 
 def _merges(points, parent, child, weight) -> list[tuple[float, int, int]]:
@@ -313,27 +281,23 @@ def subdominant_ultrametric(space: MetricSpace) -> PseudoUltrametric:
     entrywise and is the unique max-norm-closest such ultrametric.
     """
     pts = space.points
-    tree = minimum_spanning_edges(space)
-    mu = _heights(len(pts), _merges(pts, tree.parent, tree.child, tree.weight))
+    mu = _heights(len(pts), _merges(pts, *minimum_spanning_edges(space)))
     return PseudoUltrametric(pts, mu, validate=False)
 
 
 @dataclass(frozen=True)
 class FkwFit:
-    """Everything produced by the exact nearest-ultrametric procedure;
-    ``clamped_pairs`` counts the pairs whose height was clamped at zero."""
+    """The exact nearest ultrametric, the half subdominant error ``shift``
+    taken off its heights, and ``clamped_pairs``, the number of pairs whose
+    height was clamped at zero."""
 
     ultrametric: PseudoUltrametric
-    subdominant: PseudoUltrametric
-    subdominant_error: float
     shift: float
-    mst: MstEdgeList
-    priorities: tuple[float, ...] = field(repr=False)
     clamped_pairs: int
 
 
 def fkw_fit(space: MetricSpace) -> FkwFit:
-    """Run the three-step cut-weight procedure and keep the intermediates.
+    """Run the three-step cut-weight procedure.
 
     Step 1 builds the minimum spanning tree. Step 2 assigns each tree edge a
     priority: the largest source distance among pairs whose tree path
@@ -346,25 +310,24 @@ def fkw_fit(space: MetricSpace) -> FkwFit:
     """
     pts = space.points
     n = len(pts)
-    tree = minimum_spanning_edges(space)
-    musub = _heights(n, _merges(pts, tree.parent, tree.child, tree.weight))
-    err = float(np.abs(space.dist - musub).max())
-    shift = err / 2.0
+    parent, child, weight = minimum_spanning_edges(space)
+    musub = _heights(n, _merges(pts, parent, child, weight))
+    shift = float(np.abs(space.dist - musub).max()) / 2.0
 
     # Every parent joined the tree before its child, so walking the join
     # order backwards completes each subtree before its parent's.
     subtree = np.eye(n, dtype=bool)
-    for p, c in zip(tree.parent[::-1].tolist(), tree.child[::-1].tolist()):
+    for p, c in zip(parent[::-1].tolist(), child[::-1].tolist()):
         subtree[p] |= subtree[c]
 
     priorities = []
-    for c, w in zip(tree.child.tolist(), tree.weight.tolist()):
+    for c, w in zip(child.tolist(), weight.tolist()):
         eligible = musub[c] <= w  # ball that makes the edge the bottleneck
         left = eligible & subtree[c]
         right = eligible & ~subtree[c]
         priorities.append(float(space.dist[np.ix_(left, right)].max()))
 
-    raw = _heights(n, _merges(pts, tree.parent, tree.child, np.array(priorities))) - shift
+    raw = _heights(n, _merges(pts, parent, child, np.array(priorities))) - shift
     clamped = np.argwhere(np.triu(raw < 0, 1))
     if len(clamped):
         log.info(
@@ -373,15 +336,7 @@ def fkw_fit(space: MetricSpace) -> FkwFit:
         )
     mu = np.maximum(raw, 0.0)
     np.fill_diagonal(mu, 0.0)
-    return FkwFit(
-        ultrametric=PseudoUltrametric(pts, mu, validate=False),
-        subdominant=PseudoUltrametric(pts, musub, validate=False),
-        subdominant_error=err,
-        shift=shift,
-        mst=tree,
-        priorities=tuple(priorities[t] for *_, t in tree._kruskal()),
-        clamped_pairs=len(clamped),
-    )
+    return FkwFit(PseudoUltrametric(pts, mu, validate=False), shift, len(clamped))
 
 
 @dataclass(frozen=True)

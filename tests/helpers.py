@@ -20,7 +20,6 @@ from thclust import (
     COLORS,
     Correspondence,
     Dendrogram,
-    FkwFit,
     Graph,
     Labeling,
     MetricSpace,
@@ -360,10 +359,20 @@ def reference_spanning_tree(points: tuple[str, ...], matrix) -> tuple:
     return tuple(edges)
 
 
+def tree_edges(points, parent, child, weight) -> tuple[tuple[str, str, float], ...]:
+    """The id view of a spanning tree given as point-index arrays (see
+    :func:`thclust.minimum_spanning_edges`): edges (u, v, weight) with
+    u < v, in Kruskal's selection order, as :func:`reference_spanning_tree`
+    lists them."""
+    cols = zip(parent.tolist(), child.tolist(), weight.tolist())
+    ranked = sorted((w, *sorted((points[a], points[b]))) for a, b, w in cols)
+    return tuple((u, v, w) for w, u, v in ranked)
+
+
 @dataclass(frozen=True)
 class ReferenceTree:
-    """A spanning tree as the Kruskal oracle gives it: only the id view
-    ``edges`` of :class:`thclust.MstEdgeList`."""
+    """A spanning tree as the Kruskal oracle gives it, by its id view
+    ``edges`` (see :func:`tree_edges`)."""
 
     points: tuple[str, ...]
     edges: tuple[tuple[str, str, float], ...]
@@ -412,7 +421,22 @@ def reference_subdominant_ultrametric(space: MetricSpace) -> PseudoUltrametric:
     return PseudoUltrametric(space.points, mu, validate=False)
 
 
-def reference_fkw_fit(space: MetricSpace) -> FkwFit:
+@dataclass(frozen=True)
+class ReferenceFkwFit:
+    """The reference cut-weight fit with the steps it took on the way: the
+    subdominant ultrametric and its max-norm error, the Kruskal tree, and
+    each tree edge's priority, listed in the tree's edge order."""
+
+    ultrametric: PseudoUltrametric
+    subdominant: PseudoUltrametric
+    subdominant_error: float
+    shift: float
+    mst: ReferenceTree
+    priorities: tuple[float, ...]
+    clamped_pairs: tuple[tuple[str, str], ...]
+
+
+def reference_fkw_fit(space: MetricSpace) -> ReferenceFkwFit:
     """Run the three-step cut-weight procedure and keep the intermediates.
 
     Step 1 builds the minimum spanning tree. Step 2 assigns each tree edge a
@@ -428,7 +452,7 @@ def reference_fkw_fit(space: MetricSpace) -> FkwFit:
     n = len(pts)
     if n == 1:
         trivial = PseudoUltrametric(pts, np.zeros((1, 1)), validate=False)
-        return FkwFit(trivial, trivial, 0.0, 0.0, ReferenceTree(pts, ()), (), ())
+        return ReferenceFkwFit(trivial, trivial, 0.0, 0.0, ReferenceTree(pts, ()), (), ())
 
     tree = reference_minimum_spanning_edges(space)
     musub = reference_path_max_matrix(pts, tree.edges)
@@ -475,7 +499,7 @@ def reference_fkw_fit(space: MetricSpace) -> FkwFit:
         )
     mu = np.maximum(raw, 0.0)
     np.fill_diagonal(mu, 0.0)
-    return FkwFit(
+    return ReferenceFkwFit(
         ultrametric=PseudoUltrametric(pts, mu, validate=False),
         subdominant=PseudoUltrametric(pts, musub, validate=False),
         subdominant_error=err,

@@ -225,6 +225,14 @@ def test_hausdorff_known_values():
     assert hausdorff_distance(["a", "b", "c"], ["a", "b", "c"], ambient) == 0.0
 
 
+def test_hausdorff_reads_each_side_once():
+    """One-shot iterators give the value that lists give."""
+    ambient = line_space([0.0, 3.0, 10.0], ids=["a", "b", "c"])
+    for p, q in ((["a"], ["a", "b"]), (["a", "b"], ["c"])):
+        assert hausdorff_distance(iter(p), iter(q), ambient) == \
+            hausdorff_distance(p, q, ambient)
+
+
 def test_hausdorff_rejects_empty_side():
     ambient = line_space([0.0, 1.0])
     with pytest.raises(ValidationError):
@@ -380,8 +388,7 @@ def test_triangle_check_matches_hub_scan_on_overflowed_distances():
 
 
 def test_distances_near_float_max_stay_finite():
-    with np.errstate(over="ignore"):
-        space = MetricSpace(["a", "b"], dist=[[0.0, 1.7e308], [1.7e308, 0.0]])
+    space = MetricSpace(["a", "b"], dist=[[0.0, 1.7e308], [1.7e308, 0.0]])
     assert space.distance("a", "b") == 1.7e308
 
 

@@ -112,6 +112,15 @@ def test_hausdorff_correspondence_known_pairs():
     assert locality(c, ambient) == hausdorff_distance(["a"], ["a", "b"], ambient)
 
 
+def test_hausdorff_correspondence_reads_each_level_once():
+    """One-shot iterators give the correspondence that lists give."""
+    ambient = tiny_ambient()
+    for p, q in ((["a"], ["a", "b"]), (["a", "b"], ["b", "c"])):
+        got = build_hausdorff_correspondence(iter(p), iter(q), ambient)
+        want = build_hausdorff_correspondence(p, q, ambient)
+        assert (got.first, got.second, got.pairs) == (want.first, want.second, want.pairs)
+
+
 def test_hausdorff_correspondence_reaches_the_minimum():
     """No correspondence can do better than d_H, and the built one attains it."""
     rng = np.random.default_rng(20)
@@ -442,22 +451,21 @@ def test_evaluate_general_rejects_wrong_points():
     ([("a", "a"), ("b", "b"), ("b", "z")], "unknown second-side point 'z'"),
     ([("a", "a"), ("a", "b")], "misses first-side point 'b'"),
 ])
-def test_evaluate_general_names_a_bad_correspondence(pairs, message):
+def test_from_pairs_names_a_bad_correspondence(pairs, message):
     """A correspondence is checked against both levels when made, so a
     forged one never reaches the certifier."""
     ambient = tiny_ambient()
     sol = solve_local(make_sampling(ambient, [["a", "b"], ["a", "b"]]))
     with pytest.raises(ValidationError, match=message):
-        corr = Correspondence.from_pairs(pairs, *sol.sampling.levels)
-        evaluate_general(dataclasses.replace(sol, correspondences=(corr,)))
+        Correspondence.from_pairs(pairs, *sol.sampling.levels)
 
 
-def test_evaluate_general_refuses_a_correspondence_of_other_levels():
+def test_local_solution_refuses_a_correspondence_of_other_levels():
     ambient = tiny_ambient()
     sol = solve_local(make_sampling(ambient, [["a", "b"], ["a", "b"]]))
     corr = Correspondence.from_pairs([("a", "a"), ("b", "b")], ("b", "a"), ("a", "b"))
     with pytest.raises(ValidationError, match="correspondence joins other levels"):
-        evaluate_general(dataclasses.replace(sol, correspondences=(corr,)))
+        dataclasses.replace(sol, correspondences=(corr,))
     doc = sol.to_dict()
     with pytest.raises(ValidationError, match="wrong number of correspondences"):
         LocalSolution.from_dict({**doc, "correspondences": doc["correspondences"] * 2})

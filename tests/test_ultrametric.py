@@ -24,11 +24,11 @@ from helpers import (
     reference_validate_ultrametric,
     spanning_weight_oracle,
     threshold_components,
+    tree_edges,
 )
 from thclust import (
     Dendrogram,
     MetricSpace,
-    MstEdgeList,
     PseudoUltrametric,
     TOL,
     ValidationError,
@@ -171,17 +171,17 @@ def test_mst_weight_matches_bruteforce():
     rng = np.random.default_rng(10)
     for _ in range(25):
         space = random_space(rng, int(rng.integers(2, 7)))
-        mst = minimum_spanning_edges(space)
-        assert len(mst.edges) == len(space.points) - 1
-        assert abs(sum(w for _, _, w in mst.edges) - spanning_weight_oracle(space)) < 1e-9
+        edges = tree_edges(space.points, *minimum_spanning_edges(space))
+        assert len(edges) == len(space.points) - 1
+        assert abs(sum(w for _, _, w in edges) - spanning_weight_oracle(space)) < 1e-9
 
 
 def test_mst_tie_break_is_lexicographic():
     # unit square: four weight-1 edges tie, two diagonals lose
     coords = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     space = MetricSpace(["p0", "p1", "p2", "p3"], coords=coords)
-    mst = minimum_spanning_edges(space)
-    assert mst.edges == (("p0", "p1", 1.0), ("p0", "p2", 1.0), ("p1", "p3", 1.0))
+    edges = tree_edges(space.points, *minimum_spanning_edges(space))
+    assert edges == (("p0", "p1", 1.0), ("p0", "p2", 1.0), ("p1", "p3", 1.0))
 
 
 # ---------------------------------------------------------------- subdominant
@@ -255,10 +255,11 @@ def test_fkw_identity_when_input_is_ultrametric():
 def test_fkw_three_point_line_values():
     space = line_space([0.0, 1.0, 3.0], ids=["a", "b", "c"])
     fit = fkw_fit(space)
-    assert fit.subdominant_error == 1.0
+    assert linf_distance(subdominant_ultrametric(space), space) == 1.0
     assert fit.shift == 0.5
-    assert fit.mst.edges == (("a", "b", 1.0), ("b", "c", 2.0))
-    assert fit.priorities == (1.0, 3.0)
+    assert tree_edges(space.points, *minimum_spanning_edges(space)) == \
+        (("a", "b", 1.0), ("b", "c", 2.0))
+    assert reference_fkw_fit(space).priorities == (1.0, 3.0)
     want = np.array([[0.0, 0.5, 2.5], [0.5, 0.0, 2.5], [2.5, 2.5, 0.0]])
     assert np.abs(fit.ultrametric.mu - want).max() < 1e-9
     assert abs(linf_distance(fit.ultrametric, space) - 0.5) < 1e-9
@@ -266,13 +267,15 @@ def test_fkw_three_point_line_values():
 
 def test_fkw_priorities_match_literal_attribution():
     """Edge priorities equal the max distance over pairs whose spanning-tree
-    path crosses the edge at the pair's bottleneck weight."""
+    path crosses the edge at the pair's bottleneck weight; ``fkw_fit`` fits
+    the heights the reference fits over those priorities."""
     rng = np.random.default_rng(14)
     for _ in range(40):
         space = random_space(rng, int(rng.integers(2, 9)))
-        fit = fkw_fit(space)
+        ref = reference_fkw_fit(space)
+        assert np.array_equal(fkw_fit(space).ultrametric.mu, ref.ultrametric.mu)
         adj = {p: [] for p in space.points}
-        for u, v, w in fit.mst.edges:
+        for u, v, w in ref.mst.edges:
             adj[u].append((v, w))
             adj[v].append((u, w))
 
@@ -292,7 +295,7 @@ def test_fkw_priorities_match_literal_attribution():
                 cur = parent
             return out
 
-        want = {tuple(sorted((u, v))): -np.inf for u, v, _ in fit.mst.edges}
+        want = {tuple(sorted((u, v))): -np.inf for u, v, _ in ref.mst.edges}
         for i, a in enumerate(space.points):
             for b in space.points[i + 1 :]:
                 hops = tree_path(a, b)
@@ -302,7 +305,7 @@ def test_fkw_priorities_match_literal_attribution():
                         want[key] = max(want[key], space.distance(a, b))
         got = {
             tuple(sorted((u, v))): p
-            for (u, v, _), p in zip(fit.mst.edges, fit.priorities)
+            for (u, v, _), p in zip(ref.mst.edges, ref.priorities)
         }
         assert got == want
 
@@ -312,12 +315,13 @@ def test_fkw_achieves_half_subdominant_error():
     for _ in range(40):
         space = dense_space(rng, int(rng.integers(2, 10)))
         fit = fkw_fit(space)
+        sub = subdominant_ultrametric(space)
         assert fit.clamped_pairs == 0
         err = linf_distance(fit.ultrametric, space)
-        assert abs(err - fit.subdominant_error / 2.0) < 1e-9
+        assert abs(err - linf_distance(sub, space) / 2.0) < 1e-9
         assert abs(err - fit.shift) < 1e-9
         # shifted subdominant witness reaches the same value
-        witness = fit.subdominant.mu + fit.shift
+        witness = sub.mu + fit.shift
         np.fill_diagonal(witness, 0.0)
         ok, _ = validate_ultrametric(witness)
         assert ok
@@ -331,7 +335,7 @@ def test_fkw_within_twice_subdominant_error():
         fit = fkw_fit(space)
         ok, _ = validate_ultrametric(fit.ultrametric.mu)
         assert ok
-        sub_err = linf_distance(fit.subdominant, space)
+        sub_err = linf_distance(subdominant_ultrametric(space), space)
         assert sub_err <= 2.0 * linf_distance(fit.ultrametric, space) + 1e-9
 
 
@@ -403,9 +407,10 @@ def test_figure_family_frozen_values():
     fit_prime = fkw_fit(m_prime)
     assert abs(fit.ultrametric.distance("u", "v") - 2.0) < 1e-9
     assert abs(fit_prime.ultrametric.distance("u", "v") - 5.05) < 1e-9
-    assert fit.subdominant.distance("u", "v") == 1.0
-    assert fit_prime.subdominant.distance("u", "v") == 1.0
-    assert linf_distance(fit.subdominant, fit_prime.subdominant) <= 0.1 + 1e-9
+    sub, sub_prime = subdominant_ultrametric(m), subdominant_ultrametric(m_prime)
+    assert sub.distance("u", "v") == 1.0
+    assert sub_prime.distance("u", "v") == 1.0
+    assert linf_distance(sub, sub_prime) <= 0.1 + 1e-9
 
 
 def test_figure_family_gap_scales_with_size():
@@ -582,19 +587,18 @@ def test_spanning_tree_and_fits_match_reference():
     vertex and not the smallest id, so the tree's root, "a", is not the
     first point."""
     inner = line_space([2.0, 0.0, 1.0, 3.5, 5.0, 4.0], ids=["c", "a", "b", "d", "f", "e"])
-    assert minimum_spanning_edges(inner).parent.tolist() == [1, 2, 0, 3, 5]
+    parent, _, _ = minimum_spanning_edges(inner)
+    assert parent.tolist() == [1, 2, 0, 3, 5]
     for space in [*differential_spaces(), inner]:
-        assert minimum_spanning_edges(space).edges == \
+        assert tree_edges(space.points, *minimum_spanning_edges(space)) == \
             reference_minimum_spanning_edges(space).edges
         sub = subdominant_ultrametric(space)
         assert np.array_equal(sub.mu, reference_subdominant_ultrametric(space).mu)
         fit, ref = fkw_fit(space), reference_fkw_fit(space)
         assert np.array_equal(fit.ultrametric.mu, ref.ultrametric.mu)
-        assert np.array_equal(fit.subdominant.mu, ref.subdominant.mu)
-        assert fit.subdominant_error == ref.subdominant_error
+        assert np.array_equal(sub.mu, ref.subdominant.mu)
+        assert linf_distance(sub, space) == ref.subdominant_error
         assert fit.shift == ref.shift
-        assert fit.mst.edges == ref.mst.edges
-        assert fit.priorities == ref.priorities
         assert fit.clamped_pairs == len(ref.clamped_pairs)
 
 
@@ -660,11 +664,10 @@ def test_spanning_tree_matches_reference():
     """Kruskal's edges, grown as a tree rooted at the smallest id in which
     every parent joins before its child."""
     for points, m in _tree_inputs():
-        tree = MstEdgeList(points, *_spanning_tree(points, m))
-        assert tree.edges == reference_spanning_tree(points, m)
-        assert not any(col.flags.writeable for col in (tree.parent, tree.child, tree.weight))
+        parent, child, weight = _spanning_tree(points, m)
+        assert tree_edges(points, parent, child, weight) == reference_spanning_tree(points, m)
         joined = {min(range(len(points)), key=points.__getitem__)} if points else set()
-        for p, c in zip(tree.parent.tolist(), tree.child.tolist()):
+        for p, c in zip(parent.tolist(), child.tolist()):
             assert p in joined and c not in joined
             joined.add(c)
         assert joined == set(range(len(points)))
