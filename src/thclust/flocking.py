@@ -95,11 +95,20 @@ class SimConfig:
 def _gaps(pos: np.ndarray):
     """Offsets ``pos[j] - pos[i]`` per axis and their lengths, with an
     infinite diagonal. ``dx * dx + dy * dy`` has the bits of summing the
-    squares over the last axis of one (n, n, 2) offset array."""
-    x, y = pos[:, 0], pos[:, 1]
-    dx = x[None, :] - x[:, None]
-    dy = y[None, :] - y[:, None]
-    dist = np.sqrt(dx * dx + dy * dy)
+    squares over the last axis of one (n, n, 2) offset array.
+
+    The three planes share one block. From 74 actors on it exceeds
+    glibc's initial 128 KiB mmap threshold, so freeing it once raises that
+    threshold and the heap trim threshold with it; each later tick then
+    reuses heap memory instead of trimming the heap and faulting its pages
+    back in."""
+    n = len(pos)
+    dx, dy, dist = np.empty((3, n, n))
+    np.subtract(pos[None, :, 0], pos[:, None, 0], out=dx)
+    np.subtract(pos[None, :, 1], pos[:, None, 1], out=dy)
+    np.multiply(dx, dx, out=dist)
+    dist += dy * dy
+    np.sqrt(dist, out=dist)
     np.fill_diagonal(dist, np.inf)
     return dx, dy, dist
 
@@ -144,6 +153,7 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
     total = np.zeros_like(pos)
     np.add.at(total, rows, push)
     force += cfg.avoid_weight * total
+    del dx, dy, dist  # one gaps block alive at a time (see _gaps)
     for kind in range(TYPE_COUNT):
         members = kinds == kind
         if members.any():  # the mean of an empty slice warns

@@ -100,10 +100,15 @@ class IntegralFlow:
             raise ValidationError(f"flow has {len(self.flow)} amounts for {len(edges)} edges")
         if not _is_count(self.value):
             raise ValidationError("flow value must be a nonnegative integer")
-        for e, amount in enumerate(self.flow):
-            # On a layered network no edge carries more than the whole flow.
-            if not _is_count(amount) or amount > self.value:
-                raise ValidationError(f"flow on edge {e} must be an integer in 0..{self.value}")
+        # On a layered network no edge carries more than the whole flow. Plain
+        # ints in 0..value pass one screen; anything else, bools and numpy
+        # integers too, takes the loop that names the first bad edge.
+        flow, value = self.flow, self.value
+        if not (set(map(type, flow)) <= {int}
+                and min(flow, default=0) >= 0 and max(flow, default=0) <= value):
+            for e, amount in enumerate(flow):
+                if not _is_count(amount) or amount > value:
+                    raise ValidationError(f"flow on edge {e} must be an integer in 0..{value}")
         amounts = np.array(self.flow, dtype=float)
         inflow, outflow = (np.bincount(edges[:, i], amounts, minlength=size + 2) for i in (1, 0))
         for problem, at in (("in-flow below 1", inflow[:size] < 1),
@@ -399,7 +404,7 @@ def check_contiguity(l1: Labeling, l2: Labeling, delta: float,
             (1, first, second), (2, second, first)):
         shared = min(len(holder), len(other))
         found = np.zeros(len(holder), dtype=bool)
-        found[:shared] = ambient.dist[holder[:shared], other[:shared]] <= slack
+        found[:shared] = ambient.distances(holder[:shared], other[:shared]) <= slack
         missing = np.flatnonzero(~found)
         if missing.size:
             label = missing[np.argmin(rank[missing])]

@@ -1,8 +1,10 @@
 """Finite metric spaces, temporal samplings, and basic distance utilities.
 
-Distances are dense float64 matrices indexed by opaque string point ids.
-All numeric comparisons against structural invariants use the shared
-tolerance ``TOL``.
+Points are opaque string ids. A space holds either a float64 distance
+matrix or Euclidean coordinates; a coordinate space computes the distances
+a caller reads from its coordinates, block by block, and builds its whole
+matrix only when asked for it. All numeric comparisons against structural
+invariants use the shared tolerance ``TOL``.
 """
 
 from __future__ import annotations
@@ -134,31 +136,62 @@ def _as_point_tuple(points: Iterable[str], what: str) -> tuple[str, ...]:
     return pts
 
 
-def _euclidean(coords: np.ndarray) -> np.ndarray:
-    """Euclidean distances between coordinate rows, refused unless finite."""
+def _coordinate_distances(coords: np.ndarray, rows, cols) -> np.ndarray:
+    """Euclidean distances between the coordinate rows at the broadcast index
+    arrays ``rows`` and ``cols``: the squared axis differences summed axis
+    by axis, in axis order, then ``sqrt``. Every distance of a coordinate
+    space comes from here, so its blocks and its whole matrix agree bit for
+    bit.
+
+    The result is already in the canonical form of a stored matrix,
+    ``np.maximum(d / 2.0 + d / 2.0, 0.0)``: the square root of a sum of
+    squares is +0, inf or a normal number of at least 2**-537, so halving
+    it is exact and the two halves add back to it."""
     with np.errstate(over="ignore"):
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
-    if not np.isfinite(dist).all():
-        raise ValidationError("distances derived from coordinates must be finite")
-    return dist
+        total = np.zeros(np.broadcast_shapes(np.shape(rows), np.shape(cols)))
+        for x in coords.T:
+            diff = x[rows] - x[cols]
+            diff *= diff
+            total += diff
+        return np.sqrt(total, out=total)
+
+
+def _coordinate_matrix(coords: np.ndarray) -> np.ndarray:
+    at = np.arange(len(coords))
+    return _coordinate_distances(coords, at[:, None], at)
+
+
+def _check_coordinates(coords: np.ndarray) -> None:
+    """Refuse coordinates with a non-finite distance. Rounding is monotone,
+    so no pair lies farther apart than the two corners of the bounding box;
+    only when that diagonal overflows is every pair computed."""
+    box = np.stack([coords.min(axis=0), coords.max(axis=0)])
+    if not np.isfinite(_coordinate_distances(box, 0, 1)):
+        if not np.isfinite(_coordinate_matrix(coords)).all():
+            raise ValidationError("distances derived from coordinates must be finite")
 
 
 class MetricSpace:
-    """A finite point set with explicit pairwise distances.
+    """A finite point set with pairwise distances, from a matrix or from
+    coordinates.
 
     Parameters
     ----------
     points : sequence of str
         Unique point ids, strings only (see :func:`_as_point_tuple`).
     dist : array-like, optional
-        Symmetric nonnegative matrix with zero diagonal. Derived from
-        ``coords`` when omitted.
+        Symmetric nonnegative matrix with zero diagonal. When omitted, the
+        space is a coordinate space: it keeps ``coords`` and computes each
+        distance it is asked for from them (:meth:`distances`).
     coords : array-like, optional
         One row of Euclidean coordinates per point. When both ``dist`` and
         ``coords`` are given they must agree within ``TOL``.
     pseudo : bool
         Permit zero distance between distinct points.
+
+    :attr:`dist` is the whole matrix, read-only. A coordinate space builds
+    it on first read and keeps it, so only callers that want every pair
+    should read it; :meth:`distances` reads blocks.
     """
 
     def __init__(self, points, dist=None, coords=None, pseudo=False, validate=True):
@@ -178,42 +211,60 @@ class MetricSpace:
             coords.setflags(write=False)
         self.coords = coords
 
-        derived = dist is None
-        if derived:
+        self._from_coords = dist is None
+        self._dist = None
+        if self._from_coords:
             if coords is None:
                 raise ValidationError("provide dist or coords")
-            dist = _euclidean(coords)
+            _check_coordinates(coords)
         else:
             dist = _float_array(dist, "distance matrix")
-
-        if dist.shape != (n, n):
-            raise ValidationError(f"distance matrix must be {n}x{n}, got {dist.shape}")
-        if validate and not derived:
-            self._check_matrix(dist)
-            if coords is not None:
-                gap = np.abs(_euclidean(coords) - dist)
-                if gap.max() > TOL:
-                    i, j = np.unravel_index(int(gap.argmax()), gap.shape)
-                    raise ValidationError(
-                        "coords disagree with distances at pair "
-                        f"({self.points[i]!r}, {self.points[j]!r})"
-                    )
-        # Canonicalize: exact symmetry, exact zero diagonal, no negative dust.
-        # Halving first keeps entries near the float maximum finite.
-        dist = np.maximum(dist / 2.0 + dist.T / 2.0, 0.0)
-        np.fill_diagonal(dist, 0.0)
-        dist.setflags(write=False)
-        self.dist = dist
-        if validate and not derived:
-            self._check_triangle(dist)
+            if dist.shape != (n, n):
+                raise ValidationError(f"distance matrix must be {n}x{n}, got {dist.shape}")
+            if validate:
+                self._check_matrix(dist)
+                if coords is not None:
+                    _check_coordinates(coords)
+                    gap = np.abs(_coordinate_matrix(coords) - dist)
+                    if gap.max() > TOL:
+                        i, j = np.unravel_index(int(gap.argmax()), gap.shape)
+                        raise ValidationError(
+                            "coords disagree with distances at pair "
+                            f"({self.points[i]!r}, {self.points[j]!r})"
+                        )
+            # Canonicalize: exact symmetry, exact zero diagonal, no negative
+            # dust. Halving first keeps entries near the float maximum finite.
+            dist = np.maximum(dist / 2.0 + dist.T / 2.0, 0.0)
+            np.fill_diagonal(dist, 0.0)
+            dist.setflags(write=False)
+            self._dist = dist
+            if validate:
+                self._check_triangle(dist)
         if validate and not self.pseudo:
-            off = dist + np.diag(np.full(n, np.inf))
+            off = self.dist + np.diag(np.full(n, np.inf))
             if n > 1 and off.min() <= TOL:
                 i, j = np.unravel_index(int(off.argmin()), off.shape)
                 raise ValidationError(
                     f"zero distance between distinct points {self.points[i]!r} "
                     f"and {self.points[j]!r} (use pseudo=True to allow)"
                 )
+
+    @property
+    def dist(self) -> np.ndarray:
+        """The whole distance matrix, read-only; a coordinate space builds
+        it on first read and keeps it."""
+        if self._dist is None:
+            self._dist = _coordinate_matrix(self.coords)
+            self._dist.setflags(write=False)
+        return self._dist
+
+    def distances(self, rows, cols) -> np.ndarray:
+        """Distances between the points at the broadcast index arrays
+        ``rows`` and ``cols``: read from the matrix of a matrix space,
+        computed from the coordinates of a coordinate space."""
+        if self._from_coords:
+            return _coordinate_distances(self.coords, rows, cols)
+        return self.dist[rows, cols]
 
     def _check_matrix(self, dist: np.ndarray) -> None:
         if not np.isfinite(dist).all():
@@ -289,12 +340,11 @@ class MetricSpace:
             return NotImplemented
         if self.points != other.points or self.pseudo != other.pseudo:
             return False
-        if not np.array_equal(self.dist, other.dist):
-            return False
         a, b = self.coords, other.coords
-        if (a is None) != (b is None):
+        if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
             return False
-        return a is None or np.array_equal(a, b)
+        # Equal coordinates give two coordinate spaces equal distances.
+        return (self._from_coords and other._from_coords) or np.array_equal(self.dist, other.dist)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -305,14 +355,15 @@ class MetricSpace:
             raise ValidationError(f"unknown point {point!r}") from None
 
     def distance(self, u: str, v: str) -> float:
-        return float(self.dist[self.index_of(u), self.index_of(v)])
+        return float(self.distances(self.index_of(u), self.index_of(v)))
 
     def restrict(self, points: Sequence[str]) -> "MetricSpace":
-        """Sub-space on ``points`` (in the given order) with inherited distances."""
+        """Sub-space on ``points`` (in the given order) with inherited
+        distances; a coordinate space's is a coordinate space."""
         pts = _as_point_tuple(points, "points")
         idx = [self.index_of(p) for p in pts]
-        sub = self.dist[np.ix_(idx, idx)]
         coords = None if self.coords is None else self.coords[idx]
+        sub = None if self._from_coords else self.dist[np.ix_(idx, idx)]
         return MetricSpace(pts, dist=sub, coords=coords, pseudo=self.pseudo, validate=False)
 
     def to_dict(self) -> dict:
@@ -362,9 +413,9 @@ def hausdorff_distance(p_ids: Iterable[str], q_ids: Iterable[str], ambient: Metr
     p_ids, q_ids = tuple(p_ids), tuple(q_ids)
     if not p_ids or not q_ids:
         raise ValidationError("Hausdorff distance needs non-empty point sets")
-    pi = [ambient.index_of(p) for p in p_ids]
-    qi = [ambient.index_of(q) for q in q_ids]
-    d = ambient.dist[np.ix_(pi, qi)]
+    pi = np.array([ambient.index_of(p) for p in p_ids])
+    qi = np.array([ambient.index_of(q) for q in q_ids])
+    d = ambient.distances(pi[:, None], qi)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 

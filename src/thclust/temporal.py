@@ -101,7 +101,7 @@ def _require_levels(corr: Correspondence, first, second) -> None:
 def locality(corr: Correspondence, ambient: MetricSpace) -> float:
     """Largest ambient distance spanned by any pair of the correspondence."""
     at = [np.array([ambient.index_of(p) for p in level]) for level in (corr.first, corr.second)]
-    return float(ambient.dist[at[0][corr.left], at[1][corr.right]].max())
+    return float(ambient.distances(at[0][corr.left], at[1][corr.right]).max())
 
 
 def build_hausdorff_correspondence(p_ids, q_ids, ambient: MetricSpace) -> Correspondence:
@@ -113,9 +113,9 @@ def build_hausdorff_correspondence(p_ids, q_ids, ambient: MetricSpace) -> Corres
     """
     p_ids, q_ids = tuple(p_ids), tuple(q_ids)
     d_h = hausdorff_distance(p_ids, q_ids, ambient)
-    pi = [ambient.index_of(p) for p in p_ids]
-    qi = [ambient.index_of(q) for q in q_ids]
-    d = ambient.dist[np.ix_(pi, qi)]
+    pi = np.array([ambient.index_of(p) for p in p_ids])
+    qi = np.array([ambient.index_of(q) for q in q_ids])
+    d = ambient.distances(pi[:, None], qi)
     return Correspondence(p_ids, q_ids, *np.nonzero(d <= d_h + TOL))
 
 

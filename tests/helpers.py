@@ -256,6 +256,29 @@ def reference_space_outcome(points, dist, **kwargs):
         return outcome(MetricSpace, points, dist=dist, **kwargs)
 
 
+def reference_euclidean(coords) -> np.ndarray:
+    """The whole matrix of a coordinate space as ``MetricSpace`` built it
+    before distances were computed per block: one (n, n, D) difference
+    array summed over its last axis, then the canonical form of a stored
+    matrix. Equal bit for bit to the per-axis sum for D = 1-7; from D = 8
+    numpy sums the last axis pairwise, which may move a distance by one
+    rounding."""
+    coords = np.asarray(coords, dtype=float)
+    with np.errstate(over="ignore"):
+        diff = coords[:, None, :] - coords[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=-1))
+    dist = np.maximum(dist / 2.0 + dist.T / 2.0, 0.0)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def holds_matrix(space: MetricSpace) -> bool:
+    """Whether ``space`` keeps an n x n array besides its coordinates."""
+    n = len(space)
+    return any(isinstance(v, np.ndarray) and v.shape == (n, n) and v is not space.coords
+               for v in vars(space).values())
+
+
 # ---------------------------------------------------------------- ultrametric oracles
 #
 # The tuple-sort Kruskal, the tree-replay bottleneck matrix, both fitters

@@ -11,6 +11,7 @@ from helpers import (
     _DictMaxFlowGraph,
     brute_min_flow,
     cloud_space,
+    holds_matrix,
     line_space,
     random_sampling,
     reference_check_contiguity,
@@ -160,6 +161,21 @@ def test_flow_validate_catches_tampering():
             IntegralFlow(net, amounts, flow.value)
     with pytest.raises(ValidationError, match="flow value"):
         IntegralFlow(net, flow.flow, 2.0)
+
+
+def test_flow_amounts_outside_plain_ints_keep_their_outcome():
+    """Plain ints in 0..value pass one screen; a bool or numpy integer goes
+    through the per-edge check, which refuses the bool at its own edge and
+    takes a numpy integer in range as the same flow."""
+    net = solved_network([["a", "b"], ["a"], ["a", "b"]])
+    flow = min_feasible_flow(net)
+    as_bool = flow.flow[:3] + (True,) + flow.flow[4:]
+    with pytest.raises(ValidationError, match="flow on edge 3 must be an integer in 0..2"):
+        IntegralFlow(net, as_bool, flow.value)
+    as_numpy = flow.flow[:3] + (np.int64(1),) + flow.flow[4:]
+    assert IntegralFlow(net, as_numpy, flow.value) == flow
+    with pytest.raises(ValidationError, match="flow on edge 3 must be an integer in 0..2"):
+        IntegralFlow(net, flow.flow[:3] + (np.int64(3),) + flow.flow[4:], flow.value)
 
 
 def _neighbours(arcs, x):
@@ -587,6 +603,18 @@ def test_certify_refuses_labelings_that_miss_their_levels(labelings, message):
     sol = line_labeled()
     with pytest.raises(CertificationError, match=re.escape(message)):
         certify(sol.local, labelings(sol.labelings))
+
+
+def test_a_flock_pipeline_builds_no_ambient_matrix():
+    """Solving, labeling and certifying a flock read level blocks and
+    adjacent-pair blocks of its coordinate ambient, never the whole matrix;
+    nor do re-reading the sampling and comparing the two ambients."""
+    sampling = run(SimConfig(actor_count=40, seed=0))
+    sol = solve_labeled(sampling)
+    certify(sol.local, sol.labelings)
+    reread = TemporalSampling.from_dict(sampling.to_dict()).ambient
+    assert reread == sampling.ambient
+    assert not holds_matrix(sampling.ambient) and not holds_matrix(reread)
 
 
 def test_forty_actor_labels_keep_their_bits():

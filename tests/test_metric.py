@@ -10,12 +10,15 @@ from helpers import (
     outcome,
     perturb,
     random_space,
+    reference_euclidean,
     reference_space_outcome,
+    run,
     shortest_path_oracle,
 )
 from thclust import (
     TOL,
     MetricSpace,
+    SimConfig,
     TemporalSampling,
     ValidationError,
     hausdorff_distance,
@@ -426,3 +429,53 @@ def test_coordinates_overflowing_beside_a_matrix_are_refused_without_a_warning()
             MetricSpace(["a", "b"], dist=[[0.0, 1e200], [1e200, 0.0]], coords=coords)
         with pytest.raises(ValidationError, match="negative distance at pair"):
             MetricSpace(["a", "b"], dist=[[0.0, -1.0], [-1.0, 0.0]], coords=coords)
+
+
+def _assert_matches_dense_oracle(space: MetricSpace, rng) -> None:
+    """Blocks with repeated and shuffled indices, element pairs, a
+    restriction and the whole matrix equal the dense build bit for bit."""
+    want = reference_euclidean(space.coords)
+    n = len(space)
+    rows, cols = rng.integers(0, n, size=2 * n), rng.permutation(n)
+    assert np.array_equal(space.distances(rows[:, None], cols), want[np.ix_(rows, cols)])
+    assert np.array_equal(space.distances(rows[:n], cols), want[rows[:n], cols])
+    for i, j in zip(rows[:20].tolist(), cols[:20].tolist()):
+        assert space.distance(space.points[i], space.points[j]) == want[i, j]
+    keep = rng.permutation(n)[: max(1, n // 2)]
+    sub = space.restrict([space.points[i] for i in keep])
+    assert np.array_equal(sub.coords, space.coords[keep])
+    assert np.array_equal(sub.distances(np.arange(len(keep))[:, None], np.arange(len(keep))),
+                          want[np.ix_(keep, keep)])
+    assert np.array_equal(sub.dist, want[np.ix_(keep, keep)])
+    assert np.array_equal(space.dist, want)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_coordinate_distances_match_the_dense_oracle(dim):
+    """From coordinate gaps of 1e-162 to 1e-155, whose squares are subnormal
+    or round to zero, up to 1e150; a repeated point gives zero distances."""
+    rng = np.random.default_rng(dim)
+    for scale in (1e-162, 1e-158, 1e-155, 1e-3, 1.0, 1e3, 1e150):
+        for _ in range(4):
+            n = int(rng.integers(2, 30))
+            coords = rng.uniform(-1.0, 1.0, size=(n, dim)) * scale
+            coords[-1] = coords[0]
+            space = MetricSpace([f"p{i}" for i in range(n)], coords=coords, pseudo=True)
+            _assert_matches_dense_oracle(space, rng)
+
+
+@pytest.mark.parametrize("actors", [40, 100])
+def test_flock_distances_match_the_dense_oracle(actors):
+    ambient = run(SimConfig(actor_count=actors, seed=0)).ambient
+    _assert_matches_dense_oracle(ambient, np.random.default_rng(actors))
+
+
+def test_coordinates_whose_bounding_box_overflows_are_checked_pair_by_pair():
+    """The box's diagonal overflows, so no bound clears these coordinates,
+    but every pair's distance is finite."""
+    coords = [[0.0, 0.0], [1.188e154, 0.594e154], [0.594e154, 1.188e154]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        space = MetricSpace(["a", "b", "c"], coords=coords)
+    assert np.isfinite(space.dist).all()
+    assert np.array_equal(space.dist, reference_euclidean(coords))
