@@ -125,17 +125,32 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
     resolved on post-move positions, pair by pair in ident order; an actor
     deleted earlier in the tick takes part in nothing else. Newcomers take
     serials after the largest one alive at the start of the tick. Only the
-    interaction stage draws from ``rng``. The inputs are never written; a
-    malformed state raises :class:`ValidationError`.
+    interaction stage draws from ``rng``. The inputs are never written.
+
+    A malformed state raises :class:`ValidationError`: idents that are not
+    unique strings in sorted order, arrays of another shape, serials or
+    kinds that are not signed integers, kinds outside ``0..TYPE_COUNT - 1``,
+    ``pos`` or ``vel`` that are not floats, a position outside the arena
+    ``[0, arena_side]`` (so NaN too), or a velocity that is not finite.
     """
     idents, serials, kinds, pos, vel = _json_list(state, "state", 5)
-    n = len(idents)
-    if any(a >= b for a, b in zip(idents, idents[1:])):
-        raise ValidationError("state idents must be unique and in sorted order")
-    for name, array, shape in (("serials", serials, (n,)), ("kinds", kinds, (n,)),
-                               ("pos", pos, (n, 2)), ("vel", vel, (n, 2))):
-        if not isinstance(array, np.ndarray) or array.shape != shape:
-            raise ValidationError(f"state {name} must be an array of shape {shape}")
+    n = len(_json_list(idents, "state idents"))
+    if (any(not isinstance(a, str) for a in idents)
+            or any(a >= b for a, b in zip(idents, idents[1:]))):
+        raise ValidationError("state idents must be unique strings in sorted order")
+    ints, floats = ("i", "a signed integer"), ("f", "a float")
+    for name, array, shape, (kind, what) in (("serials", serials, (n,), ints),
+                                             ("kinds", kinds, (n,), ints),
+                                             ("pos", pos, (n, 2), floats),
+                                             ("vel", vel, (n, 2), floats)):
+        if not isinstance(array, np.ndarray) or array.shape != shape or array.dtype.kind != kind:
+            raise ValidationError(f"state {name} must be {what} array of shape {shape}")
+    if n and not 0 <= kinds.min() <= kinds.max() < TYPE_COUNT:
+        raise ValidationError(f"state kinds must lie in 0..{TYPE_COUNT - 1}")
+    if n and not 0.0 <= pos.min() <= pos.max() <= cfg.arena_side:  # NaN fails too
+        raise ValidationError(f"state pos must lie in the arena [0, {cfg.arena_side}]")
+    if not np.isfinite(vel).all():
+        raise ValidationError("state vel must be finite")
     force = np.zeros_like(pos)
     dx, dy, dist = _gaps(pos)
 

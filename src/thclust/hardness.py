@@ -220,7 +220,7 @@ def pad_to_three_colors(graph: Graph, coloring: dict[str, str]) -> dict[str, str
 
 
 def _fit_error(inst: ThcInstance, witness: Witness) -> float:
-    """Worse max-norm fit error of the two levels, points aligned by id."""
+    """Worse max-norm fit error of the two levels, over the instance's point tuples."""
     try:
         return max(linf_distance(inst.level1, witness.u_p),
                    linf_distance(inst.level2, witness.u_v))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metric import TOL, MetricSpace, TemporalSampling, ValidationError
-from .metric import _json_int, _json_list, _json_object, _json_str
+from .metric import _items, _json_int, _json_list, _json_object, _json_str
 from .temporal import (
     Certification,
     CertificationError,
@@ -94,7 +94,7 @@ class IntegralFlow:
     value: int
 
     def __post_init__(self):
-        object.__setattr__(self, "flow", tuple(self.flow))
+        object.__setattr__(self, "flow", _items(self.flow, "flow"))
         edges, size = self.network.edges, self.network.size
         if len(self.flow) != len(edges):
             raise ValidationError(f"flow has {len(self.flow)} amounts for {len(edges)} edges")

@@ -39,17 +39,20 @@ def _scalar_types(value) -> set[type]:
     return types
 
 
-def _float_array(value, what: str) -> np.ndarray:
-    """``value`` as a float array; a ValidationError naming ``what`` unless
-    it is a grid of real numbers. Strings and booleans are refused, not
-    converted: JSON ``"1"`` and ``true`` are no distances."""
+def _number_array(value, what: str, dtype=float) -> np.ndarray:
+    """``value`` as an array of ``dtype``, float or ``np.intp``; a
+    ValidationError naming ``what`` unless it is a grid of real numbers, of
+    integers for ``np.intp``. Strings and booleans are refused, not
+    converted: JSON ``"1"`` and ``true`` are no distances, and ``0.7`` is no
+    index."""
+    number, kind = (numbers.Real, "numbers") if dtype is float else (numbers.Integral, "integers")
     for t in _scalar_types(value):
-        if issubclass(t, (bool, np.bool_)) or not issubclass(t, numbers.Real):
-            raise ValidationError(f"{what} must hold numbers only, got {t.__name__}")
+        if issubclass(t, (bool, np.bool_)) or not issubclass(t, number):
+            raise ValidationError(f"{what} must hold {kind} only, got {t.__name__}")
     try:
-        return np.array(value, dtype=float)
+        return np.array(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} must be a rectangular array of numbers") from None
+        raise ValidationError(f"{what} must be a rectangular array of {kind}") from None
 
 
 def _json_list(value, what: str, size: int | None = None):
@@ -60,6 +63,14 @@ def _json_list(value, what: str, size: int | None = None):
     if size is not None and len(value) != size:
         raise ValidationError(f"{what} must have {size} items, got {len(value)}")
     return value
+
+
+def _items(value, what: str) -> tuple:
+    """The items of any iterable ``value`` as a tuple."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be a list, got {type(value).__name__}") from None
 
 
 def _json_object(value, what: str, required=()) -> dict:
@@ -104,14 +115,21 @@ def shortest_path_closure(weights: np.ndarray) -> np.ndarray:
 
     ``np.inf`` entries mark absent edges. The result is the largest
     pseudometric dominated by the input, which makes this the canonical
-    metric-repair step for perturbed matrices.
+    metric-repair step for perturbed matrices. NaN, a negative weight, or
+    a matrix more than ``TOL`` from symmetric raises :class:`ValidationError`.
     """
-    w = _float_array(weights, "weight matrix")
+    w = _number_array(weights, "weight matrix")
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValidationError("weight matrix must be square")
+    if not (w >= 0).all():  # NaN fails too
+        raise ValidationError("weights must be nonnegative numbers or inf")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN > TOL is False
+        if (np.abs(w - w.T) > TOL).any():
+            raise ValidationError("weight matrix must be symmetric")
     np.fill_diagonal(w, 0.0)
-    for k in range(w.shape[0]):
-        np.minimum(w, w[:, k : k + 1] + w[k : k + 1, :], out=w)
+    with np.errstate(over="ignore"):  # a path longer than the float maximum is inf
+        for k in range(w.shape[0]):
+            np.minimum(w, w[:, k : k + 1] + w[k : k + 1, :], out=w)
     return w
 
 
@@ -121,7 +139,7 @@ def _as_point_tuple(points: Iterable[str], what: str) -> tuple[str, ...]:
     a bare string is one id, not a sequence of them."""
     if isinstance(points, str):
         raise ValidationError(f"{what} must be a list of ids, not a string")
-    pts = tuple(points)
+    pts = _items(points, what)
     for p in pts:
         if not isinstance(p, str):
             raise ValidationError(f"{what} must hold string ids, got {p!r}")
@@ -180,12 +198,11 @@ class MetricSpace:
     points : sequence of str
         Unique point ids, strings only (see :func:`_as_point_tuple`).
     dist : array-like, optional
-        Symmetric nonnegative matrix with zero diagonal. When omitted, the
-        space is a coordinate space: it keeps ``coords`` and computes each
-        distance it is asked for from them (:meth:`distances`).
+        Symmetric nonnegative matrix with zero diagonal: a matrix space.
     coords : array-like, optional
-        One row of Euclidean coordinates per point. When both ``dist`` and
-        ``coords`` are given they must agree within ``TOL``.
+        One row of Euclidean coordinates per point: a coordinate space, which
+        keeps ``coords`` and computes each distance it is asked for from them
+        (:meth:`distances`). Exactly one of ``dist`` and ``coords`` is given.
     pseudo : bool
         Permit zero distance between distinct points.
 
@@ -200,38 +217,26 @@ class MetricSpace:
         self._index = {p: i for i, p in enumerate(self.points)}
         self.pseudo = _json_bool(pseudo, "'pseudo'")
 
+        if (dist is None) == (coords is None):
+            raise ValidationError("provide exactly one of dist and coords")
+        self.coords = self._dist = None
         if coords is not None:
-            coords = _float_array(coords, "coords")
+            coords = _number_array(coords, "coords")
             if coords.ndim != 2 or coords.shape[0] != n:
                 raise ValidationError(
                     f"coords must have one row per point ({n}), got shape {coords.shape}"
                 )
             if not np.isfinite(coords).all():
                 raise ValidationError("coordinates must be finite")
-            coords.setflags(write=False)
-        self.coords = coords
-
-        self._from_coords = dist is None
-        self._dist = None
-        if self._from_coords:
-            if coords is None:
-                raise ValidationError("provide dist or coords")
             _check_coordinates(coords)
+            coords.setflags(write=False)
+            self.coords = coords
         else:
-            dist = _float_array(dist, "distance matrix")
+            dist = _number_array(dist, "distance matrix")
             if dist.shape != (n, n):
                 raise ValidationError(f"distance matrix must be {n}x{n}, got {dist.shape}")
             if validate:
                 self._check_matrix(dist)
-                if coords is not None:
-                    _check_coordinates(coords)
-                    gap = np.abs(_coordinate_matrix(coords) - dist)
-                    if gap.max() > TOL:
-                        i, j = np.unravel_index(int(gap.argmax()), gap.shape)
-                        raise ValidationError(
-                            "coords disagree with distances at pair "
-                            f"({self.points[i]!r}, {self.points[j]!r})"
-                        )
             # Canonicalize: exact symmetry, exact zero diagonal, no negative
             # dust. Halving first keeps entries near the float maximum finite.
             dist = np.maximum(dist / 2.0 + dist.T / 2.0, 0.0)
@@ -262,9 +267,9 @@ class MetricSpace:
         """Distances between the points at the broadcast index arrays
         ``rows`` and ``cols``: read from the matrix of a matrix space,
         computed from the coordinates of a coordinate space."""
-        if self._from_coords:
-            return _coordinate_distances(self.coords, rows, cols)
-        return self.dist[rows, cols]
+        if self.coords is None:
+            return self._dist[rows, cols]
+        return _coordinate_distances(self.coords, rows, cols)
 
     def _check_matrix(self, dist: np.ndarray) -> None:
         if not np.isfinite(dist).all():
@@ -340,11 +345,11 @@ class MetricSpace:
             return NotImplemented
         if self.points != other.points or self.pseudo != other.pseudo:
             return False
-        a, b = self.coords, other.coords
-        if (a is None) != (b is None) or (a is not None and not np.array_equal(a, b)):
+        if (self.coords is None) != (other.coords is None):
             return False
-        # Equal coordinates give two coordinate spaces equal distances.
-        return (self._from_coords and other._from_coords) or np.array_equal(self.dist, other.dist)
+        if self.coords is None:
+            return np.array_equal(self._dist, other._dist)
+        return np.array_equal(self.coords, other.coords)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -362,9 +367,10 @@ class MetricSpace:
         distances; a coordinate space's is a coordinate space."""
         pts = _as_point_tuple(points, "points")
         idx = [self.index_of(p) for p in pts]
-        coords = None if self.coords is None else self.coords[idx]
-        sub = None if self._from_coords else self.dist[np.ix_(idx, idx)]
-        return MetricSpace(pts, dist=sub, coords=coords, pseudo=self.pseudo, validate=False)
+        if self.coords is None:
+            return MetricSpace(pts, dist=self._dist[np.ix_(idx, idx)], pseudo=self.pseudo,
+                               validate=False)
+        return MetricSpace(pts, coords=self.coords[idx], pseudo=self.pseudo, validate=False)
 
     def to_dict(self) -> dict:
         out: dict = {"points": list(self.points)}
@@ -388,24 +394,11 @@ class MetricSpace:
 
 
 def linf_distance(a: MetricSpace, b: MetricSpace) -> float:
-    """Max-norm distance between two spaces over the identical point set,
-    such as a level and its ultrametric fit; point order may differ, the
-    matrices are aligned by id.
-    """
-    pa, ma = a.points, a.dist
-    pb, mb = b.points, b.dist
-    ib = {p: i for i, p in enumerate(pb)}
-    for p in pa:
-        if p not in ib:
-            raise ValidationError(f"point {p!r} missing from second space")
-    if len(pa) != len(pb):
-        ia = set(pa)
-        for p in pb:
-            if p not in ia:
-                raise ValidationError(f"point {p!r} missing from first space")
-    perm = [ib[p] for p in pa]
-    aligned = mb[np.ix_(perm, perm)]
-    return float(np.abs(ma - aligned).max())
+    """Max-norm distance between two spaces over one point tuple, such as a
+    level and its ultrametric fit."""
+    if a.points != b.points:
+        raise ValidationError("linf_distance needs two spaces over the same point tuple")
+    return float(np.abs(a.dist - b.dist).max())
 
 
 def hausdorff_distance(p_ids: Iterable[str], q_ids: Iterable[str], ambient: MetricSpace) -> float:

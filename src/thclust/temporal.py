@@ -18,10 +18,11 @@ from .metric import (
     TemporalSampling,
     ValidationError,
     _json_list,
+    _number_array,
     hausdorff_distance,
     linf_distance,
 )
-from .metric import _as_point_tuple, _json_bool, _json_number, _json_object, _json_str
+from .metric import _as_point_tuple, _items, _json_bool, _json_number, _json_object, _json_str
 from .ultrametric import PseudoUltrametric, fkw_fit, subdominant_ultrametric
 from .ultrametric import Dendrogram, to_dendrogram
 
@@ -53,7 +54,8 @@ class Correspondence:
     right: np.ndarray
 
     def __post_init__(self):
-        cols = [np.asarray(col, dtype=np.intp).reshape(-1) for col in (self.left, self.right)]
+        cols = [_number_array(getattr(self, name), f"correspondence {name}", np.intp).reshape(-1)
+                for name in ("left", "right")]
         for side, col in zip(("first", "second"), cols):
             level = _as_point_tuple(getattr(self, side), f"{side} level")
             if len(col) != len(cols[0]) or not np.all((col >= 0) & (col < len(level))):
@@ -73,10 +75,10 @@ class Correspondence:
         ``second``: the one reader of id pairs."""
         what = "correspondence point"
         read = [[_json_str(p, what) for p in _json_list(pair, "correspondence entry", 2)]
-                for pair in pairs]
+                for pair in _items(pairs, "correspondence")]
         cols = []
         for col, (side, level) in enumerate((("first", first), ("second", second))):
-            index = {p: x for x, p in enumerate(level)}
+            index = {p: x for x, p in enumerate(_as_point_tuple(level, f"{side} level"))}
             if unknown := {pair[col] for pair in read} - index.keys():
                 raise ValidationError(f"correspondence uses unknown {side}-side point "
                                       f"{min(unknown)!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import TOL, MetricSpace, ValidationError, shortest_path_closure
-from .metric import _as_point_tuple, _float_array, _json_int, _json_list, _json_number
+from .metric import _as_point_tuple, _json_int, _json_list, _json_number, _number_array
 from .metric import _json_object
 
 log = logging.getLogger(__name__)
@@ -38,7 +38,7 @@ def validate_ultrametric(mu, points=None):
     below ``TOL`` can add up along a tree path and make the certificate
     refuse a matrix whose every triple passes.
     """
-    m = _float_array(mu, "ultrametric matrix")
+    m = _number_array(mu, "ultrametric matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("ultrametric matrix must be square")
     n = m.shape[0]
@@ -105,7 +105,7 @@ class PseudoUltrametric(MetricSpace):
     def __init__(self, points, mu, validate=True):
         if validate:
             pts = _as_point_tuple(points, "points")
-            ok, triple = validate_ultrametric(_float_array(mu, "height matrix"), points=pts)
+            ok, triple = validate_ultrametric(_number_array(mu, "height matrix"), points=pts)
             if not ok:
                 raise ValidationError(
                     "strong triangle inequality fails at "

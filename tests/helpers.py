@@ -104,8 +104,8 @@ def perturb(space: MetricSpace, eps: float, seed: int) -> MetricSpace:
     shortest-path closure. The closure of a perturbed matrix can drift more
     than ``eps`` below the original (short detours compound), so the offsets
     are halved until the repaired matrix stays within ``eps``; the procedure
-    is deterministic per seed and always terminates because zero offsets
-    reproduce the input exactly.
+    is deterministic per seed and always terminates: at ``eps`` 0, or once
+    the offsets have been halved 80 times, the space itself is returned.
     """
     if not 0 <= eps < np.inf:  # NaN fails too
         raise ValidationError(f"eps must be a finite nonnegative number, got {eps!r}")
@@ -125,10 +125,7 @@ def perturb(space: MetricSpace, eps: float, seed: int) -> MetricSpace:
                 pseudo = space.pseudo or bool(n > 1 and repaired[mask].min() <= TOL)
                 return MetricSpace(space.points, dist=repaired, pseudo=pseudo, validate=False)
             scale *= 0.5
-    return MetricSpace(
-        space.points, dist=space.dist, coords=space.coords,
-        pseudo=space.pseudo, validate=False,
-    )
+    return space
 
 
 def random_sampling(rng, ambient_size=8, min_levels=1, max_levels=4, max_level_size=5):

@@ -479,6 +479,10 @@ MALFORMED = {
                                             "pseudo": "false"}}),
     "fit-pseudo-number": ("fit", {"space": {"points": ["a", "b"], "matrix": [[0, 0], [0, 0]],
                                             "pseudo": 1}}),
+    # a space is a matrix space or a coordinate space, never both
+    "fit-matrix-and-coords": ("fit", {"space": {**_PAIR, "matrix": [[0, 1], [1, 0]]}}),
+    "cluster-matrix-and-coords": ("cluster", {"sampling": {
+        "ambient": {**_PAIR, "matrix": [[0, 1], [1, 0]]}, "levels": [["a", "b"]]}}),
     "reduce-edge-short": ("reduce", {"graph": {"vertices": ["a", "b"], "edges": [["a"]]}}),
     "reduce-dimacs-count": ("reduce", "p edge x 3\n"),
     "reduce-dimacs-short": ("reduce", "p edge 3 5\ne 1 2\n"),

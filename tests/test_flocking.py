@@ -338,6 +338,21 @@ MALFORMED_STATES = {
     "kinds-length": lambda s: (*s[:2], s[2][:4], *s[3:]),
     "vel-list": lambda s: (*s[:4], s[4].tolist()),
     "four-items": lambda s: s[:4],
+    "ident-number": lambda s: ([*s[0][:4], 5], *s[1:]),
+    "idents-string": lambda s: ("abcde", *s[1:]),
+    # positions outside the arena (NaN too), non-finite velocities, kinds
+    # outside 0..3, float serials
+    "pos-nan": lambda s: (*s[:3], np.where(np.eye(5, 2, dtype=bool), np.nan, s[3]), s[4]),
+    "pos-far": lambda s: (*s[:3], np.where(np.eye(5, 2, dtype=bool), 1e308, s[3]), s[4]),
+    "pos-below-zero": lambda s: (*s[:3], np.where(np.eye(5, 2, dtype=bool), -0.5, s[3]), s[4]),
+    "vel-inf": lambda s: (*s[:4], np.where(np.eye(5, 2, dtype=bool), np.inf, s[4])),
+    "vel-minus-inf": lambda s: (*s[:4], -np.full((5, 2), np.inf)),
+    "kind-seven": lambda s: (*s[:2], np.array([2, 1, 7, 1, 2]), *s[3:]),
+    "kind-negative": lambda s: (*s[:2], np.array([2, 1, 0, -1, 2]), *s[3:]),
+    "kinds-float": lambda s: (*s[:2], s[2].astype(float), *s[3:]),
+    "serials-float": lambda s: (s[0], s[1].astype(float), *s[2:]),
+    "serials-unsigned": lambda s: (s[0], s[1].astype(np.uint64), *s[2:]),
+    "pos-int": lambda s: (*s[:3], s[3].astype(int), s[4]),
 }
 
 

@@ -279,6 +279,21 @@ def test_extraction_rejects_witness_over_other_vertices():
     assert not verify_witness(inst, wit, 1.0, 0.0)
 
 
+def test_extraction_rejects_witness_in_another_vertex_order():
+    """The witness's levels are compared with the instance's point tuples,
+    as ``verify_witness`` compares them: not aligned by id."""
+    g = path_graph(4)
+    wit = witness_from_coloring(g, pad_to_three_colors(g, brute_force_3color(g)))
+    order = g.vertices[::-1]
+    flipped = Witness(wit.u_p, PseudoUltrametric(order, wit.u_v.mu[::-1, ::-1]),
+                      Correspondence.from_pairs(wit.corr.pairs, wit.u_p.points, order))
+    inst = reduce_from_graph(g)
+    with pytest.raises(WitnessError, match="differ from the instance"):
+        coloring_from_witness(inst, flipped)
+    assert not verify_witness(inst, flipped, 2.0, 0.0)
+    assert coloring_from_witness(inst, wit)
+
+
 def test_extraction_names_a_vertex_related_to_two_anchors():
     """On anchors 1 apart, flat heights fit within 1 at zero distortion, so
     the relation itself must refuse v0's two anchors. The pairs are read in

@@ -73,13 +73,20 @@ def test_zero_off_diagonal_requires_pseudo_flag():
     assert space.distance("a", "b") == 0.0
 
 
-def test_coords_and_matrix_must_agree():
+def test_matrix_and_coords_together_are_refused():
+    """A space is a matrix space or a coordinate space. Given both, the
+    matrix would be lost on a round trip, as only the coordinates are
+    written; agreeing within ``TOL`` does not help."""
     coords = np.array([[0.0], [1.0]])
-    good = np.array([[0.0, 1.0], [1.0, 0.0]])
-    bad = np.array([[0.0, 1.5], [1.5, 0.0]])
-    MetricSpace(["a", "b"], dist=good, coords=coords)
-    with pytest.raises(ValidationError):
-        MetricSpace(["a", "b"], dist=bad, coords=coords)
+    for gap in (1.0, 1.0 + 5e-10, 1.5):
+        dist = np.array([[0.0, gap], [gap, 0.0]])
+        with pytest.raises(ValidationError, match="exactly one of dist and coords"):
+            MetricSpace(["a", "b"], dist=dist, coords=coords)
+        with pytest.raises(ValidationError, match="exactly one of dist and coords"):
+            MetricSpace.from_dict({"points": ["a", "b"], "matrix": dist.tolist(),
+                                   "coords": coords.tolist()})
+    with pytest.raises(ValidationError, match="exactly one of dist and coords"):
+        MetricSpace(["a", "b"])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -87,9 +94,6 @@ def test_nonfinite_coords_rejected(bad):
     coords = np.array([[0.0], [bad], [1.0]])
     with pytest.raises(ValidationError, match="finite"):
         MetricSpace(["a", "b", "c"], coords=coords)
-    dist = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    with pytest.raises(ValidationError, match="finite"):
-        MetricSpace(["a", "b", "c"], dist=dist, coords=coords)
 
 
 def test_distance_matrix_is_frozen():
@@ -173,6 +177,35 @@ def test_closure_matches_simple_path_oracle():
         MetricSpace([str(i) for i in range(n)], dist=closed)
 
 
+@pytest.mark.parametrize("weights, message", [
+    ([[0, np.nan], [np.nan, 0]], "nonnegative"),
+    ([[np.nan, 1], [1, 0]], "nonnegative"),
+    ([[0, -1], [-1, 0]], "nonnegative"),
+    ([[0, -np.inf], [-np.inf, 0]], "nonnegative"),
+    ([[-1, 1], [1, 0]], "nonnegative"),
+    ([[0, 1], [3, 0]], "symmetric"),
+    ([[0, 1], [1 + 2e-9, 0]], "symmetric"),
+    ([[0, np.inf], [1, 0]], "symmetric"),
+])
+def test_closure_refuses_bad_weights(weights, message):
+    """The closure is the largest pseudometric below a symmetric matrix of
+    nonnegative weights; NaN, a negative weight or an asymmetric matrix has
+    none, so each is refused instead of closed."""
+    with pytest.raises(ValidationError, match=message):
+        shortest_path_closure(weights)
+
+
+def test_closure_keeps_absent_edges_and_long_paths_without_a_warning():
+    big = 1.7e308
+    w = [[0, big, big], [big, 0, np.inf], [big, np.inf, 0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = shortest_path_closure(w)
+        nearly = shortest_path_closure([[0, 1], [1 + 5e-10, 0]])
+    assert np.array_equal(closed, np.where(np.eye(3, dtype=bool), 0.0, w))
+    assert nearly[0, 1] == 1.0 and nearly[1, 0] == 1 + 5e-10
+
+
 def test_perturb_zero_eps_returns_identical_space():
     rng = np.random.default_rng(2)
     space = cloud_space(rng, 6)
@@ -207,17 +240,15 @@ def test_perturb_keeps_pseudo_flag():
     assert moved.pseudo
 
 
-def test_linf_aligns_by_point_id():
-    a = MetricSpace(["x", "y"], dist=np.array([[0.0, 1.0], [1.0, 0.0]]))
-    b = MetricSpace(["y", "x"], dist=np.array([[0.0, 5.0], [5.0, 0.0]]))
-    assert linf_distance(a, b) == 4.0
-
-
-def test_linf_names_missing_point():
-    a = line_space([0.0, 1.0], ids=["a", "b"])
-    b = line_space([0.0, 1.0], ids=["a", "c"])
-    with pytest.raises(ValidationError, match="b"):
-        linf_distance(a, b)
+def test_linf_refuses_spaces_over_other_point_tuples():
+    """Another order of the same points is refused too: no id alignment."""
+    a = line_space([0.0, 1.0], ids=["x", "y"])
+    assert linf_distance(a, MetricSpace(["x", "y"], dist=[[0.0, 5.0], [5.0, 0.0]])) == 4.0
+    for ids in (["y", "x"], ["x", "z"], ["x"], ["x", "y", "z"]):
+        b = line_space(range(len(ids)), ids=ids)
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValidationError, match="same point tuple"):
+                linf_distance(*pair)
 
 
 def test_hausdorff_known_values():
@@ -419,16 +450,14 @@ def test_coordinates_with_overflowing_distances_rejected():
 
 
 def test_coordinates_overflowing_beside_a_matrix_are_refused_without_a_warning():
-    """The agreement check computes the coordinate distances as the derived
-    path does: an overflow is refused as non-finite, not reported as a
-    disagreement, and warns nothing. The matrix itself is checked first."""
+    """Coordinates beside a matrix are refused before either is read: no
+    overflow warning from the coordinates, no verdict on the matrix."""
     coords = [[0.0], [1e200]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="derived from coordinates must be finite"):
-            MetricSpace(["a", "b"], dist=[[0.0, 1e200], [1e200, 0.0]], coords=coords)
-        with pytest.raises(ValidationError, match="negative distance at pair"):
-            MetricSpace(["a", "b"], dist=[[0.0, -1.0], [-1.0, 0.0]], coords=coords)
+        for dist in ([[0.0, 1e200], [1e200, 0.0]], [[0.0, -1.0], [-1.0, 0.0]]):
+            with pytest.raises(ValidationError, match="exactly one of dist and coords"):
+                MetricSpace(["a", "b"], dist=dist, coords=coords)
 
 
 def _assert_matches_dense_oracle(space: MetricSpace, rng) -> None:

@@ -81,6 +81,13 @@ def test_correspondence_sorts_and_dedupes_index_pairs():
     ([0, 1], [-1, 0], "bad second-side indices"),
     ([0, 0], [0, 0], "misses first-side point 'b'"),
     ([], [], "misses first-side point 'a'"),
+    # indices are integers: 0.7 is not truncated, "0" and false are not 0
+    ([0.7, 1.9], [0, 0], "correspondence left must hold integers only, got float"),
+    (np.array([0.0, 1.0]), [0, 0], "correspondence left must hold integers only"),
+    (["0", "1"], [0, 0], "correspondence left must hold integers only, got str"),
+    ([False, True], [0, 0], "correspondence left must hold integers only, got bool"),
+    ([0, 1], [np.nan, 0], "correspondence right must hold integers only, got float"),
+    ([0, 1], [[0], 0], "correspondence right must be a rectangular array of integers"),
 ])
 def test_correspondence_refuses_bad_index_arrays(left, right, message):
     with pytest.raises(ValidationError, match=message):

@@ -150,13 +150,18 @@ def test_pseudo_ultrametric_constructor_validates():
     assert np.array_equal(back.mu, u.mu)
 
 
-def test_fit_is_a_metric_space_aligned_by_id():
+def test_fit_is_a_metric_space_over_its_level_points():
+    """A fit has its level's point tuple, so ``linf_distance`` compares the
+    two; a fit read in another point order is refused, not aligned."""
     space = dense_space(np.random.default_rng(12), 6)
     fit = fkw_fit(space).ultrametric
     assert isinstance(fit, MetricSpace) and fit.mu is fit.dist
+    assert fit.points == space.points and linf_distance(fit, space) > 0.0
     order = list(reversed(space.points))
-    assert linf_distance(fit, space.restrict(order)) == linf_distance(fit, space) > 0.0
-    assert linf_distance(fit, PseudoUltrametric(order, fit.mu[::-1, ::-1])) == 0.0
+    assert linf_distance(fit, PseudoUltrametric(space.points, fit.mu)) == 0.0
+    for other in (space.restrict(order), PseudoUltrametric(order, fit.mu[::-1, ::-1])):
+        with pytest.raises(ValidationError, match="same point tuple"):
+            linf_distance(fit, other)
 
 
 def test_heights_near_float_max_stay_finite():
