@@ -397,7 +397,9 @@ def linf_distance(a: MetricSpace, b: MetricSpace) -> float:
     """Max-norm distance between two spaces over one point tuple, such as a
     level and its ultrametric fit."""
     if a.points != b.points:
-        raise ValidationError("linf_distance needs two spaces over the same point tuple")
+        only = sorted(set(a.points) ^ set(b.points))
+        why = f"{', '.join(map(repr, only))} in one space only" if only else "another order"
+        raise ValidationError(f"linf_distance needs two spaces over the same point tuple: {why}")
     return float(np.abs(a.dist - b.dist).max())
 
 

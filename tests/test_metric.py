@@ -251,6 +251,16 @@ def test_linf_refuses_spaces_over_other_point_tuples():
                 linf_distance(*pair)
 
 
+def test_linf_names_missing_point():
+    a = line_space([0.0, 1.0], ids=["a", "b"])
+    b = line_space([0.0, 1.0], ids=["a", "c"])
+    for pair in ((a, b), (b, a)):
+        with pytest.raises(ValidationError, match="'b', 'c' in one space only"):
+            linf_distance(*pair)
+    with pytest.raises(ValidationError, match="another order"):
+        linf_distance(a, line_space([0.0, 1.0], ids=["b", "a"]))
+
+
 def test_hausdorff_known_values():
     ambient = line_space([0.0, 3.0, 10.0], ids=["a", "b", "c"])
     assert hausdorff_distance(["a"], ["a", "b"], ambient) == 3.0
