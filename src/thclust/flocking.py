@@ -28,6 +28,7 @@ from .metric import MetricSpace, TemporalSampling, ValidationError
 from .metric import _json_int, _json_list, _json_number, _json_object
 
 TYPE_COUNT = 4
+_SPEED_LIMIT = np.sqrt(np.finfo(float).max) / 2  # two squares below it sum to under max / 2
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,8 @@ class SimConfig:
             raise ValidationError("total_ticks must be nonnegative")
         if self.max_speed <= 0:
             raise ValidationError("max_speed must be positive")
+        if self.max_speed > _SPEED_LIMIT / 2:  # clamped velocities stay below step's bound
+            raise ValidationError(f"max_speed must not exceed {_SPEED_LIMIT / 2:.6g}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -131,7 +134,10 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
     unique strings in sorted order, arrays of another shape, serials or
     kinds that are not signed integers, kinds outside ``0..TYPE_COUNT - 1``,
     ``pos`` or ``vel`` that are not floats, a position outside the arena
-    ``[0, arena_side]`` (so NaN too), or a velocity that is not finite.
+    ``[0, arena_side]`` (so NaN too), or a velocity entry not below about
+    6.7e153 in magnitude (NaN too), where the squared speed could overflow.
+    So does a tick that would give a newcomer a serial past the int64
+    maximum.
     """
     idents, serials, kinds, pos, vel = _json_list(state, "state", 5)
     n = len(_json_list(idents, "state idents"))
@@ -149,8 +155,8 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
         raise ValidationError(f"state kinds must lie in 0..{TYPE_COUNT - 1}")
     if n and not 0.0 <= pos.min() <= pos.max() <= cfg.arena_side:  # NaN fails too
         raise ValidationError(f"state pos must lie in the arena [0, {cfg.arena_side}]")
-    if not np.isfinite(vel).all():
-        raise ValidationError("state vel must be finite")
+    if not np.abs(vel).max(initial=0.0) < _SPEED_LIMIT:  # NaN fails too
+        raise ValidationError(f"state vel entries must lie below {_SPEED_LIMIT:.6g} in magnitude")
     force = np.zeros_like(pos)
     dx, dy, dist = _gaps(pos)
 
@@ -213,16 +219,18 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
 
     if parents:
         first, second = np.array(parents).T
-        born = np.arange(len(parents)) + (int(serials.max(initial=-1)) + 1)
+        top = int(serials.max(initial=-1))
+        if top > np.iinfo(np.int64).max - len(parents):
+            raise ValidationError(f"newcomer serials after state serial {top} would pass int64")
+        born = np.arange(len(parents)) + (top + 1)
         idents = [*idents, *(f"a{serial:05d}" for serial in born.tolist())]
         serials = np.concatenate([serials, born])
         kinds = np.concatenate([kinds, born_kinds])
         pos = np.concatenate([pos, (pos[first] + pos[second]) / 2.0])
         vel = np.concatenate([vel, (vel[first] + vel[second]) / 2.0])
     if dead or parents:
-        order = [k for k in range(len(idents)) if k not in dead]
-        if parents:  # past a99999 a newcomer's ident sorts before older ones
-            order.sort(key=idents.__getitem__)
+        # past a99999 a newcomer's ident sorts before older ones
+        order = sorted((k for k in range(len(idents)) if k not in dead), key=idents.__getitem__)
         idents = [idents[k] for k in order]
         serials, kinds, pos, vel = serials[order], kinds[order], pos[order], vel[order]
     return idents, serials, kinds, pos, vel

@@ -8,7 +8,6 @@ locality.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -243,6 +242,11 @@ def min_feasible_flow(network: FlowNetwork) -> IntegralFlow:
     same order (see ``_MaxFlowGraph``); in the feasibility phase these are
     most of the paths, feasibility source to out half to in half to
     feasibility sink.
+
+    Between the phases only the sink-to-source arc is closed: the first
+    returns ``n`` only with every arc out of node 1 and into node 0
+    saturated, so the second never reaches node 0, and node 1, with no
+    residual left and no arc to the source, is a dead end to it.
     """
     n = network.size
     cap = n  # no minimal flow needs more than one unit per point
@@ -260,10 +264,8 @@ def min_feasible_flow(network: FlowNetwork) -> IntegralFlow:
         2 * n + 4)
     if graph.max_flow(1, 0) != n:
         raise RuntimeError("layered instance unexpectedly infeasible")
-    # Freeze the artificial plumbing, then push back value.
+    # Close only the sink->source arc (see the docstring), then push back value.
     res, rev = graph.res, graph.rev
-    for a in itertools.chain(graph.adj[0], graph.adj[1]):
-        res[a] = res[rev[a]] = 0
     back = rev[graph.pos[len(tails) + n]]  # residual of the sink->source arc
     circulating = res[back]
     res[back] = res[rev[back]] = 0

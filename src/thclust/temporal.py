@@ -60,7 +60,7 @@ class Correspondence:
             level = _as_point_tuple(getattr(self, side), f"{side} level")
             if len(col) != len(cols[0]) or not np.all((col >= 0) & (col < len(level))):
                 raise ValidationError(f"correspondence has bad {side}-side indices")
-            if (missed := np.setdiff1d(np.arange(len(level)), col)).size:
+            if (missed := np.flatnonzero(np.bincount(col, minlength=len(level)) == 0)).size:
                 miss = min(level[x] for x in missed)
                 raise ValidationError(f"correspondence misses {side}-side point {miss!r}")
             object.__setattr__(self, side, level)
@@ -278,7 +278,6 @@ def solve_local(sampling: TemporalSampling, scheme: str = "fkw") -> LocalSolutio
 class Certification:
     """Recomputed metrics together with the distortion bound they satisfy."""
 
-    scheme: str
     chi: float
     delta: float
     rho: float
@@ -320,7 +319,6 @@ def evaluate_general(sol: LocalSolution) -> Certification:
                 f"stored {name} {stored:.12g} disagrees with recomputed {got:.12g}"
             )
     return Certification(
-        scheme=sol.scheme,
         chi=chi,
         delta=delta,
         rho=rho,

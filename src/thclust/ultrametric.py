@@ -334,8 +334,7 @@ def fkw_fit(space: MetricSpace) -> FkwFit:
             "clamped %d negative heights at zero (first pair: %s, %s)",
             len(clamped), pts[clamped[0][0]], pts[clamped[0][1]],
         )
-    mu = np.maximum(raw, 0.0)
-    np.fill_diagonal(mu, 0.0)
+    mu = np.maximum(raw, 0.0)  # a diagonal 0.0 - shift <= 0 becomes +0.0
     return FkwFit(PseudoUltrametric(pts, mu, validate=False), shift, len(clamped))
 
 

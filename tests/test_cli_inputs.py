@@ -232,16 +232,13 @@ _STEP_CONFIG = SimConfig(actor_count=8, arena_side=10.0, interact_prob=1.0, inte
                          clump_radius=10.0, avoid_radius=3.0)
 _STEP_STATE = initial_state(_STEP_CONFIG, np.random.default_rng(4))
 
-# Entry values per state field: small ones and refused ones. Finite
-# velocities above about 1e154 are left out, as ``step`` takes them: their
-# squared speed overflows in the speed clamp, which warns and sets the
-# velocity to zero instead of scaling it to ``max_speed``.
+# Entry values per state field: small ones and refused ones.
 _STEP_VALUES = {
     "idents": (5, None, "a00003", "zz", ""),
-    "serials": (-1, 10**6, 0.5, np.nan),
+    "serials": (-1, 10**6, 0.5, np.nan, np.iinfo(np.int64).max),
     "kinds": (-1, 3, 4, 7, 0.5, np.nan),
     "pos": (np.nan, np.inf, -np.inf, 1e308, -1e308, -0.5, 0.0, 10.0, 10.5),
-    "vel": (np.nan, np.inf, -np.inf, 0.0, -50.0, 50.0),
+    "vel": (np.nan, np.inf, -np.inf, 0.0, -50.0, 50.0, 1e154, 1e200, 1e308),
 }
 _STEP_CONTAINERS = (list, tuple, np.array)
 _STEP_DTYPES = (float, np.float32, np.int32, np.uint64, bool, object, str)

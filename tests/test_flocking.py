@@ -55,6 +55,8 @@ def test_config_validation():
         SimConfig(snapshot_interval=0)
     with pytest.raises(ValidationError):
         SimConfig(max_speed=0.0)
+    with pytest.raises(ValidationError, match="max_speed must not exceed"):
+        SimConfig(max_speed=1e154)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -347,6 +349,9 @@ MALFORMED_STATES = {
     "pos-below-zero": lambda s: (*s[:3], np.where(np.eye(5, 2, dtype=bool), -0.5, s[3]), s[4]),
     "vel-inf": lambda s: (*s[:4], np.where(np.eye(5, 2, dtype=bool), np.inf, s[4])),
     "vel-minus-inf": lambda s: (*s[:4], -np.full((5, 2), np.inf)),
+    # finite, but the squared speed would overflow
+    "vel-1e154": lambda s: (*s[:4], np.where(np.eye(5, 2, dtype=bool), 1e154, s[4])),
+    "vel-minus-1e200": lambda s: (*s[:4], np.where(np.eye(5, 2, dtype=bool), -1e200, s[4])),
     "kind-seven": lambda s: (*s[:2], np.array([2, 1, 7, 1, 2]), *s[3:]),
     "kind-negative": lambda s: (*s[:2], np.array([2, 1, 0, -1, 2]), *s[3:]),
     "kinds-float": lambda s: (*s[:2], s[2].astype(float), *s[3:]),
@@ -372,6 +377,30 @@ def test_step_matches_the_oracle_with_a_non_digit_ident():
     for seed in range(6):
         new, old = both_steps(state, busy_config(spawn_prob=1.0, delete_prob=0.5), seed)
         assert new == old
+
+
+def test_step_names_a_serial_that_leaves_no_room_for_a_newcomer():
+    top = np.iinfo(np.int64).max
+    state = flock(
+        ("a00000", 0, 0, (30.5, 30.0), (0.0, 0.0)),
+        ("a00001", top, 0, (30.0, 30.0), (0.0, 0.0)),
+    )
+    message = f"newcomer serials after state serial {top} would pass int64"
+    with pytest.raises(ValidationError, match=message):
+        step(state, busy_config(spawn_prob=1.0, delete_prob=0.0), np.random.default_rng(0))
+    # one below: room for exactly one newcomer
+    state[1][1] = top - 1
+    new = step(state, busy_config(spawn_prob=1.0, delete_prob=0.0), np.random.default_rng(0))
+    assert new[1].tolist() == [0, top - 1, top]
+
+
+def test_step_clamps_speeds_up_to_its_velocity_bound():
+    """Entries just below the bound keep their squared speed finite, and
+    the clamp scales them to ``max_speed`` in their own direction."""
+    v = np.nextafter(np.sqrt(np.finfo(float).max) / 2, 0.0)
+    state = flock(("a00000", 0, 0, (50.0, 50.0), (v, -v)))
+    _, _, _, _, vel = step(state, still_config(max_speed=4.0), np.random.default_rng(0))
+    assert np.allclose(vel, [[4.0 / np.sqrt(2.0), -4.0 / np.sqrt(2.0)]])
 
 
 def test_step_past_a99999_sorts_the_newcomer_first():

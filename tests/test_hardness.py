@@ -215,6 +215,13 @@ def test_verify_rejects_foreign_vertices():
     )
     other = reduce_from_graph(Graph(["x", "y", "z"], []))
     assert not verify_witness(other, wit, 1.0, 0.0)
+    # the instance's own anchors, listed in another order
+    order = wit.u_p.points[::-1]
+    flipped = Witness(PseudoUltrametric(order, wit.u_p.mu[::-1, ::-1]), wit.u_v,
+                      Correspondence.from_pairs(wit.corr.pairs, order, wit.u_v.points))
+    own = reduce_from_graph(complete_graph(3))
+    assert verify_witness(own, wit, 1.0, 0.0)
+    assert not verify_witness(own, flipped, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------- padding

@@ -329,9 +329,10 @@ def test_min_flow_matches_reference_solver_when_value_is_pushed_back(monkeypatch
 
 
 def test_min_flow_matches_reference_solver_on_flock():
-    samp = run(SimConfig(actor_count=30))
-    sol = solve_local(samp)
-    assert_same_flow_as_reference(samp, sol.correspondences)
+    """Flock-sized networks, which the random samplings do not reach."""
+    for actor_count, seed in ((30, 0), (40, 0), (40, 1)):
+        samp = run(SimConfig(actor_count=actor_count, seed=seed))
+        assert_same_flow_as_reference(samp, solve_local(samp).correspondences)
 
 
 # ---------------------------------------------------------------- decomposition
