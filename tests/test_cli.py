@@ -856,6 +856,20 @@ def _bench_run(monkeypatch):
     return module
 
 
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("name", ["flock-label", "fit-large", "cli-session"])
+def test_bench_toy_workloads_run_clean(tmp_path, monkeypatch, name, trace):
+    """Each benchmark workload at its toy size, untraced and traced, passes
+    every check the benchmark makes of its outputs."""
+    bench_run = _bench_run(monkeypatch)
+    spec = json.loads((bench_run.ROOT / "BENCHMARK.json").read_text())
+    record = bench_run.measure(name, seed=3, seconds=0.0, trace=trace, size="toy",
+                               workdir=tmp_path / name, reference=None)
+    assert record["failed"] == 0, record["errors"]
+    assert record["attempted"] >= 1
+    assert bench_run.result_line(record, spec)["correct"]
+
+
 def test_bench_traced_spans_are_all_reached(tmp_path, monkeypatch):
     """Every span the benchmark traces is called by at least one of its
     workloads at toy size, so no per-layer figure reads 0 on working code."""
