@@ -137,7 +137,9 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
     ``[0, arena_side]`` (so NaN too), or a velocity entry not below about
     6.7e153 in magnitude (NaN too), where the squared speed could overflow.
     So does a tick that would give a newcomer a serial past the int64
-    maximum.
+    maximum, or whose forces give an actor a velocity whose squared speed
+    is not finite (the message names the force, the velocity, the weights,
+    ``wall_force`` and ``dt``).
     """
     idents, serials, kinds, pos, vel = _json_list(state, "state", 5)
     n = len(_json_list(idents, "state idents"))
@@ -157,9 +159,7 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
         raise ValidationError(f"state pos must lie in the arena [0, {cfg.arena_side}]")
     if not np.abs(vel).max(initial=0.0) < _SPEED_LIMIT:  # NaN fails too
         raise ValidationError(f"state vel entries must lie below {_SPEED_LIMIT:.6g} in magnitude")
-    force = np.zeros_like(pos)
     dx, dy, dist = _gaps(pos)
-
     same = kinds[:, None] == kinds[None, :]
     rows, cols = np.nonzero(same & (dist <= cfg.clump_radius))
     counts = np.bincount(rows, minlength=n)
@@ -167,26 +167,37 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
     centroid = np.zeros_like(pos)
     np.add.at(centroid, rows, pos[cols])
     centroid[has] /= counts[has, None]
-    force[has] += cfg.clump_weight * (centroid[has] - pos[has])
     rows, cols = np.nonzero(dist <= cfg.avoid_radius)
     offset = np.stack((dx[rows, cols], dy[rows, cols]), axis=1)
     push = -offset / np.maximum(dist[rows, cols], 1e-9)[:, None] ** 2
     total = np.zeros_like(pos)
     np.add.at(total, rows, push)
-    force += cfg.avoid_weight * total
     del dx, dy, dist  # one gaps block alive at a time (see _gaps)
-    for kind in range(TYPE_COUNT):
-        members = kinds == kind
-        if members.any():  # the mean of an empty slice warns
-            mean_vel = vel[members].mean(axis=0)
-            force[members] += cfg.school_weight * (mean_vel - vel[members])
-    margin = 0.05 * cfg.arena_side
-    force += np.where(pos < margin, cfg.wall_force * (margin - pos) / margin, 0.0)
-    top = cfg.arena_side - margin
-    force -= np.where(pos > top, cfg.wall_force * (pos - top) / margin, 0.0)
 
-    vel = vel + force * cfg.dt
-    speed = np.sqrt((vel**2).sum(axis=1))
+    # Huge but finite weights may overflow the force; the speed check refuses it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        force = np.zeros_like(pos)
+        force[has] += cfg.clump_weight * (centroid[has] - pos[has])
+        force += cfg.avoid_weight * total
+        for kind in range(TYPE_COUNT):
+            members = kinds == kind
+            if members.any():  # the mean of an empty slice warns
+                mean_vel = vel[members].mean(axis=0)
+                force[members] += cfg.school_weight * (mean_vel - vel[members])
+        margin = 0.05 * cfg.arena_side
+        force += np.where(pos < margin, cfg.wall_force * (margin - pos) / margin, 0.0)
+        top = cfg.arena_side - margin
+        force -= np.where(pos > top, cfg.wall_force * (pos - top) / margin, 0.0)
+        vel = vel + force * cfg.dt
+        squared = (vel**2).sum(axis=1)
+    if not np.isfinite(squared).all():
+        i = int(np.argmin(np.isfinite(squared)))
+        raise ValidationError(
+            f"tick force {force[i].tolist()} gives actor {idents[i]!r} velocity "
+            f"{vel[i].tolist()}, whose squared speed is not finite; lower clump_weight "
+            f"{cfg.clump_weight:g}, avoid_weight {cfg.avoid_weight:g}, school_weight "
+            f"{cfg.school_weight:g}, wall_force {cfg.wall_force:g} or dt {cfg.dt:g}")
+    speed = np.sqrt(squared)
     over = speed > cfg.max_speed
     if over.any():
         vel[over] *= (cfg.max_speed / speed[over])[:, None]

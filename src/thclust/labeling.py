@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,19 +130,28 @@ class _MaxFlowGraph:
     order. ``pos[k]`` is arc ``k``'s slot and ``rev[a]`` the reverse of slot
     ``a``.
 
+    ``live[u]`` lists the slots of node ``u`` with residual above 0, in slot
+    (head) order. :meth:`_augment` and :meth:`close`, the only writers of
+    ``res`` after construction, keep it so: a slot whose residual falls to 0
+    leaves its list, and one whose residual leaves 0 is inserted in order.
+    The searches walk these lists, so they meet the same arcs with residual
+    in the same order as a scan of every slot that skips the empty ones,
+    and find the same paths without visiting the empty slots.
+
     :meth:`max_flow` requires that no neighbour of the source has an arc to
     the target, so no augmenting path has length 2. It takes a direct
-    source-to-target arc, if any, and the paths of length 3 in one greedy
-    pass before any search. Edmonds-Karp never shortens its paths, so the
-    search would take these first too, in this order: the direct arc until
-    it saturates, then each time through the first source arc in slot order
-    that has residual and whose head ``u`` has an arc with residual, in head
-    order, to a ``v`` with residual into the target. The pass stays on a
-    source arc until it saturates and never returns to it. That is safe: a
-    saturated source arc stays saturated, and a ``u`` with no such ``v``
-    keeps none, because its own arcs change only on a path through it and
-    residuals into the target only fall while the paths have length 3. ``v``
-    is never the source, whose arc into the target is saturated by then.
+    source-to-target arc with residual, if any, and the paths of length 3
+    in one greedy pass before any search. Edmonds-Karp never shortens its
+    paths, so the search would take these first too, in this order: the
+    direct arc until it saturates, then each time through the first source
+    arc in slot order that has residual and whose head ``u`` has an arc
+    with residual, in head order, to a ``v`` with residual into the target.
+    The pass stays on a source arc until it saturates and never returns to
+    it. That is safe: a saturated source arc stays saturated, and a ``u``
+    with no such ``v`` keeps none, because its own arcs change only on a
+    path through it and residuals into the target only fall while the paths
+    have length 3. ``v`` is never the source, whose arc into the target is
+    saturated by then.
     """
 
     def __init__(self, tails, heads, caps, count: int):
@@ -157,6 +167,10 @@ class _MaxFlowGraph:
         rev[pos] = np.roll(pos, m)
         starts = np.searchsorted(tail[order], np.arange(count + 1)).tolist()
         self.adj = [range(starts[u], starts[u + 1]) for u in range(count)]
+        live = np.flatnonzero(res > 0)
+        cuts = np.searchsorted(live, starts).tolist()
+        live = live.tolist()
+        self.live = [live[cuts[u]:cuts[u + 1]] for u in range(count)]
         self.head, self.res, self.rev = head[order].tolist(), res.tolist(), rev.tolist()
         self.pos = pos.tolist()
 
@@ -168,7 +182,8 @@ class _MaxFlowGraph:
         if any(into_t[head[a]] >= 0 for a in adj[s]):
             raise RuntimeError("a neighbour of the source has an arc to the sink")
         # The direct arc, then the paths of length 3 (see the class docstring).
-        total = self._augment([into_t[s]]) if into_t[s] >= 0 else 0
+        direct = into_t[s]
+        total = self._augment([direct]) if direct >= 0 and res[direct] > 0 else 0
         for a in adj[s]:
             for b in adj[head[a]]:
                 if res[a] == 0:
@@ -188,35 +203,52 @@ class _MaxFlowGraph:
 
     def _augment(self, path) -> int:
         """Push the bottleneck of the slots ``path`` along them; return it."""
-        res, rev = self.res, self.rev
+        res, rev, head, live = self.res, self.rev, self.head, self.live
         bottleneck = min(res[a] for a in path)
         for a in path:
+            b = rev[a]  # a runs from head[b] to head[a]
             res[a] -= bottleneck
-            res[rev[a]] += bottleneck
+            if res[a] == 0:
+                arcs = live[head[b]]
+                del arcs[bisect_left(arcs, a)]
+            if res[b] == 0:
+                insort(live[head[a]], b)
+            res[b] += bottleneck
         return bottleneck
+
+    def close(self, a: int) -> int:
+        """Zero the residuals of slot ``a`` and its reverse; return ``a``'s."""
+        res, rev, live = self.res, self.rev, self.live
+        residual = res[a]
+        for b in (a, rev[a]):
+            if res[b] > 0:
+                arcs = live[self.head[rev[b]]]
+                del arcs[bisect_left(arcs, b)]
+                res[b] = 0
+        return residual
 
     def _shortest_path(self, s: int, t: int, into_t: list[int]):
         """BFS from ``s`` that stops at the first node found with residual into ``t``.
 
         ``into_t[v]`` is the arc from ``v`` to ``t``, or -1, and a direct arc
-        from ``s`` to ``t`` is saturated. Returns the arc each reached node
-        was entered by, ``t`` included, or None when ``t`` is unreachable.
+        from ``s`` to ``t`` is saturated. Walks each node's live slots, in
+        head order. Returns the arc each reached node was entered by, ``t``
+        included, or None when ``t`` is unreachable.
         """
-        adj, head, res = self.adj, self.head, self.res
-        via = [-1] * len(adj)
+        live, head, res = self.live, self.head, self.res
+        via = [-1] * len(live)
         via[s] = -2
         queue = [s]
         for u in queue:
-            for a in adj[u]:
-                if res[a] > 0:
-                    v = head[a]
-                    if via[v] == -1:
-                        via[v] = a
-                        b = into_t[v]
-                        if b >= 0 and res[b] > 0:
-                            via[t] = b
-                            return via
-                        queue.append(v)
+            for a in live[u]:
+                v = head[a]
+                if via[v] == -1:
+                    via[v] = a
+                    b = into_t[v]
+                    if b >= 0 and res[b] > 0:
+                        via[t] = b
+                        return via
+                    queue.append(v)
         return None
 
 
@@ -233,17 +265,21 @@ def min_feasible_flow(network: FlowNetwork) -> IntegralFlow:
     fix the augmenting paths and so the flow: the feasibility sink is 0 and
     the feasibility source 1, point node ``x`` enters at ``2 + x`` and
     leaves at ``2 + n + x``, the sink is ``2n + 2`` and the source
-    ``2n + 3``. The breadth-first search scans arcs in head order and stops
-    at the first node it discovers with residual capacity into the target:
-    a search that ran on would pop nodes in discovery order and enter the
-    target from the first of them with such an arc, the same path. No
-    neighbour of either phase's source has an arc to its target, so both
-    phases first take their paths of length 3 in one greedy pass in the
-    same order (see ``_MaxFlowGraph``); in the feasibility phase these are
-    most of the paths, feasibility source to out half to in half to
-    feasibility sink.
+    ``2n + 3``. The breadth-first search walks only the arcs with residual
+    left, each node's in head order, from per-node lists that every
+    augmentation keeps up to date; a scan of all of a node's arcs that
+    skipped the empty ones would meet the same arcs in the same order, so
+    the paths are the same. It stops at the first node it discovers with
+    residual capacity into the target: a search that ran on would pop nodes
+    in discovery order and enter the target from the first of them with
+    such an arc, the same path. No neighbour of either phase's source has
+    an arc to its target, so both phases first take their paths of length 3
+    in one greedy pass in the same order (see ``_MaxFlowGraph``); in the
+    feasibility phase these are most of the paths, feasibility source to
+    out half to in half to feasibility sink.
 
-    Between the phases only the sink-to-source arc is closed: the first
+    Between the phases only the sink-to-source arc is closed, through
+    ``_MaxFlowGraph.close`` so that the lists stay in step: the first
     returns ``n`` only with every arc out of node 1 and into node 0
     saturated, so the second never reaches node 0, and node 1, with no
     residual left and no arc to the source, is a dead end to it.
@@ -266,9 +302,7 @@ def min_feasible_flow(network: FlowNetwork) -> IntegralFlow:
         raise RuntimeError("layered instance unexpectedly infeasible")
     # Close only the sink->source arc (see the docstring), then push back value.
     res, rev = graph.res, graph.rev
-    back = rev[graph.pos[len(tails) + n]]  # residual of the sink->source arc
-    circulating = res[back]
-    res[back] = res[rev[back]] = 0
+    circulating = graph.close(rev[graph.pos[len(tails) + n]])  # the sink->source flow
     returned = graph.max_flow(sink, source)
 
     # residual backward cap equals the flow

@@ -33,8 +33,9 @@ from thclust import (
     shortest_path_closure,
     verify_witness,
 )
+from thclust import labeling
 from thclust.flocking import TYPE_COUNT, SimConfig, initial_state
-from thclust.labeling import ContiguityViolation, IntegralFlow
+from thclust.labeling import ContiguityViolation, IntegralFlow, _MaxFlowGraph
 
 log = logging.getLogger(__name__)
 
@@ -1008,6 +1009,43 @@ def reference_decompose_paths(flow):
     if any(amount != 0 for amount in remaining.values()):
         raise RuntimeError("flow decomposition left residual flow")
     return paths
+
+
+class SlotScanMaxFlowGraph(_MaxFlowGraph):
+    """``_MaxFlowGraph`` with the search that the live-arc lists replaced:
+    each node's slots are scanned in head order and the ones with zero
+    residual skipped, so the search never reads ``live``."""
+
+    def _shortest_path(self, s: int, t: int, into_t: list[int]):
+        adj, head, res = self.adj, self.head, self.res
+        via = [-1] * len(adj)
+        via[s] = -2
+        queue = [s]
+        for u in queue:
+            for a in adj[u]:
+                if res[a] > 0:
+                    v = head[a]
+                    if via[v] == -1:
+                        via[v] = a
+                        b = into_t[v]
+                        if b >= 0 and res[b] > 0:
+                            via[t] = b
+                            return via
+                        queue.append(v)
+        return None
+
+
+def slot_scan_min_feasible_flow(network):
+    """``min_feasible_flow`` with every search a slot scan: the flow that
+    the live-arc searches must return, edge for edge."""
+    with mock.patch.object(labeling, "_MaxFlowGraph", SlotScanMaxFlowGraph):
+        return labeling.min_feasible_flow(network)
+
+
+def live_slots(graph) -> list[list[int]]:
+    """Each node's slots with residual above 0, read off ``res``: what
+    ``graph.live`` must equal."""
+    return [[a for a in slots if graph.res[a] > 0] for slots in graph.adj]
 
 
 # ---------------------------------------------------------------- flocking

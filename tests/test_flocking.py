@@ -403,6 +403,21 @@ def test_step_clamps_speeds_up_to_its_velocity_bound():
     assert np.allclose(vel, [[4.0 / np.sqrt(2.0), -4.0 / np.sqrt(2.0)]])
 
 
+@pytest.mark.parametrize("weight", ["clump_weight", "wall_force"])
+def test_step_refuses_a_tick_whose_force_overflows(weight):
+    """A huge but finite weight overflows the force sum. Nothing warns (the
+    tier-1 suite runs with warnings as errors): the first tick is refused,
+    and the message names the force, the velocity and the weight, instead
+    of the next tick refusing the NaN positions it was handed."""
+    cfg = SimConfig(actor_count=10, total_ticks=3, snapshot_interval=1, **{weight: 1e308})
+    message = rf"tick force \[.*inf.*\] gives actor 'a0000\d' velocity \[.*inf.*\], whose " \
+        rf"squared speed is not finite; lower .*{weight} 1e\+308"
+    with pytest.raises(ValidationError, match=message):
+        run_detailed(cfg)
+    with pytest.raises(ValidationError, match=message):
+        step(initial_state(cfg, np.random.default_rng(0)), cfg, np.random.default_rng(1))
+
+
 def test_step_past_a99999_sorts_the_newcomer_first():
     # string order, not serial order: "a100000" < "a99998"
     state = flock(

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    SlotScanMaxFlowGraph,
     _DictMaxFlowGraph,
     brute_min_flow,
     cloud_space,
     holds_matrix,
     line_space,
+    live_slots,
     random_sampling,
     reference_check_contiguity,
     reference_decompose_paths,
@@ -21,6 +23,7 @@ from helpers import (
     reference_paths_to_labelings,
     run,
     shuffled_levels,
+    slot_scan_min_feasible_flow,
     tuple_edges,
 )
 from thclust import (
@@ -222,11 +225,37 @@ def assert_same_residuals_as_reference(arcs, n, source, sink):
     return graph
 
 
-def test_max_flow_takes_the_reference_paths_on_layered_graphs(monkeypatch):
-    """Graphs s -> A -> B -> t with capacities 1-3: many paths of length 3,
+def layered_arcs(rng):
+    """A graph s -> A -> B -> t with capacities 1-3: many paths of length 3,
     A nodes with no arc into B or whose B nodes fill up, A -> A and B -> A
-    arcs for longer paths, and sometimes a direct s -> t arc. The greedy
-    prefix and the searches after it take the dict solver's paths."""
+    arcs for longer paths, and sometimes a direct s -> t arc. Returns the
+    arcs, the node count, the source and the sink."""
+    a, b = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+    n = a + b + 2
+    nodes = rng.permutation(n).tolist()
+    source, sink, first, second = nodes[0], nodes[1], nodes[2:a + 2], nodes[a + 2:]
+
+    def cap():
+        return int(rng.integers(1, 4))
+
+    arcs = [(source, u, cap()) for u in first] + [(v, sink, cap()) for v in second]
+    for u in first:
+        if rng.random() < 0.8:
+            arcs += [(u, v, cap()) for v in second if rng.random() < 0.5]
+    linked = {(u, v) for u, v, _ in arcs}
+    for u, v in itertools.combinations(first, 2):
+        if rng.random() < 0.2:
+            arcs.append((u, v, cap()) if rng.random() < 0.5 else (v, u, cap()))
+    arcs += [(v, u, cap()) for u in first for v in second
+             if (u, v) not in linked and rng.random() < 0.15]
+    if rng.random() < 0.3:
+        arcs.append((source, sink, cap()))
+    return arcs, n, source, sink
+
+
+def test_max_flow_takes_the_reference_paths_on_layered_graphs(monkeypatch):
+    """The greedy prefix and the searches after it take the dict solver's
+    paths on the graphs of ``layered_arcs``."""
     searched = []
     shortest_path = _MaxFlowGraph._shortest_path
 
@@ -239,31 +268,67 @@ def test_max_flow_takes_the_reference_paths_on_layered_graphs(monkeypatch):
     rng = np.random.default_rng(608)
     longer = direct = 0
     for _ in range(300):
-        a, b = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-        n = a + b + 2
-        nodes = rng.permutation(n).tolist()
-        source, sink, first, second = nodes[0], nodes[1], nodes[2:a + 2], nodes[a + 2:]
-
-        def cap():
-            return int(rng.integers(1, 4))
-
-        arcs = [(source, u, cap()) for u in first] + [(v, sink, cap()) for v in second]
-        for u in first:
-            if rng.random() < 0.8:
-                arcs += [(u, v, cap()) for v in second if rng.random() < 0.5]
-        linked = {(u, v) for u, v, _ in arcs}
-        for u, v in itertools.combinations(first, 2):
-            if rng.random() < 0.2:
-                arcs.append((u, v, cap()) if rng.random() < 0.5 else (v, u, cap()))
-        arcs += [(v, u, cap()) for u in first for v in second
-                 if (u, v) not in linked and rng.random() < 0.15]
-        if rng.random() < 0.3:
-            arcs.append((source, sink, cap()))
-            direct += 1
+        arcs, n, source, sink = layered_arcs(rng)
+        direct += (source, sink) in {(u, v) for u, v, _ in arcs}
         searched.clear()
         assert_same_residuals_as_reference(arcs, n, source, sink)
         longer += any(searched)
     assert longer > 50 and direct > 50
+
+
+def test_live_arc_search_takes_the_slot_scan_paths_on_layered_graphs(monkeypatch):
+    """The graphs of ``layered_arcs``: the same augmenting paths, in the same
+    order, the same value and the same residuals as the slot-scan search."""
+    augmented = []
+    augment = _MaxFlowGraph._augment
+
+    def recording_augment(graph, path):
+        augmented.append((type(graph), tuple(path)))
+        return augment(graph, path)
+
+    monkeypatch.setattr(_MaxFlowGraph, "_augment", recording_augment)
+    rng = np.random.default_rng(608)  # the graphs of the dict-solver test above
+    longer = 0
+    for _ in range(300):
+        arcs, n, source, sink = layered_arcs(rng)
+        columns = np.array(arcs, dtype=np.intp).T
+        augmented.clear()
+        graph, oracle = _MaxFlowGraph(*columns, n), SlotScanMaxFlowGraph(*columns, n)
+        assert graph.max_flow(source, sink) == oracle.max_flow(source, sink)
+        assert graph.res == oracle.res
+        live = [path for kind, path in augmented if kind is _MaxFlowGraph]
+        assert live == [path for kind, path in augmented if kind is SlotScanMaxFlowGraph]
+        longer += any(len(path) > 3 for path in live)
+    assert longer > 50
+
+
+def test_live_lists_hold_the_slots_with_residual(monkeypatch):
+    """After construction, after each augmentation and after the close
+    between the phases, every node's live list is its slots with residual
+    above 0, in slot order: on layered graphs, on a network whose second
+    phase returns value, and on a flock."""
+    calls = []
+
+    def checked(method):
+        def call(graph, *args):
+            result = method(graph, *args)
+            assert graph.live == live_slots(graph)
+            calls.append(method.__name__)
+            return result
+        return call
+
+    for name in ("__init__", "_augment", "close"):
+        monkeypatch.setattr(_MaxFlowGraph, name, checked(getattr(_MaxFlowGraph, name)))
+    rng = np.random.default_rng(610)
+    for _ in range(100):
+        arcs, n, source, sink = layered_arcs(rng)
+        _MaxFlowGraph(*np.array(arcs, dtype=np.intp).T, n).max_flow(source, sink)
+    samp = run(SimConfig(actor_count=40))
+    for net in (pushed_back_network()[0],
+                build_flow_instance(samp, solve_local(samp).correspondences)):
+        min_feasible_flow(net)
+    assert calls.count("__init__") == 102 and calls.count("close") == 2
+    assert calls.count("_augment") > 500 and "_augment" in calls[calls.index("close"):]
 
 
 def test_max_flow_prefix_stays_on_a_source_arc_until_it_saturates():
@@ -305,13 +370,20 @@ def test_min_flow_matches_reference_solver_on_random_samplings():
                 assert_same_flow_as_reference(samp, sol.correspondences)
 
 
-def test_min_flow_matches_reference_solver_when_value_is_pushed_back(monkeypatch):
+def pushed_back_network():
     """A two-level network on which the feasibility phase routes one unit
-    more than the minimum, so the sink-to-source phase has to return it."""
+    more than the minimum, so the sink-to-source phase has to return it;
+    with its sampling, correspondence and correspondence pairs."""
     pairs = [(0, 0), (0, 3), (1, 1), (1, 2), (2, 1), (2, 3), (3, 0), (4, 2), (4, 5), (5, 4)]
     level = [f"p{i}" for i in range(6)]
     samp = TemporalSampling(line_space(range(6)), [level, level])
     corr = Correspondence.from_pairs([(f"p{u}", f"p{v}") for u, v in pairs], level, level)
+    return build_flow_instance(samp, [corr]), samp, corr, pairs
+
+
+def test_min_flow_matches_reference_solver_when_value_is_pushed_back(monkeypatch):
+    """The network of ``pushed_back_network``."""
+    _, samp, corr, pairs = pushed_back_network()
     pushed = []
     max_flow = _MaxFlowGraph.max_flow
 
@@ -326,6 +398,7 @@ def test_min_flow_matches_reference_solver_when_value_is_pushed_back(monkeypatch
     edges = [[12, x] for x in range(6)] + [[u, 6 + v] for u, v in pairs]
     assert net.edges.tolist() == sorted(edges + [[6 + x, 13] for x in range(6)])
     assert reference_min_feasible_flow(net).value == brute_min_flow(net) == 6
+    assert slot_scan_min_feasible_flow(net) == min_feasible_flow(net)
 
 
 def test_min_flow_matches_reference_solver_on_flock():
@@ -333,6 +406,19 @@ def test_min_flow_matches_reference_solver_on_flock():
     for actor_count, seed in ((30, 0), (40, 0), (40, 1)):
         samp = run(SimConfig(actor_count=actor_count, seed=seed))
         assert_same_flow_as_reference(samp, solve_local(samp).correspondences)
+
+
+@pytest.mark.parametrize("actor_count", [40, 100, 200])
+def test_live_arc_flow_equals_slot_scan_flow_on_flock(actor_count):
+    """Whole flows of seed-0 flocks up to the size the dict solver is too
+    slow for: the same flow, edge for edge, value and unit paths as with
+    every search a slot scan."""
+    samp = run(SimConfig(actor_count=actor_count))
+    net = build_flow_instance(samp, solve_local(samp).correspondences)
+    flow, oracle = min_feasible_flow(net), slot_scan_min_feasible_flow(net)
+    assert flow.value == oracle.value
+    assert flow.flow == oracle.flow
+    assert decompose_paths(flow) == decompose_paths(oracle)
 
 
 # ---------------------------------------------------------------- decomposition
