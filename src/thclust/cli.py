@@ -146,14 +146,14 @@ def cmd_fit(args: argparse.Namespace) -> dict:
 
 # ---------------------------------------------------------------- cluster
 
-def _dendrogram_layout(dendrogram: Dendrogram):
-    """Leaf order and node coordinates for drawing: (leaf order, segments).
+def _dendrogram_layout(leaves, merges):
+    """Leaf order and node coordinates for drawing node-numbered merges
+    over ``leaves``: (leaf order, segments).
 
     Leaves sit in the slots of :func:`~thclust.ultrametric._layout`, each
     merge midway between its children. Segments are (x1, h1, x2, h2) in
     leaf-slot and height units.
     """
-    leaves, merges = dendrogram.leaves, dendrogram.node_merges()
     start, _ = _layout(len(leaves), merges)
     order = [""] * len(leaves)
     for leaf, slot in zip(leaves, start):
@@ -234,13 +234,12 @@ def cmd_cluster(args: argparse.Namespace) -> dict:
     levels = []
     panels = []
     for i, (fitted, entry) in enumerate(zip(solution.ultrametrics, document["ultrametrics"])):
-        dendrogram = Dendrogram.from_dict(entry)
-        heights = sorted({h for h, _, _ in dendrogram.merges})
+        heights = sorted({h for h, _, _ in fitted.merges})
         levels.append({
             "dendrogram": entry,
             "cuts": [{"r": h, "blocks": cut_at_height(fitted, h)} for h in heights],
         })
-        order, segments = _dendrogram_layout(dendrogram)
+        order, segments = _dendrogram_layout(fitted.points, fitted.merges)
         colors = {}  # a point's colour follows its smallest label
         for j, point in enumerate(labelings[i].holders if labelings else ()):
             colors.setdefault(point, PALETTE[j % len(PALETTE)])

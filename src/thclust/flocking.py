@@ -137,9 +137,11 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
     ``[0, arena_side]`` (so NaN too), or a velocity entry not below about
     6.7e153 in magnitude (NaN too), where the squared speed could overflow.
     So does a tick that would give a newcomer a serial past the int64
-    maximum, or whose forces give an actor a velocity whose squared speed
-    is not finite (the message names the force, the velocity, the weights,
-    ``wall_force`` and ``dt``).
+    maximum or an ident already held (the message names the largest
+    serial), whose forces give an actor a velocity whose squared speed is
+    not finite (the message names the force, the velocity, the weights,
+    ``wall_force`` and ``dt``), or whose move takes a position past the
+    floats (the message names ``dt`` and ``max_speed``).
     """
     idents, serials, kinds, pos, vel = _json_list(state, "state", 5)
     n = len(_json_list(idents, "state idents"))
@@ -190,18 +192,23 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
         force -= np.where(pos > top, cfg.wall_force * (pos - top) / margin, 0.0)
         vel = vel + force * cfg.dt
         squared = (vel**2).sum(axis=1)
-    if not np.isfinite(squared).all():
-        i = int(np.argmin(np.isfinite(squared)))
+        if not np.isfinite(squared).all():
+            i = int(np.argmin(np.isfinite(squared)))
+            raise ValidationError(
+                f"tick force {force[i].tolist()} gives actor {idents[i]!r} velocity "
+                f"{vel[i].tolist()}, whose squared speed is not finite; lower clump_weight "
+                f"{cfg.clump_weight:g}, avoid_weight {cfg.avoid_weight:g}, school_weight "
+                f"{cfg.school_weight:g}, wall_force {cfg.wall_force:g} or dt {cfg.dt:g}")
+        speed = np.sqrt(squared)
+        over = speed > cfg.max_speed
+        if over.any():
+            vel[over] *= (cfg.max_speed / speed[over])[:, None]
+        pos = pos + vel * cfg.dt  # a huge dt may overflow the move; refused below
+    if not np.isfinite(pos).all():
+        i = int(np.argmin(np.isfinite(pos).all(axis=1)))
         raise ValidationError(
-            f"tick force {force[i].tolist()} gives actor {idents[i]!r} velocity "
-            f"{vel[i].tolist()}, whose squared speed is not finite; lower clump_weight "
-            f"{cfg.clump_weight:g}, avoid_weight {cfg.avoid_weight:g}, school_weight "
-            f"{cfg.school_weight:g}, wall_force {cfg.wall_force:g} or dt {cfg.dt:g}")
-    speed = np.sqrt(squared)
-    over = speed > cfg.max_speed
-    if over.any():
-        vel[over] *= (cfg.max_speed / speed[over])[:, None]
-    pos = pos + vel * cfg.dt
+            f"moving actor {idents[i]!r} at velocity {vel[i].tolist()} for dt {cfg.dt:g} "
+            f"leaves the floats; lower dt or max_speed {cfg.max_speed:g}")
     for _ in range(2):  # one bounce is enough at sane speeds; twice for safety
         under = pos < 0
         pos[under] = -pos[under]
@@ -234,7 +241,12 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
         if top > np.iinfo(np.int64).max - len(parents):
             raise ValidationError(f"newcomer serials after state serial {top} would pass int64")
         born = np.arange(len(parents)) + (top + 1)
-        idents = [*idents, *(f"a{serial:05d}" for serial in born.tolist())]
+        newcomers = [f"a{serial:05d}" for serial in born.tolist()]
+        held = set(idents).intersection(newcomers)
+        if held:
+            raise ValidationError(f"newcomer ident {min(held)!r} after state serial {top} "
+                                  "is already held")
+        idents = [*idents, *newcomers]
         serials = np.concatenate([serials, born])
         kinds = np.concatenate([kinds, born_kinds])
         pos = np.concatenate([pos, (pos[first] + pos[second]) / 2.0])
@@ -278,8 +290,6 @@ def run_detailed(cfg: SimConfig, on_tick=None):
         if on_tick is not None:
             on_tick(tick, len(state[0]))
         if tick % cfg.snapshot_interval == 0:
-            if not state[0]:
-                raise RuntimeError(f"population died out by tick {tick}")
             snapshots.append(state)
 
     point_ids: list[str] = []

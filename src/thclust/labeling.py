@@ -36,7 +36,9 @@ class FlowNetwork:
     ``size`` and the sink ``size + 1``. ``edges`` is a read-only ``(E, 2)``
     array of (tail, head) rows sorted by tail, then head: the source to
     level 1, correspondence pairs, and the last level to the sink. Every
-    point node carries an implicit in-flow lower bound of 1.
+    point node carries an implicit in-flow lower bound of 1. The
+    constructor refuses a row with a node outside ``0..size+1``, into the
+    source or out of the sink.
     """
 
     levels: tuple[tuple[str, ...], ...]
@@ -45,6 +47,14 @@ class FlowNetwork:
 
     def __post_init__(self):
         edges = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        source = len(self.ids)
+        bad = ((edges < 0) | (edges > source + 1)).any(axis=1)
+        bad |= (edges[:, 1] == source) | (edges[:, 0] == source + 1)
+        if bad.any():
+            row = int(bad.argmax())
+            raise ValidationError(
+                f"flow edge {row} {edges[row].tolist()} must join nodes 0..{source + 1} "
+                f"and neither enter the source {source} nor leave the sink {source + 1}")
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
 

@@ -112,11 +112,20 @@ class PseudoUltrametric(MetricSpace):
                     f"({triple[0]!r}, {triple[1]!r}, {triple[2]!r})"
                 )
         super().__init__(points, dist=mu, pseudo=True, validate=False)
+        self._node_merges = None
 
     @property
     def mu(self) -> np.ndarray:
         """The heights, which are this space's distances."""
         return self.dist
+
+    @property
+    def merges(self) -> tuple[tuple[float, int, int], ...]:
+        """The canonical merges (:func:`_merges`) over a minimum spanning tree
+        of the heights, built on first read and kept."""
+        if self._node_merges is None:
+            self._node_merges = tuple(_merges(self.points, *_spanning_tree(self.points, self.mu)))
+        return self._node_merges
 
     def to_dict(self) -> dict:
         return {
@@ -352,8 +361,8 @@ class Dendrogram:
     This class alone owns that reference format. The rest of the module
     numbers nodes instead, leaf ``leaves[x]`` as node x and merge t as node
     n + t; :meth:`node_merges` is the one decoder, used by
-    :meth:`to_ultrametric` and the CLI's drawing, and :func:`to_dendrogram`
-    encodes the merges it builds.
+    :meth:`to_ultrametric`, and :func:`to_dendrogram` encodes an
+    ultrametric's :attr:`~PseudoUltrametric.merges`.
 
     The constructor checks what makes that replay an ultrametric, which is
     therefore not checked again: the merges form one binary tree over the
@@ -433,7 +442,7 @@ class Dendrogram:
 
 
 def to_dendrogram(ultrametric: PseudoUltrametric) -> Dendrogram:
-    """Canonical merge tree of an ultrametric.
+    """Canonical merge tree of an ultrametric: its :attr:`~PseudoUltrametric.merges`.
 
     The merges are the single linkage over a minimum spanning tree of the
     heights: two points share a cluster at height h exactly when the tree
@@ -443,38 +452,28 @@ def to_dendrogram(ultrametric: PseudoUltrametric) -> Dendrogram:
     """
     pts = ultrametric.points
     n = len(pts)
-    merges = _merges(pts, *_spanning_tree(pts, ultrametric.mu))
     return Dendrogram(pts, tuple((h, *(pts[x] if x < n else x - n for x in (a, b)))
-                                 for h, a, b in merges))
+                                 for h, a, b in ultrametric.merges))
 
 
 def cut_at_height(ultrametric: PseudoUltrametric, r: float) -> list[list[str]]:
     """Partition the points into the equivalence classes of ``mu <= r``.
 
     A class is the transitive closure of ``mu <= r + TOL``: noise below
-    ``TOL`` can link a to b and b to c but not a to c. Each class is grown
-    from its first point by breadth-first search, a whole frontier of rows
-    of the (symmetric) relation at a time. Blocks come back with sorted
+    ``TOL`` can link a to b and b to c but not a to c. These are the classes
+    of the spanning-tree edges up to ``r + TOL`` (Gower and Ross, 1969), so
+    of the merges up to it, a prefix of :attr:`~PseudoUltrametric.merges`:
+    runs of :func:`_layout`'s leaf slots, a new one starting at the right
+    child of each merge above ``r + TOL``. Blocks come back with sorted
     member ids, ordered by their first member.
     """
     if not r >= 0:
         raise ValidationError(f"cut height must be a nonnegative number, got {r!r}")
     pts = ultrametric.points
     n = len(pts)
-    close = ultrametric.mu <= r + TOL
-    unassigned = np.ones(n, dtype=bool)
-    blocks = []
-    for i in range(n):
-        if not unassigned[i]:
-            continue
-        members = np.zeros(n, dtype=bool)
-        members[i] = True
-        frontier = members
-        while frontier.any():
-            frontier = close[frontier].any(axis=0) & ~members
-            members |= frontier
-        unassigned &= ~members
-        blocks.append(sorted(pts[j] for j in np.flatnonzero(members)))
+    start, _ = _layout(n, ultrametric.merges)
+    ends = sorted(start[b] for h, _, b in ultrametric.merges if h > r + TOL)
+    blocks = [sorted(pts[x] for x in run) for run in np.split(np.argsort(start[:n]), ends)]
     return sorted(blocks, key=lambda b: b[0])
 
 

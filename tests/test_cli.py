@@ -350,7 +350,8 @@ def test_layout_matches_recursive_walk():
     dendrograms += [to_dendrogram(subdominant_ultrametric(cloud_space(rng, n)))
                     for n in (1, 2, 7, 30)]
     for dendrogram in dendrograms:
-        assert _dendrogram_layout(dendrogram) == reference_dendrogram_layout(dendrogram)
+        assert _dendrogram_layout(dendrogram.leaves, dendrogram.node_merges()) == \
+            reference_dendrogram_layout(dendrogram)
 
 
 def test_layout_of_a_deep_caterpillar_renders():
@@ -359,7 +360,7 @@ def test_layout_of_a_deep_caterpillar_renders():
     leaves = tuple(f"p{i:04d}" for i in range(1200))
     merges = [(1.0, leaves[0], leaves[1])]
     merges += [(float(t + 1), t - 1, leaves[t + 1]) for t in range(1, 1199)]
-    order, segments = _dendrogram_layout(Dendrogram(leaves, tuple(merges)))
+    order, segments = _dendrogram_layout(leaves, Dendrogram(leaves, tuple(merges)).node_merges())
     assert order == list(leaves)
     assert len(segments) == 3 * 1199
     assert segments[-1] == (1197.0, 1199.0, 1199.0, 1199.0)  # the root bar

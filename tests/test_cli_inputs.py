@@ -244,6 +244,17 @@ _STEP_CONTAINERS = (list, tuple, np.array)
 _STEP_DTYPES = (float, np.float32, np.int32, np.uint64, bool, object, str)
 
 
+def test_step_refuses_a_newcomer_whose_ident_is_held():
+    """A last serial of -1 used to make the next newcomer a second
+    ``a00007``, a state the next tick refuses."""
+    idents, serials, kinds, pos, vel = _STEP_STATE
+    serials = serials.copy()
+    serials[-1] = -1
+    with pytest.raises(ValidationError,
+                       match="newcomer ident 'a00007' after state serial 6 is already held"):
+        step((idents, serials, kinds, pos, vel), _STEP_CONFIG, np.random.default_rng(4))
+
+
 @st.composite
 def step_states(draw):
     """``_STEP_STATE`` after one or two edits, each to one field: an entry

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -416,6 +417,22 @@ def test_step_refuses_a_tick_whose_force_overflows(weight):
         run_detailed(cfg)
     with pytest.raises(ValidationError, match=message):
         step(initial_state(cfg, np.random.default_rng(0)), cfg, np.random.default_rng(1))
+
+
+def test_step_refuses_a_move_that_overflows():
+    """``vel * dt`` overflows for a dt of 1e308. Nothing warns, even with
+    warnings as errors, and the tick is refused naming dt and max_speed,
+    where every position used to end silently at [0, 0]."""
+    cfg = SimConfig(actor_count=10, total_ticks=3, snapshot_interval=1, dt=1e308,
+                    clump_weight=0, avoid_weight=0, school_weight=0, wall_force=0)
+    message = r"moving actor 'a0000\d' at velocity \[.*\] for dt 1e\+308 leaves the floats; " \
+        r"lower dt or max_speed 4$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            run_detailed(cfg)
+        with pytest.raises(ValidationError, match=message):
+            step(initial_state(cfg, np.random.default_rng(0)), cfg, np.random.default_rng(1))
 
 
 def test_step_past_a99999_sorts_the_newcomer_first():

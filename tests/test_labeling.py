@@ -30,6 +30,7 @@ from thclust import (
     TOL,
     CertificationError,
     Correspondence,
+    FlowNetwork,
     IntegralFlow,
     Labeling,
     SimConfig,
@@ -99,6 +100,20 @@ def test_build_rejects_noncovering_correspondence():
     other = Correspondence.from_pairs([("a", "a"), ("b", "a")], ("b", "a"), ("a",))
     with pytest.raises(ValidationError, match="correspondence joins other levels"):
         build_flow_instance(samp, (other,))
+
+
+@pytest.mark.parametrize("edges", [[[1, 0], [0, 5]], [[1, 0], [0, -1]],
+                                   [[1, 0], [0, 1]], [[1, 0], [0, 2], [2, 0]]],
+                         ids=["past-sink", "negative", "into-source", "out-of-sink"])
+def test_network_refuses_a_malformed_edge(edges):
+    """A node outside 0..size+1 used to raise IndexError or ValueError in
+    the flow, and an edge into the source or out of the sink RuntimeError."""
+    row = len(edges) - 1
+    with pytest.raises(ValidationError, match=rf"flow edge {row} \[{edges[row][0]}, "
+                                              rf"{edges[row][1]}\] must join nodes 0\.\.2"):
+        FlowNetwork(levels=(("a",),), ids=("a",), edges=edges)
+    assert min_feasible_flow(FlowNetwork(levels=(("a",),), ids=("a",),
+                                         edges=edges[:1] + [[0, 2]])).value == 1
 
 
 # ---------------------------------------------------------------- min flow

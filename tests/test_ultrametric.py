@@ -41,6 +41,7 @@ from thclust import (
     to_dendrogram,
     validate_ultrametric,
 )
+from thclust import ultrametric as ultrametric_module
 from thclust.ultrametric import _certifies, _heights, _merges, _spanning_tree
 
 FIG_MU = np.array(
@@ -678,22 +679,55 @@ def test_spanning_tree_matches_reference():
         assert joined == set(range(len(points)))
 
 
+def _dipped(u, rng):
+    """The replay of ``u``'s dendrogram with every merge lowered by up to
+    TOL / 2, so heights dip below earlier ones by less than TOL."""
+    d = to_dendrogram(u)
+    dips = rng.uniform(0.0, TOL / 2.0, size=len(d.merges))
+    return Dendrogram(d.leaves, tuple((h - dip, a, b) for (h, a, b), dip in zip(d.merges, dips)))
+
+
 def test_cut_matches_reference():
-    """Every distinct merge height of every fit, the fits with sub-TOL
-    noise, and the extremes; then sub-TOL steps that link 0 to 3 only
-    through 1 and 2, so the blocks need the transitive closure."""
+    """Both fits of every space, the fits with sub-TOL noise and the
+    replays of their dendrograms with sub-TOL dips, each cut at 0, inf and
+    every distinct merge height h, h - TOL/2, h + TOL and h + 1.5 TOL; then
+    sub-TOL steps that link 0 to 3 only through 1 and 2, so the blocks need
+    the transitive closure."""
     rng = np.random.default_rng(35)
     for space in differential_spaces():
         fits = [subdominant_ultrametric(space), fkw_fit(space).ultrametric]
-        fits += [_noisy(u, rng) for u in fits]
+        fits += [_noisy(u, rng) for u in fits] + [_dipped(u, rng).to_ultrametric() for u in fits]
         for u in fits:
-            heights = {h for h, _, _ in to_dendrogram(u).merges}
-            for r in (0.0, *sorted(heights), np.inf):
+            heights = np.unique([h for h, _, _ in u.merges])
+            probes = np.concatenate([heights + off * TOL for off in (0.0, -0.5, 1.0, 1.5)])
+            for r in (0.0, *probes[probes >= 0].tolist(), np.inf):
                 assert cut_at_height(u, r) == reference_cut_at_height(u, r)
     chain = PseudoUltrametric(tuple("abcd"), _four_point(1.5 * TOL))
     for r in 1.0 + np.arange(-4, 5) * (TOL / 4.0):
         assert cut_at_height(chain, r) == reference_cut_at_height(chain, r)
     assert cut_at_height(chain, 1.0 - 0.5 * TOL) == [["a", "b", "c", "d"]]
+
+
+def test_merges_are_built_once_per_ultrametric(monkeypatch):
+    """``to_dendrogram`` and repeated cuts read one cached merge list: the
+    spanning tree of the heights is grown on the first read only."""
+    grown = []
+
+    def counted(points, matrix):
+        grown.append(len(points))
+        return _spanning_tree(points, matrix)
+
+    rng = np.random.default_rng(37)
+    fits = [fkw_fit(cloud_space(rng, 30)).ultrametric,
+            subdominant_ultrametric(grid_space(rng, 12)), PseudoUltrametric(FIG_POINTS, FIG_MU)]
+    monkeypatch.setattr(ultrametric_module, "_spanning_tree", counted)
+    for u in fits:
+        dendrogram = to_dendrogram(u)
+        for r in (0.0, *sorted({h for h, _, _ in dendrogram.merges}), np.inf):
+            cut_at_height(u, r)
+        assert to_dendrogram(u) == dendrogram
+        assert u.merges is u.merges
+    assert grown == [30, 12, 5]
 
 
 def test_dendrogram_matches_reference():
