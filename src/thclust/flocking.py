@@ -64,8 +64,8 @@ class SimConfig:
         # The state's (actor_count, 2) float arrays must have a byte size numpy can hold.
         if self.actor_count > np.iinfo(np.intp).max // (2 * np.dtype(float).itemsize):
             raise ValidationError(f"actor_count {self.actor_count} is beyond numpy's array size")
-        if self.arena_side <= 0:
-            raise ValidationError("arena_side must be positive")
+        if not 0 < self.arena_side < _SPEED_LIMIT:  # two squared gaps sum to under max / 2
+            raise ValidationError(f"arena_side must lie in (0, {_SPEED_LIMIT:.6g})")
         if self.dt <= 0:
             raise ValidationError("dt must be positive")
         if self.avoid_radius > self.clump_radius:

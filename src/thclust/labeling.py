@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metric import TOL, MetricSpace, TemporalSampling, ValidationError
-from .metric import _items, _json_int, _json_list, _json_object, _json_str
+from .metric import _items, _json_int, _json_list, _json_object, _json_real, _json_str
 from .temporal import (
     Certification,
     CertificationError,
@@ -442,7 +442,7 @@ def check_contiguity(l1: Labeling, l2: Labeling, delta: float,
     ambient space first (sorted first-level points, then the second level's);
     an unknown point or a NaN ``delta`` raises :class:`ValidationError`.
     """
-    slack = delta + TOL
+    slack = _json_real(delta, "delta") + TOL
     if math.isnan(slack):
         raise ValidationError("contiguity needs a number for delta, got NaN")
     first, second = _holders(l1, ambient), _holders(l2, ambient)
@@ -480,6 +480,8 @@ def certify(local: LocalSolution, labelings=(), delta: float | None = None) -> C
     delta. A failure raises :class:`CertificationError` naming the labeling
     and the smallest offending point, or the broken pair.
     """
+    if delta is not None:
+        delta = _json_real(delta, "delta")
     certification = evaluate_general(local)
     labelings, levels = tuple(labelings), local.sampling.levels
     if not labelings:

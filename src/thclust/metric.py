@@ -92,6 +92,18 @@ def _json_number(value, what: str) -> float:
     return float(value)
 
 
+def _json_real(value, what: str) -> float:
+    """``value`` as a float if it is a real number, inf and NaN left for the
+    caller to judge: never text, a bool, null, a list, or an int too large
+    for a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} {value!r} is too large for a float") from None
+
+
 def _json_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{what} must be an integer, got {value!r}")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import TOL, MetricSpace, ValidationError, shortest_path_closure
-from .metric import _as_point_tuple, _json_int, _json_list, _json_number, _number_array
-from .metric import _json_object
+from .metric import _as_point_tuple, _json_int, _json_list, _json_number, _json_real
+from .metric import _json_object, _number_array
 
 log = logging.getLogger(__name__)
 
@@ -121,8 +121,8 @@ class PseudoUltrametric(MetricSpace):
 
     @property
     def merges(self) -> tuple[tuple[float, int, int], ...]:
-        """The canonical merges (:func:`_merges`) over a minimum spanning tree
-        of the heights, built on first read and kept."""
+        """The canonical merges (:func:`_merges`): a fit's from its own tree,
+        any other's from a minimum spanning tree of the heights on first read."""
         if self._node_merges is None:
             self._node_merges = tuple(_merges(self.points, *_spanning_tree(self.points, self.mu)))
         return self._node_merges
@@ -282,6 +282,15 @@ def _heights(n: int, merges) -> np.ndarray:
     return slots[np.ix_(pos, pos)]
 
 
+def _tree_ultrametric(points, parent, child, weight) -> PseudoUltrametric:
+    """Path-maximum heights of a spanning tree, with its merges: a tree is a
+    minimum spanning tree of its own path-maximum ultrametric (Gower and Ross, 1969)."""
+    merges = tuple(_merges(points, parent, child, weight))
+    fit = PseudoUltrametric(points, _heights(len(points), merges), validate=False)
+    fit._node_merges = merges
+    return fit
+
+
 def subdominant_ultrametric(space: MetricSpace) -> PseudoUltrametric:
     """Largest ultrametric dominated by the given distances.
 
@@ -289,9 +298,7 @@ def subdominant_ultrametric(space: MetricSpace) -> PseudoUltrametric:
     single linkage in fitting terms. The output never exceeds the input
     entrywise and is the unique max-norm-closest such ultrametric.
     """
-    pts = space.points
-    mu = _heights(len(pts), _merges(pts, *minimum_spanning_edges(space)))
-    return PseudoUltrametric(pts, mu, validate=False)
+    return _tree_ultrametric(space.points, *minimum_spanning_edges(space))
 
 
 @dataclass(frozen=True)
@@ -315,7 +322,8 @@ def fkw_fit(space: MetricSpace) -> FkwFit:
     pendant edges honest). Step 3 cuts in descending priority; a pair first
     separated at edge e gets height p(e) minus half the subdominant fitting
     error, clamped at zero. The cut order never changes the result, so the
-    heights are computed directly as tree path maxima over priorities.
+    heights are tree path maxima over the clamped priorities, and a pair is
+    clamped when every priority on its tree path is below the shift.
     """
     pts = space.points
     n = len(pts)
@@ -329,22 +337,22 @@ def fkw_fit(space: MetricSpace) -> FkwFit:
     for p, c in zip(parent[::-1].tolist(), child[::-1].tolist()):
         subtree[p] |= subtree[c]
 
-    priorities = []
-    for c, w in zip(child.tolist(), weight.tolist()):
+    priorities = np.zeros(len(child))
+    for t, (c, w) in enumerate(zip(child.tolist(), weight.tolist())):
         eligible = musub[c] <= w  # ball that makes the edge the bottleneck
         left = eligible & subtree[c]
         right = eligible & ~subtree[c]
-        priorities.append(float(space.dist[np.ix_(left, right)].max()))
+        priorities[t] = space.dist[np.ix_(left, right)].max()
 
-    raw = _heights(n, _merges(pts, parent, child, np.array(priorities))) - shift
-    clamped = np.argwhere(np.triu(raw < 0, 1))
-    if len(clamped):
-        log.info(
-            "clamped %d negative heights at zero (first pair: %s, %s)",
-            len(clamped), pts[clamped[0][0]], pts[clamped[0][1]],
-        )
-    mu = np.maximum(raw, 0.0)  # a diagonal 0.0 - shift <= 0 becomes +0.0
-    return FkwFit(PseudoUltrametric(pts, mu, validate=False), shift, len(clamped))
+    root, size, clamped = list(range(n)), [1] * n, 0
+    for p, c in zip(parent[priorities < shift].tolist(), child[priorities < shift].tolist()):
+        root[c] = root[p]
+        clamped += size[root[p]]
+        size[root[p]] += 1
+    if clamped:
+        log.info("clamped %d negative heights at zero", clamped)
+    ultrametric = _tree_ultrametric(pts, parent, child, np.maximum(priorities - shift, 0.0))
+    return FkwFit(ultrametric, shift, clamped)
 
 
 @dataclass(frozen=True)
@@ -467,6 +475,7 @@ def cut_at_height(ultrametric: PseudoUltrametric, r: float) -> list[list[str]]:
     child of each merge above ``r + TOL``. Blocks come back with sorted
     member ids, ordered by their first member.
     """
+    r = _json_real(r, "cut height")
     if not r >= 0:
         raise ValidationError(f"cut height must be a nonnegative number, got {r!r}")
     pts = ultrametric.points
@@ -495,6 +504,7 @@ def instability_family(n: int, eps: float) -> tuple[MetricSpace, MetricSpace]:
         raise ValidationError(f"n {n} is beyond numpy's array size")
     if n < 5:
         raise ValidationError("family needs n >= 5")
+    eps = _json_real(eps, "eps")
     if not 0 <= eps < 1:
         raise ValidationError("eps must lie in [0, 1)")
     chain = n - 3  # unit edges along the base

@@ -14,9 +14,10 @@ would run for a very long time, so its refusals are tested on their own.
 The library half mutates the same way the JSON arguments of
 ``MetricSpace.from_dict``, ``Dendrogram.from_dict``,
 ``LocalSolution.from_dict``, ``Labeling.from_list``, ``Correspondence``
-and its ``from_pairs``, ``shortest_path_closure`` and ``IntegralFlow``, and
-edits the array state that ``step`` takes. Each call raises
-``ValidationError`` or returns finite outputs.
+and its ``from_pairs``, ``shortest_path_closure``, ``IntegralFlow``, and
+the radii of ``cut_at_height``, ``check_contiguity`` and
+``instability_family``, and edits the array state that ``step`` takes.
+Each call raises ``ValidationError`` or returns finite outputs.
 """
 
 import contextlib
@@ -42,7 +43,10 @@ from thclust import (
     MetricSpace,
     SimConfig,
     ValidationError,
+    check_contiguity,
+    cut_at_height,
     initial_state,
+    instability_family,
     shortest_path_closure,
     solve_labeled,
     step,
@@ -166,9 +170,9 @@ def _finite(*arrays) -> bool:
     return all(np.isfinite(np.asarray(a, dtype=float)).all() for a in arrays)
 
 
-LIBRARY_TARGETS = ("closure", "correspondence", "correspondence-pairs", "dendrogram",
-                   "integral-flow", "labeling", "metric-space-coords", "metric-space-matrix",
-                   "solution")
+LIBRARY_TARGETS = ("closure", "contiguity", "correspondence", "correspondence-pairs", "cut",
+                   "dendrogram", "figure4", "integral-flow", "labeling", "metric-space-coords",
+                   "metric-space-matrix", "solution")
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +210,14 @@ def library_calls():
                            lambda c: c.left.dtype.kind == c.right.dtype.kind == "i"),
         "closure": (shortest_path_closure, {"weights": closure.tolist()},
                     lambda w: not np.isnan(w).any() and (w >= 0).all()),
+        "cut": (functools.partial(cut_at_height, local.ultrametrics[1]), {"r": 1.0},
+                lambda blocks: sorted(p for b in blocks for p in b) == sorted(levels[1])),
+        "contiguity": (functools.partial(check_contiguity, labeled.labelings[0],
+                                         labeled.labelings[1], ambient=sampling.ambient),
+                       {"delta": local.delta},
+                       lambda result: result[0] == (result[1] is None)),
+        "figure4": (instability_family, {"n": 6, "eps": 0.1},
+                    lambda pair: _finite(*(space.dist for space in pair))),
         "integral-flow": (functools.partial(IntegralFlow, flow.network),
                           {"flow": list(flow.flow), "value": flow.value},
                           lambda f: f.value >= 0),

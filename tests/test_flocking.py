@@ -14,6 +14,7 @@ from helpers import (
     state_from_actors,
 )
 from thclust import SimConfig, ValidationError, initial_state, run_detailed, step
+from thclust.flocking import _SPEED_LIMIT
 
 
 def still_config(**overrides):
@@ -68,6 +69,20 @@ def test_config_validation():
 def test_config_rejects_bad_numbers(name, value):
     with pytest.raises(ValidationError, match=name):
         SimConfig(**{name: value})
+
+
+def test_config_refuses_an_arena_whose_squared_gaps_overflow():
+    """A side of 1e308 used to overflow the first tick's squared gaps; just
+    below the bound, a flock runs its ticks without a warning."""
+    with pytest.raises(ValidationError, match=r"arena_side must lie in \(0, 6.7039e\+153\)"):
+        run_detailed(SimConfig(actor_count=10, total_ticks=3, snapshot_interval=1,
+                               arena_side=1e308))
+    with pytest.raises(ValidationError, match="arena_side"):
+        SimConfig(arena_side=_SPEED_LIMIT)
+    side = float(np.nextafter(_SPEED_LIMIT, 0.0))
+    sampling, _ = run_detailed(SimConfig(actor_count=10, total_ticks=3, snapshot_interval=1,
+                                         arena_side=side, interact_prob=1.0))
+    assert np.isfinite(sampling.ambient.dist).all()
 
 
 @pytest.mark.parametrize("count", [10**30, 2**63])

@@ -627,6 +627,19 @@ def test_contiguity_refuses_nan_delta():
         check_contiguity(lab, lab, math.nan, tiny_ambient())
 
 
+@pytest.mark.parametrize("delta", ["1", None, [1.0], True])
+def test_contiguity_and_certify_refuse_a_delta_that_is_no_number(delta):
+    """Text used to raise TypeError, and ``True`` certified at delta 1;
+    ``certify`` reads ``None`` as its own delta."""
+    lab = Labeling(("a", "b"))
+    with pytest.raises(ValidationError, match="delta must be a number"):
+        check_contiguity(lab, lab, delta, tiny_ambient())
+    if delta is not None:
+        sol = line_labeled()
+        with pytest.raises(ValidationError, match="delta must be a number"):
+            certify(sol.local, sol.labelings, delta)
+
+
 def test_contiguity_names_the_first_unknown_point():
     """Sorted first-level points are resolved before the second level's."""
     ambient = tiny_ambient()

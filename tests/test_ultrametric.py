@@ -22,6 +22,7 @@ from helpers import (
     reference_subdominant_ultrametric,
     reference_to_dendrogram,
     reference_validate_ultrametric,
+    run,
     spanning_weight_oracle,
     threshold_components,
     tree_edges,
@@ -30,6 +31,7 @@ from thclust import (
     Dendrogram,
     MetricSpace,
     PseudoUltrametric,
+    SimConfig,
     TOL,
     ValidationError,
     cut_at_height,
@@ -394,6 +396,9 @@ def test_instability_family_validation():
     for n in (6.0, "6", True):
         with pytest.raises(ValidationError, match="n must be an integer"):
             instability_family(n, 0.1)
+    for eps in ("0.1", None, True, [0.1]):
+        with pytest.raises(ValidationError, match="eps must be a number"):
+            instability_family(6, eps)
 
 
 @pytest.mark.parametrize("n", [10**30, 2**32])
@@ -563,6 +568,13 @@ def test_cut_rejects_nan_radius():
         cut_at_height(u, float("nan"))
 
 
+@pytest.mark.parametrize("r", ["1", None, [1.0], True, np.bool_(True), 10**400])
+def test_cut_refuses_a_radius_that_is_no_number(r):
+    """Text, null and lists used to raise TypeError, and ``True`` cut at 1."""
+    with pytest.raises(ValidationError, match="cut height"):
+        cut_at_height(PseudoUltrametric(FIG_POINTS, FIG_MU), r)
+
+
 def test_cut_equals_threshold_components_of_source():
     """Single-linkage identity: blocks of the subdominant at r are the
     connected components of the distance graph thresholded at r."""
@@ -586,6 +598,16 @@ def _noisy(u, rng):
     mu = u.mu + (noise + noise.T) / 2.0
     np.fill_diagonal(mu, 0.0)
     return PseudoUltrametric(u.points, mu)
+
+
+def test_fkw_heights_at_the_shift_are_not_clamped():
+    """Three pairs whose priority equals the shift fit at height exactly 0,
+    which is no clamp: the tree count agrees with the reference's scan."""
+    space = line_space([0.0, 1.0, 2.0, 4.0, 6.0])
+    fit = fkw_fit(space)
+    assert fit.shift == 2.0
+    assert int(np.triu(fit.ultrametric.mu == 0.0, 1).sum()) == 3
+    assert fit.clamped_pairs == 0 == len(reference_fkw_fit(space).clamped_pairs)
 
 
 def test_spanning_tree_and_fits_match_reference():
@@ -709,25 +731,52 @@ def test_cut_matches_reference():
 
 
 def test_merges_are_built_once_per_ultrametric(monkeypatch):
-    """``to_dendrogram`` and repeated cuts read one cached merge list: the
-    spanning tree of the heights is grown on the first read only."""
+    """``to_dendrogram`` and repeated cuts read one cached merge list. A fit
+    takes its merges from its own spanning tree, so it grows that tree only;
+    an ultrametric made from a matrix grows a tree of its heights on the
+    first read only."""
     grown = []
 
     def counted(points, matrix):
         grown.append(len(points))
         return _spanning_tree(points, matrix)
 
-    rng = np.random.default_rng(37)
-    fits = [fkw_fit(cloud_space(rng, 30)).ultrametric,
-            subdominant_ultrametric(grid_space(rng, 12)), PseudoUltrametric(FIG_POINTS, FIG_MU)]
+    def made():
+        """Each ultrametric in turn, made only once the previous one is read."""
+        rng = np.random.default_rng(37)
+        yield fkw_fit(cloud_space(rng, 30)).ultrametric
+        yield subdominant_ultrametric(grid_space(rng, 12))
+        yield matrix_made
+
+    matrix_made = PseudoUltrametric(FIG_POINTS, FIG_MU)  # validation grows a tree of its own
     monkeypatch.setattr(ultrametric_module, "_spanning_tree", counted)
-    for u in fits:
+    for u in made():
         dendrogram = to_dendrogram(u)
         for r in (0.0, *sorted({h for h, _, _ in dendrogram.merges}), np.inf):
             cut_at_height(u, r)
         assert to_dendrogram(u) == dendrogram
         assert u.merges is u.merges
     assert grown == [30, 12, 5]
+
+
+def test_fitted_merges_equal_those_of_a_tree_of_the_heights():
+    """Each fitter takes its merges from its own tree; Prim over the fitted
+    heights, the path every other ultrametric takes, is the oracle. The fits
+    cover both schemes on the differential spaces, integer grids, clouds and
+    the levels of 30-actor flocks, clamped ``fkw`` fits among them."""
+    rng = np.random.default_rng(39)
+    spaces = [*differential_spaces(), *(grid_space(rng, n) for n in range(2, 40, 3)),
+              *(cloud_space(rng, n) for n in range(2, 40, 3))]
+    for seed in range(2):
+        sampling = run(SimConfig(actor_count=30, seed=seed))
+        spaces += [sampling.level_space(i) for i in range(sampling.t)]
+    clamped = 0
+    for space in spaces:
+        fit = fkw_fit(space)
+        clamped += fit.clamped_pairs > 0
+        for u in (fit.ultrametric, subdominant_ultrametric(space)):
+            assert u.merges == tuple(_merges(u.points, *_spanning_tree(u.points, u.mu)))
+    assert clamped >= 10
 
 
 def test_dendrogram_matches_reference():
