@@ -20,6 +20,7 @@ identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -95,37 +96,76 @@ class SimConfig:
         return cls(**data)
 
 
-def _gaps(pos: np.ndarray):
-    """Offsets ``pos[j] - pos[i]`` per axis and their lengths, with an
-    infinite diagonal. ``dx * dx + dy * dy`` has the bits of summing the
-    squares over the last axis of one (n, n, 2) offset array.
+def _gaps(pos: np.ndarray) -> np.ndarray:
+    """Lengths of the offsets ``pos[j] - pos[i]``, with an infinite
+    diagonal. ``dx * dx + dy * dy`` has the bits of summing the squares
+    over the last axis of one (n, n, 2) offset array, and :func:`step`
+    recomputes single pairs with the same expression.
 
-    The three planes share one block. From 74 actors on it exceeds
-    glibc's initial 128 KiB mmap threshold, so freeing it once raises that
-    threshold and the heap trim threshold with it; each later tick then
-    reuses heap memory instead of trimming the heap and faulting its pages
-    back in."""
+    Its two planes share one block, and :func:`step` builds one block per
+    tick. From 91 actors on it exceeds glibc's initial 128 KiB mmap
+    threshold, so freeing it once raises that threshold and the heap trim
+    threshold with it; each later tick then reuses heap memory instead of
+    trimming the heap and faulting its pages back in."""
     n = len(pos)
-    dx, dy, dist = np.empty((3, n, n))
-    np.subtract(pos[None, :, 0], pos[:, None, 0], out=dx)
-    np.subtract(pos[None, :, 1], pos[:, None, 1], out=dy)
-    np.multiply(dx, dx, out=dist)
-    dist += dy * dy
+    d, dist = np.empty((2, n, n))
+    np.subtract(pos[None, :, 0], pos[:, None, 0], out=d)
+    np.multiply(d, d, out=dist)
+    np.subtract(pos[None, :, 1], pos[:, None, 1], out=d)
+    d *= d
+    dist += d
     np.sqrt(dist, out=dist)
     np.fill_diagonal(dist, np.inf)
-    return dx, dy, dist
+    return dist
+
+
+def _reach(cfg: SimConfig) -> float:
+    """A bound on the pre-move gap of any pair whose post-move gap is
+    within ``interact_radius``, so those pairs are found in the pre-move
+    pair list.
+
+    Exactly, an actor moves at most ``max_speed * dt``: the bounces and the
+    clip are 1-Lipschitz per axis and fix the old in-arena position. The
+    rest is rounding, with u = 2**-53:
+    - the clamp leaves a speed within a few u of ``max_speed``, and
+      ``vel * dt`` rounds by u;
+    - ``pos + vel * dt`` rounds by half a spacing of its result, at most
+      ``ulp(arena_side)`` per axis for a move shorter than the arena; a
+      bounce about 0 and the clip are exact, and so is a bounce about
+      ``arena_side`` from within twice it (Sterbenz), so only a move longer
+      than the arena rounds again, by some u of its own length;
+    - each computed gap is within some u of its exact value, up to an
+      absolute 2**-536 where the squares underflow.
+    So two actors' pre-move gap is at most the post-move gap plus
+    ``2 * max_speed * dt`` plus ``2 * sqrt(2) * ulp(arena_side)``, all
+    within tens of u relative and far below 2**-500 absolute; the bound
+    takes 2**-40 relative, 8 ulps of the arena and 2**-500. Terms that
+    overflow make it inf, which takes every pair."""
+    move = 2.0 * float(cfg.max_speed) * float(cfg.dt)
+    span = (float(cfg.interact_radius) + move) * (1.0 + 2.0**-40)
+    return span + 8.0 * math.ulp(float(cfg.arena_side)) + 2.0**-500
 
 
 def step(state, cfg: SimConfig, rng: np.random.Generator):
     """Advance the state ``(idents, serials, kinds, pos, vel)``, kept in
     ident order, by one tick; returns the next state, again in ident order.
 
-    Forces, clamp, move and reflect act on all actors at once. The clump
-    and avoid sums visit only the pairs within their radius, each row in
-    ascending column order: a dense row sum adds the same terms in the same
-    order plus signed zeros, so the bits agree; a zero weight likewise adds
-    only signed zeros to a force that starts at +0.0. Interactions are
-    resolved on post-move positions, pair by pair in ident order; an actor
+    Forces, clamp, move and reflect act on all actors at once. The tick
+    builds one gaps block (:func:`_gaps`), before the move, and takes from
+    it one row-major list of the pairs within ``max(clump_radius, reach)``,
+    where ``reach`` (:func:`_reach`) bounds the pre-move gap of any pair
+    that the move brings within ``interact_radius``. The clump pairs (same
+    kind, within ``clump_radius``), the avoid pairs (within
+    ``avoid_radius``, which ``SimConfig`` keeps at most ``clump_radius``)
+    and the interaction candidates (``i < j``, within ``reach``) are
+    filtered from that list, so each keeps its row-major order. The clump
+    and avoid sums visit each row's pairs in ascending column order: a
+    dense row sum adds the same terms in the same order plus signed zeros,
+    so the bits agree; a zero weight likewise adds only signed zeros to a
+    force that starts at +0.0. Interactions are resolved on post-move
+    positions: each candidate's post-move gap is computed with
+    :func:`_gaps`'s expression, so it has the same bits, and those within
+    ``interact_radius`` interact pair by pair in ident order; an actor
     deleted earlier in the tick takes part in nothing else. Newcomers take
     serials after the largest one alive at the start of the tick. Only the
     interaction stage draws from ``rng``. The inputs are never written.
@@ -161,20 +201,22 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
         raise ValidationError(f"state pos must lie in the arena [0, {cfg.arena_side}]")
     if not np.abs(vel).max(initial=0.0) < _SPEED_LIMIT:  # NaN fails too
         raise ValidationError(f"state vel entries must lie below {_SPEED_LIMIT:.6g} in magnitude")
-    dx, dy, dist = _gaps(pos)
-    same = kinds[:, None] == kinds[None, :]
-    rows, cols = np.nonzero(same & (dist <= cfg.clump_radius))
-    counts = np.bincount(rows, minlength=n)
+    # The one pair list of the tick (see the docstring), in row-major order.
+    dist, reach = _gaps(pos), _reach(cfg)
+    flat = np.flatnonzero(dist <= max(cfg.clump_radius, reach))
+    rows, cols = np.divmod(flat, n)
+    d = dist.ravel()[flat]
+    clump = (d <= cfg.clump_radius) & (kinds[rows] == kinds[cols])
+    counts = np.bincount(rows[clump], minlength=n)
     has = counts > 0
     centroid = np.zeros_like(pos)
-    np.add.at(centroid, rows, pos[cols])
+    np.add.at(centroid, rows[clump], pos[cols[clump]])
     centroid[has] /= counts[has, None]
-    rows, cols = np.nonzero(dist <= cfg.avoid_radius)
-    offset = np.stack((dx[rows, cols], dy[rows, cols]), axis=1)
-    push = -offset / np.maximum(dist[rows, cols], 1e-9)[:, None] ** 2
+    avoid = d <= cfg.avoid_radius  # within the list: avoid_radius <= clump_radius
+    offset = pos[cols[avoid]] - pos[rows[avoid]]
+    push = -offset / np.maximum(d[avoid], 1e-9)[:, None] ** 2
     total = np.zeros_like(pos)
-    np.add.at(total, rows, push)
-    del dx, dy, dist  # one gaps block alive at a time (see _gaps)
+    np.add.at(total, rows[avoid], push)
 
     # Huge but finite weights may overflow the force; the speed check refuses it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -221,8 +263,15 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
     dead: set[int] = set()
     parents: list[tuple[int, int]] = []
     born_kinds: list[int] = []
-    _, _, near = _gaps(pos)
-    for i, j in np.argwhere(np.triu(near <= cfg.interact_radius, 1)).tolist():
+    reached = (rows < cols) & (d <= reach)
+    rows, cols = rows[reached], cols[reached]
+    ex = pos[cols, 0] - pos[rows, 0]  # _gaps's expression, so the same bits
+    ey = pos[cols, 1] - pos[rows, 1]
+    near = ex * ex
+    near += ey * ey
+    np.sqrt(near, out=near)
+    close = near <= cfg.interact_radius
+    for i, j in zip(rows[close].tolist(), cols[close].tolist()):
         if i in dead or j in dead:
             continue
         if rng.random() >= cfg.interact_prob:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metric import TOL, MetricSpace, TemporalSampling, ValidationError
-from .metric import _items, _json_int, _json_list, _json_object, _json_real, _json_str
+from .metric import _as_point_tuple, _items, _json_int, _json_list, _json_object
+from .metric import _json_real, _json_str
 from .temporal import (
     Certification,
     CertificationError,
@@ -36,9 +37,15 @@ class FlowNetwork:
     ``size`` and the sink ``size + 1``. ``edges`` is a read-only ``(E, 2)``
     array of (tail, head) rows sorted by tail, then head: the source to
     level 1, correspondence pairs, and the last level to the sink. Every
-    point node carries an implicit in-flow lower bound of 1. The
-    constructor refuses a row with a node outside ``0..size+1``, into the
-    source or out of the sink.
+    point node carries an implicit in-flow lower bound of 1.
+
+    The constructor sorts the rows and refuses, with
+    :class:`ValidationError`, anything else: ``ids`` that are not the
+    levels' points in that order, a node that is no integer in
+    ``0..size+1``, an edge into the source or out of the sink, an edge that
+    does not run from one layer to the next (so no pair is joined both
+    ways), a repeated edge, and a point with no edge in or no edge out.
+    So every network it makes has a feasible flow.
     """
 
     levels: tuple[tuple[str, ...], ...]
@@ -46,8 +53,24 @@ class FlowNetwork:
     edges: np.ndarray
 
     def __post_init__(self):
-        edges = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        source = len(self.ids)
+        levels = tuple(_as_point_tuple(level, f"network level {i}")
+                       for i, level in enumerate(_items(self.levels, "network levels")))
+        if not levels:
+            raise ValidationError("a flow network needs at least one level")
+        ids = tuple(p for level in levels for p in sorted(level))
+        if _items(self.ids, "network ids") != ids:
+            raise ValidationError("network ids must be the levels' points, level by level "
+                                  "and by sorted id inside a level")
+        edges = self.edges
+        if not (isinstance(edges, np.ndarray) and edges.dtype.kind == "i"
+                and edges.ndim == 2 and edges.shape[1] == 2):
+            if isinstance(edges, np.ndarray):
+                edges = edges.tolist()
+            # object entries keep ints of any size for the range check
+            edges = np.array([[_json_int(x, "flow edge node") for x in
+                               _json_list(row, "flow edge", 2)] for row in
+                              _json_list(edges, "flow edges")], dtype=object).reshape(-1, 2)
+        source = len(ids)
         bad = ((edges < 0) | (edges > source + 1)).any(axis=1)
         bad |= (edges[:, 1] == source) | (edges[:, 0] == source + 1)
         if bad.any():
@@ -55,7 +78,25 @@ class FlowNetwork:
             raise ValidationError(
                 f"flow edge {row} {edges[row].tolist()} must join nodes 0..{source + 1} "
                 f"and neither enter the source {source} nor leave the sink {source + 1}")
+        edges = edges.astype(np.intp)
+        edges = edges[np.lexsort(edges.T[::-1])]
+        t = len(levels)
+        layer = np.concatenate((np.repeat(np.arange(t), [len(level) for level in levels]),
+                                [-1, t]))
+        for fault, at in (("must run from the source to level 0, from a level to the next, "
+                           "or from the last level to the sink",
+                           layer[edges[:, 1]] != layer[edges[:, 0]] + 1),
+                          ("is repeated", np.append(False, (edges[1:] == edges[:-1]).all(1)))):
+            if at.any():
+                raise ValidationError(f"flow edge {edges[at.argmax()].tolist()} {fault}")
+        for side, end in (("in", 1), ("out", 0)):
+            lonely = np.bincount(edges[:, end], minlength=source + 2)[:source] == 0
+            if lonely.any():
+                x = int(lonely.argmax())
+                raise ValidationError(f"point {ids[x]!r} (node {x}) has no flow edge {side}")
         edges.setflags(write=False)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "edges", edges)
 
     @property
@@ -84,9 +125,7 @@ def build_flow_instance(sampling: TemporalSampling,
         _require_levels(corr, *sampling.levels[i:i + 2])
         edges.append(np.column_stack((nodes[i][corr.left], nodes[i + 1][corr.right])))
     edges.append(np.column_stack((nodes[-1], np.full(len(nodes[-1]), sink))))
-    edges = np.concatenate(edges)
-    return FlowNetwork(levels=sampling.levels, ids=tuple(ids),
-                       edges=edges[np.lexsort(edges.T[::-1])])
+    return FlowNetwork(levels=sampling.levels, ids=tuple(ids), edges=np.concatenate(edges))
 
 
 def _is_count(amount) -> bool:
@@ -361,10 +400,20 @@ class Labeling:
     """One level's labels 1..k: ``holders[j - 1]`` is the point holding label j.
 
     Each label has exactly one holder, so the labels partition 1..k over the
-    points named; ``labels`` is the per-point view.
+    points named; ``labels`` is the per-point view. Holders that are not
+    string ids, or a bare string, raise :class:`ValidationError`.
     """
 
     holders: tuple[str, ...] = field(repr=False)
+
+    def __post_init__(self):
+        if isinstance(self.holders, str):
+            raise ValidationError("labeling holders must be a list of ids, not a string")
+        holders = _items(self.holders, "labeling holders")
+        for j, point in enumerate(holders, start=1):
+            if not isinstance(point, str):
+                raise ValidationError(f"label {j} holder must be a string id, got {point!r}")
+        object.__setattr__(self, "holders", holders)
 
     @property
     def k(self) -> int:

@@ -166,11 +166,13 @@ def distortion(u1: PseudoUltrametric, u2: PseudoUltrametric, corr: Correspondenc
 class LocalSolution:
     """Per-level ultrametrics plus adjacent correspondences and their metrics.
 
-    Checked when made, by ``dataclasses.replace`` too: ``scheme`` is one of
-    :data:`SCHEMES`, ultrametric i has exactly level i's point tuple, and
-    correspondence i joins levels i and i + 1. ``delta_vacuous`` marks the
-    single-level case, where delta is reported as 0 by convention. A document
-    stores each level as its dendrogram (format 1: a height matrix, still read).
+    Checked when made, by ``dataclasses.replace`` too: chi, delta and rho
+    are finite numbers (no text, bool or None; stored as floats),
+    ``scheme`` is one of :data:`SCHEMES`, ultrametric i has exactly level
+    i's point tuple, and correspondence i joins levels i and i + 1.
+    ``delta_vacuous`` marks the single-level case, where delta is reported
+    as 0 by convention. A document stores each level as its dendrogram
+    (format 1: a height matrix, still read).
     """
 
     sampling: TemporalSampling
@@ -182,6 +184,8 @@ class LocalSolution:
     rho: float
 
     def __post_init__(self):
+        for name in ("chi", "delta", "rho"):
+            object.__setattr__(self, name, _json_number(getattr(self, name), f"stored {name}"))
         _require_scheme(self.scheme)
         levels = self.sampling.levels
         if len(self.ultrametrics) != len(levels):
@@ -233,7 +237,7 @@ class LocalSolution:
                 for u in _json_list(data["ultrametrics"], "ultrametrics")
             ),
             correspondences=corrs,
-            **{name: _json_number(data[name], f"stored {name}") for name in metrics},
+            **{name: data[name] for name in metrics},
         )
         vacuous = _json_bool(data.get("delta_vacuous", solution.delta_vacuous), "'delta_vacuous'")
         if vacuous != solution.delta_vacuous:

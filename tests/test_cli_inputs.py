@@ -12,12 +12,16 @@ or 2, and an input error (exit 1) is printed as ``input error:`` or
 would run for a very long time, so its refusals are tested on their own.
 
 The library half mutates the same way the JSON arguments of
-``MetricSpace.from_dict``, ``Dendrogram.from_dict``,
-``LocalSolution.from_dict``, ``Labeling.from_list``, ``Correspondence``
-and its ``from_pairs``, ``shortest_path_closure``, ``IntegralFlow``, and
-the radii of ``cut_at_height``, ``check_contiguity`` and
-``instability_family``, and edits the array state that ``step`` takes.
-Each call raises ``ValidationError`` or returns finite outputs.
+``MetricSpace.from_dict``, ``Dendrogram.from_dict``, ``LocalSolution``
+and its ``from_dict``, ``Labeling`` and its ``from_list``,
+``Correspondence`` and its ``from_pairs``, ``shortest_path_closure``,
+``FlowNetwork``, ``IntegralFlow``, and the radii of ``cut_at_height``,
+``check_contiguity`` and ``instability_family``, and edits the array
+state that ``step`` takes. Each call raises ``ValidationError`` or
+returns outputs that their consumers take: finite numbers, a flow network
+that ``min_feasible_flow`` and ``decompose_paths`` run on, and solutions
+and labelings that ``certify`` passes or refuses with
+``CertificationError``.
 """
 
 import contextlib
@@ -35,18 +39,23 @@ from hypothesis import strategies as st
 
 from helpers import cloud_space, dense_space, perturb, run
 from thclust import (
+    CertificationError,
     Correspondence,
     Dendrogram,
+    FlowNetwork,
     IntegralFlow,
     Labeling,
     LocalSolution,
     MetricSpace,
     SimConfig,
     ValidationError,
+    certify,
     check_contiguity,
     cut_at_height,
+    decompose_paths,
     initial_state,
     instability_family,
+    min_feasible_flow,
     shortest_path_closure,
     solve_labeled,
     step,
@@ -170,8 +179,18 @@ def _finite(*arrays) -> bool:
     return all(np.isfinite(np.asarray(a, dtype=float)).all() for a in arrays)
 
 
+def _certifies_or_refuses(local, labelings=()) -> bool:
+    """``certify`` passes or raises ``CertificationError``, and nothing else."""
+    try:
+        certify(local, labelings)
+    except CertificationError:
+        pass
+    return True
+
+
 LIBRARY_TARGETS = ("closure", "contiguity", "correspondence", "correspondence-pairs", "cut",
-                   "dendrogram", "figure4", "integral-flow", "labeling", "metric-space-coords",
+                   "dendrogram", "figure4", "flow-network", "integral-flow", "labeling",
+                   "labeling-holders", "local-solution", "metric-space-coords",
                    "metric-space-matrix", "solution")
 
 
@@ -221,6 +240,21 @@ def library_calls():
         "integral-flow": (functools.partial(IntegralFlow, flow.network),
                           {"flow": list(flow.flow), "value": flow.value},
                           lambda f: f.value >= 0),
+        "flow-network": (FlowNetwork, {"levels": [list(level) for level in levels],
+                                       "ids": list(flow.network.ids),
+                                       "edges": flow.network.edges.tolist()},
+                         lambda net: len(decompose_paths(min_feasible_flow(net))) <= net.size),
+        "local-solution": (functools.partial(LocalSolution, sampling,
+                                             ultrametrics=local.ultrametrics,
+                                             correspondences=local.correspondences),
+                           {"scheme": local.scheme, "chi": local.chi, "delta": local.delta,
+                            "rho": local.rho},
+                           lambda sol: _finite(sol.chi, sol.delta, sol.rho)
+                           and _certifies_or_refuses(sol)),
+        "labeling-holders": (Labeling, {"holders": list(labeled.labelings[1].holders)},
+                             lambda labeling: _certifies_or_refuses(
+                                 local, (labeled.labelings[0], labeling,
+                                         *labeled.labelings[2:]))),
     }
 
 

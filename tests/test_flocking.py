@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from helpers import (
     run,
     state_from_actors,
 )
-from thclust import SimConfig, ValidationError, initial_state, run_detailed, step
+from thclust import SimConfig, ValidationError, flocking, initial_state, run_detailed, step
 from thclust.flocking import _SPEED_LIMIT
 
 
@@ -461,6 +462,47 @@ def test_step_past_a99999_sorts_the_newcomer_first():
     assert [ident for ident, *_ in new[0]] == ["a100000", "a99998", "a99999"]
 
 
+def test_step_builds_one_gaps_block_per_tick(monkeypatch):
+    """The clump, avoid and interaction pairs all come from the one
+    pre-move block; the post-move gaps are computed per candidate pair."""
+    blocks, gaps = [], flocking._gaps
+
+    def counted(pos):
+        blocks.append(len(pos))
+        return gaps(pos)
+
+    monkeypatch.setattr(flocking, "_gaps", counted)
+    cfg = SimConfig(actor_count=30, total_ticks=20, snapshot_interval=10, seed=3)
+    populations = []
+    run_detailed(cfg, on_tick=lambda tick, population: populations.append(population))
+    assert blocks == [30, *populations[:-1]]
+
+
+def test_step_finds_pairs_that_rounding_brings_within_the_interact_radius():
+    """Two actors move head-on, along one axis, from a gap a few spacings of
+    ``arena_side`` off ``interact_radius + 2 * max_speed * dt``, at arena
+    sides from 1e2 to 1e13 and speeds at and above ``max_speed``. The move
+    rounds positions at the arena's scale, so some pairs whose gap exceeds
+    that sum still end within ``interact_radius`` and spawn; ``step`` must
+    find them in its pre-move pair list, as the dense oracle does."""
+    radius, dt, beyond = 1.0, 0.1, 0
+    for exponent, max_speed, factor, axis, k in itertools.product(
+            range(2, 14), (4.0, 3.3, 0.7), (1.0, 1.5), (0, 1), range(-3, 4)):
+        side = 10.0**exponent
+        cfg = still_config(arena_side=side, max_speed=max_speed, dt=dt, interact_prob=1.0,
+                           spawn_prob=1.0, interact_radius=radius)
+        spacing = np.spacing(side)
+        gap = (np.round((radius + 2 * max_speed * dt) / spacing) + k) * spacing
+        pos, vel = np.full((2, 2), side / 2), np.zeros((2, 2))
+        pos[:, axis] = 0.75 * side, 0.75 * side + gap
+        vel[:, axis] = factor * max_speed, -factor * max_speed
+        new, old = both_steps(flock(("a00000", 0, 0, pos[0], vel[0]),
+                                    ("a00001", 1, 0, pos[1], vel[1])), cfg)
+        assert new == old, (side, max_speed, factor, axis, k)
+        beyond += len(new[0]) == 3 and gap > radius + 2 * max_speed * dt
+    assert beyond >= 10
+
+
 DIFFERENTIAL_CONFIGS = {
     "100-actors-seed-0": dict(actor_count=100, seed=0),
     "100-actors-seed-1": dict(actor_count=100, seed=1),
@@ -477,6 +519,16 @@ DIFFERENTIAL_CONFIGS = {
     "tiny-arena": dict(actor_count=20, arena_side=0.5, clump_radius=0.3, avoid_radius=0.1,
                        interact_radius=0.02, max_speed=8.0, total_ticks=100,
                        snapshot_interval=20, seed=10),
+    "interact-beyond-clump": dict(actor_count=30, interact_radius=20.0, clump_radius=8.0,
+                                  avoid_radius=2.0, total_ticks=100, snapshot_interval=20,
+                                  seed=11),
+    "all-radii-0": dict(actor_count=20, clump_radius=0.0, avoid_radius=0.0, interact_radius=0.0,
+                        total_ticks=50, snapshot_interval=10, seed=12),
+    # the pair list's reach overflows to inf and takes every pair, the diagonal too
+    "interact-radius-near-max": dict(actor_count=10, interact_radius=sys.float_info.max,
+                                     interact_prob=0.05, spawn_prob=0.2, total_ticks=20,
+                                     snapshot_interval=5, seed=13),
+    "200-actors-seed-0": dict(actor_count=200, seed=0),
 }
 
 
@@ -504,6 +556,8 @@ def test_run_detailed_matches_the_actor_list_oracle(name):
         assert sizes[-1] > 2 * sizes[0]
     if name == "delete-heavy":
         assert sizes[-1] < sizes[0]
+    if name == "interact-radius-near-max":
+        assert sizes[-1] != sizes[0]
 
 
 def test_forty_actor_run_keeps_its_bits():

@@ -116,6 +116,62 @@ def test_network_refuses_a_malformed_edge(edges):
                                          edges=edges[:1] + [[0, 2]])).value == 1
 
 
+def test_network_sorts_its_rows():
+    """Every row permutation of a flock's network used to end in
+    ``RuntimeError: flow decomposition stuck at node ...``."""
+    sampling = run(SimConfig(actor_count=8, total_ticks=100, seed=0))
+    net = build_flow_instance(sampling, solve_local(sampling).correspondences)
+    paths = decompose_paths(min_feasible_flow(net))
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        shuffled = FlowNetwork(net.levels, net.ids, net.edges[rng.permutation(len(net.edges))])
+        assert np.array_equal(shuffled.edges, net.edges)
+        assert decompose_paths(min_feasible_flow(shuffled)) == paths
+    listed = FlowNetwork([list(level) for level in net.levels], list(net.ids),
+                         net.edges[::-1].tolist())
+    assert listed.levels == net.levels and listed.ids == net.ids
+    assert np.array_equal(listed.edges, net.edges)
+
+
+# Two levels ("a", "b") and ("a",): points 0, 1 and 2, source 3, sink 4.
+_LEVELS, _IDS = [["a", "b"], ["a"]], ["a", "b", "a"]
+_EDGES = [[3, 0], [3, 1], [0, 2], [1, 2], [2, 4]]
+
+
+@pytest.mark.parametrize("edges, message", [
+    (_EDGES + [[0, 2]], r"flow edge \[0, 2\] is repeated"),
+    (_EDGES + [[2, 0]],
+     r"flow edge \[2, 0\] must run from the source to level 0, from a level to the next"),
+    (_EDGES + [[0, 0]], r"flow edge \[0, 0\] must run"),
+    (_EDGES + [[3, 4]], r"flow edge \[3, 4\] must run"),
+    (_EDGES + [[3, 2]], r"flow edge \[3, 2\] must run"),
+    (_EDGES[1:], r"point 'a' \(node 0\) has no flow edge in"),
+    (_EDGES[:3] + _EDGES[4:], r"point 'b' \(node 1\) has no flow edge out"),
+    (_EDGES + [[0, 2.0]], "flow edge node must be an integer"),
+    (_EDGES + [[0, True]], "flow edge node must be an integer"),
+    (_EDGES + [[0]], "flow edge must have 2 items"),
+    (_EDGES + [[0, 10**30]], rf"flow edge 5 \[0, {10**30}\] must join nodes 0\.\.4"),
+], ids=["repeated", "two-way", "loop", "source-to-sink", "source-past-level-0", "no-edge-in",
+        "no-edge-out", "float-node", "bool-node", "short-row", "huge-node"])
+def test_network_refuses_what_its_flow_would_choke_on(edges, message):
+    """Each of these used to be accepted; the flow then raised RuntimeError,
+    TypeError or OverflowError, or read a float or a bool as a node."""
+    FlowNetwork(levels=_LEVELS, ids=_IDS, edges=_EDGES)
+    with pytest.raises(ValidationError, match=message):
+        FlowNetwork(levels=_LEVELS, ids=_IDS, edges=edges)
+
+
+@pytest.mark.parametrize("levels, ids, edges, message", [
+    (_LEVELS, ["b", "a", "a"], _EDGES, "network ids must be the levels' points"),
+    (_LEVELS, ["a", "b"], _EDGES[:4], "network ids must be the levels' points"),
+    ([["a", "b"], [1]], ["a", "b", 1], _EDGES, "network level 1 must hold string ids"),
+    ([], [], [[0, 1]], "a flow network needs at least one level"),
+], ids=["out-of-order", "short", "id-number", "no-levels"])
+def test_network_refuses_ids_that_are_not_its_levels_points(levels, ids, edges, message):
+    with pytest.raises(ValidationError, match=message):
+        FlowNetwork(levels=levels, ids=ids, edges=edges)
+
+
 # ---------------------------------------------------------------- min flow
 
 
@@ -529,6 +585,20 @@ def test_labeling_validation():
     assert lab.labels == {"a": frozenset({1, 2}), "b": frozenset({3})}
     back = Labeling.from_list(lab.to_list(), 3)
     assert back == lab
+
+
+@pytest.mark.parametrize("holders, message", [
+    ((1, 2, 3), "label 1 holder must be a string id, got 1"),
+    (("a", None), "label 2 holder must be a string id, got None"),
+    ("ab", "labeling holders must be a list of ids, not a string"),
+    (5, "labeling holders must be a list"),
+])
+def test_labeling_refuses_holders_that_are_no_string_ids(holders, message):
+    """Int holders used to be accepted, and ``certify`` then raised
+    ``TypeError: '<' not supported``. A list of ids is kept as a tuple."""
+    with pytest.raises(ValidationError, match=message):
+        Labeling(holders)
+    assert Labeling(["a", "b", "a"]) == Labeling(("a", "b", "a"))
 
 
 # ---------------------------------------------------------------- contiguity

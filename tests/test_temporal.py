@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -612,6 +613,23 @@ def test_solution_document_refuses_text_and_booleans_in_merge_heights(entry):
         LocalSolution.from_dict(doc)
 
 
+@pytest.mark.parametrize("name", ["chi", "delta", "rho"])
+@pytest.mark.parametrize("value", ["x", None, True, [1.0], math.inf, math.nan])
+def test_local_solution_refuses_a_metric_that_is_no_finite_number(name, value):
+    """Text, None and lists used to be accepted and then raise TypeError in
+    ``certify``, and True was certified as 1."""
+    sol = solve_local(random_sampling(np.random.default_rng(28), min_levels=2))
+    with pytest.raises(ValidationError, match=f"stored {name} must be a finite number"):
+        dataclasses.replace(sol, **{name: value})
+
+
+def test_local_solution_stores_its_metrics_as_floats():
+    sol = solve_local(random_sampling(np.random.default_rng(28), min_levels=2))
+    forged = dataclasses.replace(sol, chi=np.float64(0.5), delta=2, rho=np.float64(sol.rho))
+    assert [type(getattr(forged, name)) for name in ("chi", "delta", "rho")] == [float] * 3
+    assert (forged.chi, forged.delta, forged.rho) == (0.5, 2.0, sol.rho)
+
+
 def test_local_solution_refuses_an_unknown_scheme():
     """An unknown scheme has no bound to certify under, so no solution holds
     one, however it is made."""
@@ -642,7 +660,13 @@ def test_delta_vacuous_follows_the_level_count():
 
 
 def test_evaluate_general_refuses_a_nan_metric():
+    """No solution is made with a NaN metric; one that holds it anyway,
+    written past the constructor, is still refused by the certificate."""
     sol = solve_local(random_sampling(np.random.default_rng(29), min_levels=2))
     for name in ("chi", "delta", "rho"):
+        with pytest.raises(ValidationError, match=f"stored {name} must be a finite number"):
+            dataclasses.replace(sol, **{name: math.nan})
+        forged = copy.copy(sol)
+        object.__setattr__(forged, name, math.nan)
         with pytest.raises(CertificationError, match=f"stored {name} nan disagrees"):
-            evaluate_general(dataclasses.replace(sol, **{name: math.nan}))
+            evaluate_general(forged)
