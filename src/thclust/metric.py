@@ -9,17 +9,54 @@ invariants use the shared tolerance ``TOL``.
 
 from __future__ import annotations
 
+import math
 import numbers
-import sys
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Sequence
 
 import numpy as np
 
 TOL = 1e-9
 
-# Rows and hubs per block of the triangle check; each block's temporary
-# holds _BLOCK * _BLOCK * n floats.
+# Rows and hubs per block of the triangle check; each row block reuses one
+# hub buffer of _BLOCK * _BLOCK * n floats.
 _BLOCK = 16
+
+# The triangle check shares its row blocks out between the calling thread
+# and helper threads, one fewer than the CPUs this process may use, from one
+# pool made on first use; numpy's add and min release the GIL, so the blocks
+# run in parallel. The caller works through blocks too, so it keeps its CPU
+# and a one-block matrix starts no thread. A forked child drops its parent's
+# pool, whose threads it does not have, and makes its own.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _triangle_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(_cpus() - 1, 1), thread_name_prefix="thclust-triangle")
+        return _pool
+
+
+def _forget_triangle_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_triangle_pool)
 
 
 class ValidationError(ValueError):
@@ -86,10 +123,15 @@ def _json_object(value, what: str, required=()) -> dict:
 def _json_number(value, what: str) -> float:
     """``value`` as a float if it is a finite real number: never text, a
     bool, null, or an int too large for a float."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not abs(value) <= sys.float_info.max):
-        raise ValidationError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise ValidationError(f"{what} must be a finite number, got {value!r}")
 
 
 def _json_real(value, what: str) -> float:
@@ -201,6 +243,49 @@ def _check_coordinates(coords: np.ndarray) -> None:
             raise ValidationError("distances derived from coordinates must be finite")
 
 
+def _triangle_block_passes(dist: np.ndarray, i0: int) -> bool:
+    """Whether rows ``i0`` to ``i0 + _BLOCK`` of the canonical matrix ``dist``
+    pass the triangle check, judged over the columns at or right of ``i0``.
+
+    Hubs are folded in blocks of ``_BLOCK`` into a running minimum of
+    ``dist[i, k] + dist[k, j]``, summed into one reused buffer. The verdict
+    is the hub scan's own:
+
+    - ``dist`` is canonical, so exactly symmetric, and floating-point
+      addition commutes; pair (j, i) via k has the bits of (i, j) via k,
+      and the pairs with j >= i suffice.
+    - Rounded subtraction is monotone, so the largest ``dist[i, j] - s_k``
+      over hubs is ``dist[i, j] - min_k s_k``.
+
+    It may run on a pool thread, which does not inherit the caller's
+    ``np.errstate``, so it sets its own."""
+    n = len(dist)
+    i1 = min(i0 + _BLOCK, n)
+    row = dist[i0:i1, i0:]
+    via = np.full_like(row, np.inf)
+    hubs = np.empty((i1 - i0, _BLOCK, n - i0))
+    with np.errstate(over="ignore"):  # hub sums above 1.8e308 are inf
+        for k0 in range(0, n, _BLOCK):
+            k1 = min(k0 + _BLOCK, n)
+            block = hubs[:, : k1 - k0]
+            np.add(dist[i0:i1, k0:k1, None], dist[None, k0:k1, i0:], out=block)
+            np.minimum(via, block.min(axis=1), out=via)
+    return not (row - via).max() > TOL
+
+
+def _judge_triangle_blocks(dist: np.ndarray, todo: queue.SimpleQueue,
+                           failed: threading.Event) -> None:
+    """Judge the row blocks taken from ``todo`` until it is empty or a block
+    has failed on any thread; set ``failed`` when one does not pass."""
+    while not failed.is_set():
+        try:
+            i0 = todo.get_nowait()
+        except queue.Empty:
+            return
+        if not _triangle_block_passes(dist, i0):
+            failed.set()
+
+
 class MetricSpace:
     """A finite point set with pairwise distances, from a matrix or from
     coordinates.
@@ -258,7 +343,8 @@ class MetricSpace:
             if validate:
                 self._check_triangle(dist)
         if validate and not self.pseudo:
-            off = self.dist + np.diag(np.full(n, np.inf))
+            off = self.dist.copy()
+            np.fill_diagonal(off, np.inf)
             if n > 1 and off.min() <= TOL:
                 i, j = np.unravel_index(int(off.argmin()), off.shape)
                 raise ValidationError(
@@ -306,33 +392,28 @@ class MetricSpace:
         """Raise :class:`ValidationError` unless every triple satisfies
         ``dist[i, j] - (dist[i, k] + dist[k, j]) <= TOL``.
 
-        The scan runs over blocks of ``_BLOCK`` rows and only the columns at
-        or right of the block, folding hubs in blocks of ``_BLOCK`` into a
-        running minimum of ``dist[i, k] + dist[k, j]``. It judges every
-        triple by the hub scan's own expression:
-
-        - ``dist`` is canonical, so exactly symmetric, and floating-point
-          addition commutes; pair (j, i) via k has the bits of (i, j) via k,
-          and the pairs with j >= i suffice.
-        - Rounded subtraction is monotone, so the largest
-          ``dist[i, j] - s_k`` over hubs is ``dist[i, j] - min_k s_k``.
-
-        A block that does not pass hands the matrix to :meth:`_scan_hubs`,
-        which decides it and names the first violating triple in hub order.
+        The scan splits the rows into blocks of ``_BLOCK``, queued largest
+        first. This thread and up to one helper per other CPU, from the
+        shared pool, take blocks off the queue and judge each with
+        :func:`_triangle_block_passes`, which sums into one reused hub
+        buffer per block under its own ``np.errstate``, since pool threads
+        do not inherit the caller's. The minimum over hubs is exact and
+        does not depend on which thread judges a block, so the verdict is
+        that of a sequential scan. A block that does not pass stops every
+        thread after its current block and hands the matrix to
+        :meth:`_scan_hubs`, which decides it and names the first violating
+        triple in hub order.
         """
-        n = len(dist)
-        for i0 in range(0, n, _BLOCK):
-            i1 = min(i0 + _BLOCK, n)
-            row = dist[i0:i1, i0:]
-            via = np.full_like(row, np.inf)
-            with np.errstate(over="ignore"):  # hub sums above 1.8e308 are inf
-                for k0 in range(0, n, _BLOCK):
-                    k1 = min(k0 + _BLOCK, n)
-                    hubs = dist[i0:i1, k0:k1, None] + dist[None, k0:k1, i0:]
-                    np.minimum(via, hubs.min(axis=1), out=via)
-            if (row - via).max() > TOL:
-                self._scan_hubs(dist)
-                return
+        todo, failed = queue.SimpleQueue(), threading.Event()
+        for i0 in range(0, len(dist), _BLOCK):
+            todo.put(i0)
+        helpers = [_triangle_pool().submit(_judge_triangle_blocks, dist, todo, failed)
+                   for _ in range(min(_cpus() - 1, todo.qsize() - 1))]
+        _judge_triangle_blocks(dist, todo, failed)
+        for helper in helpers:
+            helper.result()
+        if failed.is_set():
+            self._scan_hubs(dist)
 
     def _scan_hubs(self, dist: np.ndarray) -> None:
         # One hub at a time keeps memory linear in n^2; every hub reuses

@@ -60,6 +60,9 @@ def test_config_validation():
         SimConfig(max_speed=0.0)
     with pytest.raises(ValidationError, match="max_speed must not exceed"):
         SimConfig(max_speed=1e154)
+    assert SimConfig(dt=np.float32(0.1)).dt == float(np.float32(0.1))
+    with pytest.raises(ValidationError, match="dt"):
+        SimConfig(dt=np.float32("inf"))
 
 
 @pytest.mark.parametrize("name, value", [

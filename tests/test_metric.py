@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -25,6 +31,7 @@ from thclust import (
     linf_distance,
     shortest_path_closure,
 )
+from thclust import metric
 from thclust.metric import _scalar_types
 
 
@@ -423,12 +430,108 @@ def test_triangle_check_reads_violations_from_the_lower_triangle():
 def test_triangle_check_matches_hub_scan_on_overflowed_distances():
     """Entries near the float maximum stay finite when canonicalised. In the
     4-point matrix hubs 0 and 1 give zero slack and hub 2 refuses; the
-    2-point one is accepted by both scans."""
+    2-point one is accepted by both scans. The 40-point matrices overflow
+    hub sums in all three row blocks: all entries near the maximum are
+    accepted, and legs of 1 under one such pair refuse it. They are checked
+    outside this errstate, so whichever thread judges a block, the calling
+    one or a pool thread, must ignore the overflow itself."""
     m = 1.0 - np.eye(4)
     m[0, 1] = m[1, 0] = 1.7e308
+    big = 1.7e308 * (1.0 - np.eye(40))
+    legs = big.copy()
+    legs[5, 20] = legs[20, 5] = legs[20, 37] = legs[37, 20] = 1.0
+    ids = tuple(f"p{i}" for i in range(40))
     with np.errstate(over="ignore"):  # hub sums of two such entries
         assert _verdict(m) == _violated(0, 1, 2)
         assert _verdict(m[:2, :2]) is None
+        want = [reference_space_outcome(ids, x, pseudo=True) for x in (big, legs)]
+    got = [outcome(MetricSpace, ids, dist=x, pseudo=True) for x in (big, legs)]
+    assert isinstance(got[0], MetricSpace)
+    assert got == want
+    assert got[1] == _violated(5, 37, 20)
+
+
+def test_triangle_check_from_more_threads_than_cores():
+    """Eight callers validate at once from a fresh pool, with thread switches
+    forced often: each gets its own verdict, and all share one pool."""
+    rng = np.random.default_rng(44)
+    ids = tuple(f"p{i}" for i in range(40))
+    matrices = [cloud_space(rng, 40).dist, _planted(40, 3, 30, 20, 0.25, rng)] * 4
+    pools, verdicts = {}, {}
+
+    def validate(at):
+        pools[at] = metric._triangle_pool()
+        got = outcome(MetricSpace, ids, dist=matrices[at], pseudo=True)
+        verdicts[at] = None if isinstance(got, MetricSpace) else got
+
+    metric._forget_triangle_pool()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=validate, args=(at,)) for at in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert verdicts == {at: None if at % 2 == 0 else _violated(3, 30, 20) for at in range(8)}
+    assert len({id(pool) for pool in pools.values()}) == 1
+
+
+def test_triangle_check_stops_every_thread_after_a_failing_block(monkeypatch):
+    """The violation sits in the first of ten row blocks, and every other
+    block is slowed down: two threads judge at most two blocks before the
+    hub scan names the triple, where a scan that went on would judge all
+    ten."""
+    judged = []
+
+    def slowed(dist, i0):
+        judged.append(i0)
+        if i0:
+            time.sleep(0.05)
+        return passes(dist, i0)
+
+    passes = metric._triangle_block_passes
+    monkeypatch.setattr(metric, "_triangle_block_passes", slowed)
+    monkeypatch.setattr(metric, "_cpus", lambda: 2)
+    m = _planted(160, 2, 100, 60, 0.25, np.random.default_rng(45))
+    assert _verdict(m) == _violated(2, 100, 60)
+    assert 0 in judged and len(judged) <= 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_triangle_check_runs_in_a_forked_child():
+    """A child forked after a validation has none of its parent's pool
+    threads; validating again there must make its own pool, not wait on
+    threads that do not exist. Run in a fresh interpreter, so the fork
+    leaves this process and its warning filters alone."""
+    script = textwrap.dedent("""
+        import os, signal, sys, traceback
+        import numpy as np
+        from thclust import MetricSpace
+        x = np.random.default_rng(0).random((40, 2))
+        d = np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=-1))
+        ids = [f"p{i}" for i in range(40)]
+        MetricSpace(ids, dist=d)
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(20)
+            try:
+                MetricSpace(ids, dist=d)
+            except BaseException:
+                traceback.print_exc()
+                os._exit(1)
+            os._exit(0)
+        _, status = os.waitpid(pid, 0)
+        sys.exit(os.waitstatus_to_exitcode(status))
+    """)
+    src = os.path.dirname(os.path.dirname(metric.__file__))
+    done = subprocess.run([sys.executable, "-W", "ignore::DeprecationWarning", "-c", script],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_distances_near_float_max_stay_finite():

@@ -614,7 +614,8 @@ def test_solution_document_refuses_text_and_booleans_in_merge_heights(entry):
 
 
 @pytest.mark.parametrize("name", ["chi", "delta", "rho"])
-@pytest.mark.parametrize("value", ["x", None, True, [1.0], math.inf, math.nan])
+@pytest.mark.parametrize("value", ["x", None, True, [1.0], math.inf, math.nan,
+                                   np.float32("inf"), np.float16("nan")])
 def test_local_solution_refuses_a_metric_that_is_no_finite_number(name, value):
     """Text, None and lists used to be accepted and then raise TypeError in
     ``certify``, and True was certified as 1."""
@@ -628,6 +629,8 @@ def test_local_solution_stores_its_metrics_as_floats():
     forged = dataclasses.replace(sol, chi=np.float64(0.5), delta=2, rho=np.float64(sol.rho))
     assert [type(getattr(forged, name)) for name in ("chi", "delta", "rho")] == [float] * 3
     assert (forged.chi, forged.delta, forged.rho) == (0.5, 2.0, sol.rho)
+    narrow = dataclasses.replace(sol, chi=np.float32(0.5)).chi
+    assert type(narrow) is float and narrow == 0.5
 
 
 def test_local_solution_refuses_an_unknown_scheme():
