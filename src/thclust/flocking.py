@@ -146,6 +146,18 @@ def _reach(cfg: SimConfig) -> float:
     return span + 8.0 * math.ulp(float(cfg.arena_side)) + 2.0**-500
 
 
+def _sums(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
+    """The (length, 2) sums of the rows of the (m, 2) float ``values`` by
+    ``index``: each sum starts at +0.0 and adds its terms in list order
+    (in float64, as ``np.bincount`` does). The result takes the dtype of
+    ``values``, so the int zeros that ``np.bincount`` gives for an empty
+    list become float zeros."""
+    out = np.empty((length, 2), values.dtype)
+    for axis in range(2):
+        out[:, axis] = np.bincount(index, weights=values[:, axis], minlength=length)
+    return out
+
+
 def step(state, cfg: SimConfig, rng: np.random.Generator):
     """Advance the state ``(idents, serials, kinds, pos, vel)``, kept in
     ident order, by one tick; returns the next state, again in ident order.
@@ -159,16 +171,20 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
     ``avoid_radius``, which ``SimConfig`` keeps at most ``clump_radius``)
     and the interaction candidates (``i < j``, within ``reach``) are
     filtered from that list, so each keeps its row-major order. The clump
-    and avoid sums visit each row's pairs in ascending column order: a
-    dense row sum adds the same terms in the same order plus signed zeros,
-    so the bits agree; a zero weight likewise adds only signed zeros to a
-    force that starts at +0.0. Interactions are resolved on post-move
-    positions: each candidate's post-move gap is computed with
-    :func:`_gaps`'s expression, so it has the same bits, and those within
-    ``interact_radius`` interact pair by pair in ident order; an actor
-    deleted earlier in the tick takes part in nothing else. Newcomers take
-    serials after the largest one alive at the start of the tick. Only the
-    interaction stage draws from ``rng``. The inputs are never written.
+    and avoid sums and the schooling means (:func:`_sums`, one
+    ``np.bincount`` per axis) add in list order: each row's pairs in
+    ascending column order, where a dense row sum adds the same terms in
+    the same order plus signed zeros, so the bits agree, and each kind's
+    velocities in ident order, as the mean of the kind's rows does. A zero
+    weight likewise adds only signed zeros to a force that starts at +0.0.
+    The bounces run only when the move takes a position out of the arena.
+    Interactions are resolved on post-move positions: each candidate's
+    post-move gap is computed with :func:`_gaps`'s expression, so it has
+    the same bits, and those within ``interact_radius`` interact pair by
+    pair in ident order; an actor deleted earlier in the tick takes part in
+    nothing else. Newcomers take serials after the largest one alive at the
+    start of the tick. Only the interaction stage draws from ``rng``. The
+    inputs are never written.
 
     A malformed state raises :class:`ValidationError`: idents that are not
     unique strings in sorted order, arrays of another shape, serials or
@@ -209,25 +225,21 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
     clump = (d <= cfg.clump_radius) & (kinds[rows] == kinds[cols])
     counts = np.bincount(rows[clump], minlength=n)
     has = counts > 0
-    centroid = np.zeros_like(pos)
-    np.add.at(centroid, rows[clump], pos[cols[clump]])
+    centroid = _sums(rows[clump], pos[cols[clump]], n)
     centroid[has] /= counts[has, None]
     avoid = d <= cfg.avoid_radius  # within the list: avoid_radius <= clump_radius
     offset = pos[cols[avoid]] - pos[rows[avoid]]
     push = -offset / np.maximum(d[avoid], 1e-9)[:, None] ** 2
-    total = np.zeros_like(pos)
-    np.add.at(total, rows[avoid], push)
+    total = _sums(rows[avoid], push, n)
 
     # Huge but finite weights may overflow the force; the speed check refuses it.
     with np.errstate(over="ignore", invalid="ignore"):
         force = np.zeros_like(pos)
         force[has] += cfg.clump_weight * (centroid[has] - pos[has])
         force += cfg.avoid_weight * total
-        for kind in range(TYPE_COUNT):
-            members = kinds == kind
-            if members.any():  # the mean of an empty slice warns
-                mean_vel = vel[members].mean(axis=0)
-                force[members] += cfg.school_weight * (mean_vel - vel[members])
+        members = np.maximum(np.bincount(kinds, minlength=TYPE_COUNT), 1)  # no 0 / 0
+        mean_vel = _sums(kinds, vel, TYPE_COUNT) / members[:, None]
+        force += cfg.school_weight * (mean_vel[kinds] - vel)
         margin = 0.05 * cfg.arena_side
         force += np.where(pos < margin, cfg.wall_force * (margin - pos) / margin, 0.0)
         top = cfg.arena_side - margin
@@ -251,13 +263,14 @@ def step(state, cfg: SimConfig, rng: np.random.Generator):
         raise ValidationError(
             f"moving actor {idents[i]!r} at velocity {vel[i].tolist()} for dt {cfg.dt:g} "
             f"leaves the floats; lower dt or max_speed {cfg.max_speed:g}")
-    for _ in range(2):  # one bounce is enough at sane speeds; twice for safety
-        under = pos < 0
-        pos[under] = -pos[under]
-        vel[under] = np.abs(vel[under])
-        above = pos > cfg.arena_side
-        pos[above] = 2 * cfg.arena_side - pos[above]
-        vel[above] = -np.abs(vel[above])
+    if pos.min(initial=0.0) < 0 or pos.max(initial=0.0) > cfg.arena_side:
+        for _ in range(2):  # one bounce is enough at sane speeds; twice for safety
+            under = pos < 0
+            pos[under] = -pos[under]
+            vel[under] = np.abs(vel[under])
+            above = pos > cfg.arena_side
+            pos[above] = 2 * cfg.arena_side - pos[above]
+            vel[above] = -np.abs(vel[above])
     pos = np.clip(pos, 0.0, cfg.arena_side)
 
     dead: set[int] = set()

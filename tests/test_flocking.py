@@ -353,6 +353,44 @@ def test_step_matches_the_oracle_on_a_busy_state():
     assert "a00012" in [ident for ident, *_ in new[0]]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_step_matches_the_oracle_on_a_crowded_state(seed):
+    """A thousand actors in a 50-unit arena: over 200 members per kind and
+    dozens of clump pairs per row, so the per-kind means and the per-row
+    clump and avoid sums add far more terms than in the 200-actor runs,
+    and keep the oracle's bits."""
+    cfg = SimConfig(actor_count=1000, arena_side=50.0, seed=seed)
+    state = initial_state(cfg, np.random.default_rng(seed))
+    _, _, kinds, pos, _ = state
+    same = kinds[:, None] == kinds[None, :]
+    assert np.bincount(kinds).min() > 200
+    assert np.median((same & (flocking._gaps(pos) <= cfg.clump_radius)).sum(axis=1)) > 24
+    new, old = both_steps(state, cfg, seed)
+    assert new == old
+
+
+def test_step_matches_the_oracle_with_empty_sums():
+    """No clump pair, no avoid pair and kinds without a member: each sum
+    is over an empty list, whose ``np.bincount`` is int zeros, and ``step``
+    still returns float64 positions and velocities with the oracle's bits."""
+    isolated = flock(("a00000", 0, 1, (10.0, 10.0), (0.5, -0.25)),
+                     ("a00001", 1, 1, (90.0, 90.0), (-1.0, 0.75)),
+                     ("a00002", 2, 3, (10.0, 90.0), (0.0, 0.0)))
+    alone = flock(("a00000", 0, 2, (50.0, 50.0), (1.0, 1.0)))
+    radii_0 = dict(clump_radius=0.0, avoid_radius=0.0)
+    for state, cfg in ((isolated, SimConfig()), (isolated, SimConfig(**radii_0)),
+                       (alone, SimConfig()), (alone, SimConfig(**radii_0)),
+                       (flock(*BUSY_ROWS), busy_config(**radii_0))):
+        new, old = both_steps(state, cfg)
+        assert new == old
+        _, _, _, pos, vel = step(state, cfg, np.random.default_rng(0))
+        assert pos.dtype == vel.dtype == np.float64
+    empty = ([], np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 2)), np.zeros((0, 2)))
+    idents, _, _, pos, vel = step(empty, SimConfig(), np.random.default_rng(0))
+    assert idents == [] and pos.shape == vel.shape == (0, 2)
+    assert pos.dtype == vel.dtype == np.float64
+
+
 MALFORMED_STATES = {
     "unsorted": lambda s: ([s[0][3], *s[0][:3], s[0][4]], *s[1:]),
     "repeated-id": lambda s: ([*s[0][:4], s[0][3]], *s[1:]),
@@ -479,6 +517,21 @@ def test_step_builds_one_gaps_block_per_tick(monkeypatch):
     populations = []
     run_detailed(cfg, on_tick=lambda tick, population: populations.append(population))
     assert blocks == [30, *populations[:-1]]
+
+
+def test_run_detailed_calls_step_once_per_tick(monkeypatch):
+    """Each tick is one call of the public ``step``, so a wrapper of
+    ``flocking.step`` (as the benchmark's tracer is) sees every tick."""
+    calls, stepped = [], flocking.step
+
+    def counted(state, cfg, rng):
+        calls.append(len(state[0]))
+        return stepped(state, cfg, rng)
+
+    monkeypatch.setattr(flocking, "step", counted)
+    cfg = SimConfig(actor_count=15, total_ticks=37, snapshot_interval=10, seed=4)
+    run_detailed(cfg)
+    assert len(calls) == cfg.total_ticks
 
 
 def test_step_finds_pairs_that_rounding_brings_within_the_interact_radius():
