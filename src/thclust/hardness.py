@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metric import MetricSpace, ValidationError, _json_list, linf_distance
-from .metric import _as_point_tuple, _json_object, _json_str
+from .metric import _as_point_tuple, _json_object, _json_real, _json_str
 from .temporal import Correspondence, distortion
 from .ultrametric import PseudoUltrametric
 
@@ -239,6 +239,7 @@ def verify_witness(inst: ThcInstance, witness: Witness,
     witness is judged on max-norm fit per level and distortion across the
     relation.
     """
+    chi_bound, rho_bound = _json_real(chi_bound, "chi_bound"), _json_real(rho_bound, "rho_bound")
     try:
         chi = _fit_error(inst, witness)
     except WitnessError:  # levels over other point tuples

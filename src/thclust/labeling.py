@@ -108,7 +108,7 @@ class FlowNetwork:
 def build_flow_instance(sampling: TemporalSampling,
                         correspondences) -> FlowNetwork:
     """Assemble the layered network for a sampling and its correspondences."""
-    corrs = tuple(correspondences)
+    corrs = _items(correspondences, "correspondences")
     if len(corrs) != sampling.t - 1:
         raise ValidationError(
             f"expected {sampling.t - 1} correspondences, got {len(corrs)}"
@@ -460,7 +460,7 @@ def paths_to_labelings(paths) -> tuple[Labeling, ...]:
     Paths are sorted by their visited point ids and numbered 1..k in that
     order; at each level, label j's holder is the point that path j visits.
     """
-    ordered = sorted(paths)
+    ordered = sorted(_items(paths, "paths"))
     if not ordered:
         raise ValidationError("at least one path is required")
     if any(len(path) != len(ordered[0]) for path in ordered):
@@ -532,7 +532,7 @@ def certify(local: LocalSolution, labelings=(), delta: float | None = None) -> C
     if delta is not None:
         delta = _json_real(delta, "delta")
     certification = evaluate_general(local)
-    labelings, levels = tuple(labelings), local.sampling.levels
+    labelings, levels = _items(labelings, "labelings"), local.sampling.levels
     if not labelings:
         return certification
     if len(labelings) != len(levels):

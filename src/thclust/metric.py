@@ -26,13 +26,10 @@ TOL = 1e-9
 _BLOCK = 16
 
 # The triangle check shares its row blocks out between the calling thread
-# and helper threads, one fewer than the CPUs this process may use, from one
-# pool made on first use; numpy's add and min release the GIL, so the blocks
-# run in parallel. The caller works through blocks too, so it keeps its CPU
-# and a one-block matrix starts no thread. A forked child drops its parent's
-# pool, whose threads it does not have, and makes its own.
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
+# and helper threads, one fewer than the CPUs this process may use, started
+# for the call and joined before it returns; numpy's add and min release the
+# GIL, so the blocks run in parallel. The caller works through blocks too,
+# so it keeps its CPU and a one-block matrix starts no thread.
 
 
 def _cpus() -> int:
@@ -40,23 +37,6 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
         return os.cpu_count() or 1
-
-
-def _triangle_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(_cpus() - 1, 1), thread_name_prefix="thclust-triangle")
-        return _pool
-
-
-def _forget_triangle_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_triangle_pool)
 
 
 class ValidationError(ValueError):
@@ -257,7 +237,7 @@ def _triangle_block_passes(dist: np.ndarray, i0: int) -> bool:
     - Rounded subtraction is monotone, so the largest ``dist[i, j] - s_k``
       over hubs is ``dist[i, j] - min_k s_k``.
 
-    It may run on a pool thread, which does not inherit the caller's
+    It may run on a helper thread, which does not inherit the caller's
     ``np.errstate``, so it sets its own."""
     n = len(dist)
     i1 = min(i0 + _BLOCK, n)
@@ -393,11 +373,12 @@ class MetricSpace:
         ``dist[i, j] - (dist[i, k] + dist[k, j]) <= TOL``.
 
         The scan splits the rows into blocks of ``_BLOCK``, queued largest
-        first. This thread and up to one helper per other CPU, from the
-        shared pool, take blocks off the queue and judge each with
-        :func:`_triangle_block_passes`, which sums into one reused hub
-        buffer per block under its own ``np.errstate``, since pool threads
-        do not inherit the caller's. The minimum over hubs is exact and
+        first. This thread and up to one helper per other CPU, started for
+        this call and joined before it returns, take blocks off the queue
+        and judge each with :func:`_triangle_block_passes`, which sums into
+        one reused hub buffer per block under its own ``np.errstate``, since
+        helper threads do not inherit the caller's. An error raised on a
+        helper reaches the caller. The minimum over hubs is exact and
         does not depend on which thread judges a block, so the verdict is
         that of a sequential scan. A block that does not pass stops every
         thread after its current block and hands the matrix to
@@ -407,11 +388,13 @@ class MetricSpace:
         todo, failed = queue.SimpleQueue(), threading.Event()
         for i0 in range(0, len(dist), _BLOCK):
             todo.put(i0)
-        helpers = [_triangle_pool().submit(_judge_triangle_blocks, dist, todo, failed)
-                   for _ in range(min(_cpus() - 1, todo.qsize() - 1))]
-        _judge_triangle_blocks(dist, todo, failed)
-        for helper in helpers:
-            helper.result()
+        helpers = min(_cpus() - 1, todo.qsize() - 1)
+        with ThreadPoolExecutor(max(helpers, 1), thread_name_prefix="thclust-triangle") as pool:
+            futures = [pool.submit(_judge_triangle_blocks, dist, todo, failed)
+                       for _ in range(helpers)]
+            _judge_triangle_blocks(dist, todo, failed)
+        for future in futures:
+            future.result()
         if failed.is_set():
             self._scan_hubs(dist)
 
@@ -498,7 +481,7 @@ def linf_distance(a: MetricSpace, b: MetricSpace) -> float:
 
 def hausdorff_distance(p_ids: Iterable[str], q_ids: Iterable[str], ambient: MetricSpace) -> float:
     """Hausdorff distance between two non-empty subsets of an ambient space."""
-    p_ids, q_ids = tuple(p_ids), tuple(q_ids)
+    p_ids, q_ids = _items(p_ids, "p_ids"), _items(q_ids, "q_ids")
     if not p_ids or not q_ids:
         raise ValidationError("Hausdorff distance needs non-empty point sets")
     pi = np.array([ambient.index_of(p) for p in p_ids])
@@ -519,7 +502,7 @@ class TemporalSampling:
             raise ValidationError("ambient must be a MetricSpace")
         self.ambient = ambient
         lvls = []
-        for i, level in enumerate(levels):
+        for i, level in enumerate(_items(levels, "levels")):
             pts = _as_point_tuple(level, f"level {i}")
             for p in pts:
                 ambient.index_of(p)

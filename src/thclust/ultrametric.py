@@ -17,7 +17,7 @@ import numpy as np
 
 from .metric import TOL, MetricSpace, ValidationError, shortest_path_closure
 from .metric import _as_point_tuple, _json_int, _json_list, _json_number, _json_real
-from .metric import _json_object, _number_array
+from .metric import _items, _json_object, _number_array
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +45,7 @@ def validate_ultrametric(mu, points=None):
     if points is None:
         names = tuple(range(n))
     else:
-        names = tuple(points)
+        names = _items(points, "points")
         if len(names) != n:
             raise ValidationError("points do not match matrix size")
     if n == 0:

@@ -21,7 +21,9 @@ state that ``step`` takes. Each call raises ``ValidationError`` or
 returns outputs that their consumers take: finite numbers, a flow network
 that ``min_feasible_flow`` and ``decompose_paths`` run on, and solutions
 and labelings that ``certify`` passes or refuses with
-``CertificationError``.
+``CertificationError``. A number where an entry point reads a sequence
+(levels, point ids, correspondences, labelings, paths) raises
+``ValidationError`` too.
 """
 
 import contextlib
@@ -48,18 +50,23 @@ from thclust import (
     LocalSolution,
     MetricSpace,
     SimConfig,
+    TemporalSampling,
     ValidationError,
+    build_flow_instance,
     certify,
     check_contiguity,
     cut_at_height,
     decompose_paths,
+    hausdorff_distance,
     initial_state,
     instability_family,
     min_feasible_flow,
+    paths_to_labelings,
     shortest_path_closure,
     solve_labeled,
     step,
     to_dendrogram,
+    validate_ultrametric,
 )
 from thclust.cli import main
 from thclust.flocking import TYPE_COUNT
@@ -272,6 +279,37 @@ def test_mutated_library_input_is_refused_or_finite(library_calls, target, data)
     except ValidationError:
         return
     assert check(result)
+
+
+@pytest.fixture(scope="module")
+def sequence_calls():
+    """Each public call that reads a sequence argument, as a function of that
+    argument, and a value of it that the call takes."""
+    sampling = run(SimConfig(actor_count=6, total_ticks=100, seed=0))
+    labeled = solve_labeled(sampling)
+    local, ambient, levels = labeled.local, sampling.ambient, sampling.levels
+    fitted = local.ultrametrics[0]
+    return {
+        "levels": (functools.partial(TemporalSampling, ambient), levels),
+        "p_ids": (lambda arg: hausdorff_distance(arg, levels[1], ambient), levels[0]),
+        "q_ids": (lambda arg: hausdorff_distance(levels[0], arg, ambient), levels[1]),
+        "correspondences": (functools.partial(build_flow_instance, sampling),
+                            local.correspondences),
+        "labelings": (functools.partial(certify, local), labeled.labelings),
+        "paths": (paths_to_labelings, decompose_paths(labeled.flow)),
+        "points": (functools.partial(validate_ultrametric, fitted.mu), fitted.points),
+    }
+
+
+@pytest.mark.parametrize("name", ["levels", "p_ids", "q_ids", "correspondences", "labelings",
+                                  "paths", "points"])
+def test_sequence_argument_that_is_not_iterable_is_refused(sequence_calls, name):
+    """A number where a sequence belongs raises ValidationError, not the
+    TypeError of iterating it; an iterator over a good value is taken."""
+    call, good = sequence_calls[name]
+    with pytest.raises(ValidationError, match=f"{name} must be a list, got int"):
+        call(5)
+    call(iter(good))
 
 
 _STEP_CONFIG = SimConfig(actor_count=8, arena_side=10.0, interact_prob=1.0, interact_radius=3.0,

@@ -149,6 +149,22 @@ def test_k3_witness_verifies_at_the_advertised_thresholds():
     assert not verify_witness(inst, wit, 0.99, 0.0)
 
 
+@pytest.mark.parametrize("chi_bound, rho_bound, message", [
+    ("1", 0, "chi_bound must be a number, got '1'"),
+    (1.0, "0", "rho_bound must be a number, got '0'"),
+    (None, 0.0, "chi_bound must be a number, got None"),
+    (1.0, True, "rho_bound must be a number, got True"),
+    (10**400, 0.0, "chi_bound 10+ is too large for a float"),
+], ids=["chi-text", "rho-text", "chi-null", "rho-bool", "chi-huge"])
+def test_verify_witness_refuses_bounds_that_are_not_numbers(chi_bound, rho_bound, message):
+    g = complete_graph(3)
+    wit = witness_from_coloring(g, {"v0": "r", "v1": "g", "v2": "b"})
+    inst = reduce_from_graph(g)
+    with pytest.raises(ValidationError, match=message):
+        verify_witness(inst, wit, chi_bound, rho_bound)
+    assert verify_witness(inst, wit, 1, 0)
+
+
 def test_witness_fit_quality_is_exactly_one():
     g = cycle_graph(5)
     wit = witness_from_coloring(g, pad_to_three_colors(g, brute_force_3color(g)))

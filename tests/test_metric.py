@@ -434,7 +434,7 @@ def test_triangle_check_matches_hub_scan_on_overflowed_distances():
     hub sums in all three row blocks: all entries near the maximum are
     accepted, and legs of 1 under one such pair refuse it. They are checked
     outside this errstate, so whichever thread judges a block, the calling
-    one or a pool thread, must ignore the overflow itself."""
+    one or a helper thread, must ignore the overflow itself."""
     m = 1.0 - np.eye(4)
     m[0, 1] = m[1, 0] = 1.7e308
     big = 1.7e308 * (1.0 - np.eye(40))
@@ -452,19 +452,17 @@ def test_triangle_check_matches_hub_scan_on_overflowed_distances():
 
 
 def test_triangle_check_from_more_threads_than_cores():
-    """Eight callers validate at once from a fresh pool, with thread switches
-    forced often: each gets its own verdict, and all share one pool."""
+    """Eight callers validate at once, with thread switches forced often:
+    each gets its own verdict."""
     rng = np.random.default_rng(44)
     ids = tuple(f"p{i}" for i in range(40))
     matrices = [cloud_space(rng, 40).dist, _planted(40, 3, 30, 20, 0.25, rng)] * 4
-    pools, verdicts = {}, {}
+    verdicts = {}
 
     def validate(at):
-        pools[at] = metric._triangle_pool()
         got = outcome(MetricSpace, ids, dist=matrices[at], pseudo=True)
         verdicts[at] = None if isinstance(got, MetricSpace) else got
 
-    metric._forget_triangle_pool()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -477,7 +475,31 @@ def test_triangle_check_from_more_threads_than_cores():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert verdicts == {at: None if at % 2 == 0 else _violated(3, 30, 20) for at in range(8)}
-    assert len({id(pool) for pool in pools.values()}) == 1
+
+
+def test_triangle_check_leaves_no_helper_thread_running():
+    """A 40-point matrix has three row blocks; the helpers that judged them
+    are joined before the validation returns."""
+    space = cloud_space(np.random.default_rng(46), 40)
+    MetricSpace(space.points, dist=space.dist)
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("thclust-triangle")]
+
+
+def test_triangle_check_raises_an_error_from_any_thread(monkeypatch):
+    """An error judging the second of three row blocks reaches the caller,
+    whichever of the two threads judged that block: no block is skipped."""
+    def broken(dist, i0):
+        if i0 == 16:
+            raise RuntimeError("block 16")
+        return passes(dist, i0)
+
+    passes = metric._triangle_block_passes
+    monkeypatch.setattr(metric, "_triangle_block_passes", broken)
+    monkeypatch.setattr(metric, "_cpus", lambda: 2)
+    space = cloud_space(np.random.default_rng(47), 48)
+    for _ in range(20):
+        with pytest.raises(RuntimeError, match="block 16"):
+            MetricSpace(space.points, dist=space.dist)
 
 
 def test_triangle_check_stops_every_thread_after_a_failing_block(monkeypatch):
